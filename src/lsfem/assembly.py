@@ -7,9 +7,10 @@ with themselves and adds a boundary penalty whose weight is
     weak:     (eps + max(-beta.n, 0)) / h_F
     alt-weak: eps / h_F + max(-beta.n, 0)
 
-so outflow faces are constrained only at O(eps). Strong mode drops the
-penalty and eliminates boundary scalar DOFs symmetrically instead. The
-pure-transport specialization keeps only the scalar residual and the
+so outflow faces are constrained only at O(eps). Flagged slit edges get
+the penalty (eps + |beta.n|) / h_F. Strong mode drops the boundary penalty
+and, after the slit terms, eliminates boundary scalar DOFs symmetrically.
+The pure-transport specialization keeps only the scalar residual and the
 inflow part of the penalty.
 """
 from __future__ import annotations
@@ -88,14 +89,17 @@ def _scalar_field(fn, x, y) -> np.ndarray:
     return np.broadcast_to(np.asarray(fn(x, y), dtype=float), np.shape(x))
 
 
-def face_weight(bc_mode: str, eps: float, beta_n: np.ndarray, h_f: float) -> np.ndarray:
-    """Boundary penalty weight at face quadrature points."""
+def face_weight(mode: str, eps: float, beta_n: np.ndarray, h_f) -> np.ndarray:
+    """Face penalty weight at quadrature points: boundary faces in weak or
+    alt-weak mode, flagged interior faces in slit mode."""
+    if mode == "slit":
+        return (eps + np.abs(beta_n)) / h_f
     inflow = np.maximum(-beta_n, 0.0)
-    if bc_mode == "weak":
+    if mode == "weak":
         return (eps + inflow) / h_f
-    if bc_mode == "alt-weak":
+    if mode == "alt-weak":
         return eps / h_f + inflow
-    raise ValueError(f"no boundary weight in mode {bc_mode!r}")
+    raise ValueError(f"no face weight in mode {mode!r}")
 
 
 def assemble_ls(
@@ -113,19 +117,13 @@ def assemble_ls(
     if dofmap.q_index.shape[0] != mesh.num_triangles:
         raise ValueError("dofmap was built for a different mesh")
 
-    eps = problem.epsilon
-    se = np.sqrt(eps)
+    se = np.sqrt(problem.epsilon)
     m = dofmap.degree
     geo = fem.element_geometry(mesh)
     rule = fem.triangle_rule(fem.assembly_degree(dofmap.k))
     wvals, wgrads = fem.w_tables(m, rule.xy, geo)
     qvals, qdivs = fem.q_tables(m, rule.xy, geo)
-    X = geo.map_points(rule.xy)
-    wq = rule.weights[None, :] * geo.det[:, None]
-
-    beta = problem.beta(X[..., 0], X[..., 1])
-    cval = _scalar_field(problem.c, X[..., 0], X[..., 1])
-    fval = _scalar_field(problem.f, X[..., 0], X[..., 1])
+    rw, fval, wq = _scalar_residual(problem, geo, rule, wvals, wgrads)
 
     T = mesh.num_triangles
     nq_loc, nw_loc = dofmap.nloc_q, dofmap.nloc_w
@@ -137,9 +135,7 @@ def assemble_ls(
     rvec[:, nq_loc:] = se * wgrads
     rscal = np.empty((T, nloc, nq_pts))
     rscal[:, :nq_loc] = se * qdivs
-    rscal[:, nq_loc:] = (
-        np.einsum("tiqd,tqd->tiq", wgrads, beta) + cval[:, None, :] * wvals[None, :, :]
-    )
+    rscal[:, nq_loc:] = rw
 
     a_loc = np.einsum("tiqd,tjqd,tq->tij", rvec, rvec, wq)
     a_loc += np.einsum("tiq,tjq,tq->tij", rscal, rscal, wq)
@@ -151,24 +147,23 @@ def assemble_ls(
 
     gidx = np.concatenate([dofmap.q_index, dofmap.n_q + dofmap.w_index], axis=1)
     n = dofmap.n_total
-    rows = np.repeat(gidx, nloc, axis=1)
-    cols = np.tile(gidx, (1, nloc))
-    mat = coo_matrix((a_loc.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
-    rhs = np.zeros(n)
-    np.add.at(rhs, gidx.ravel(), b_loc.ravel())
-
-    if bc_mode in ("weak", "alt-weak"):
-        pen, pen_rhs = _boundary_penalty(problem, mesh, topo, dofmap, geo, bc_mode)
-        mat = (mat + pen).tocsr()
-        rhs += pen_rhs
-        system = LinearSystem(SparseSym.from_csr(mat), rhs, dofmap.n_q, dofmap.n_w)
-    else:
-        system = LinearSystem(SparseSym.from_csr(mat), rhs, dofmap.n_q, dofmap.n_w)
-        _eliminate_strong(system, problem, mesh, topo, dofmap)
-
+    mat, rhs = _scatter(a_loc, b_loc, gidx, n)
+    if bc_mode != "strong":
+        pen, pen_rhs = _face_terms(problem, topo, geo, dofmap, bc_mode, dofmap.n_q, n)
+        mat, rhs = mat + pen, rhs + pen_rhs
+    # slit terms enter before strong elimination, so eliminated rows stay identity rows
     if topo.slit_edges.size and problem.slit_g is not None:
-        system = apply_slit(system, problem, mesh, topo, dofmap)
-    return system
+        pen, pen_rhs = apply_slit(problem, topo, geo, dofmap)
+        mat, rhs = mat + pen, rhs + pen_rhs
+
+    dirichlet = []
+    if bc_mode == "strong":
+        wdofs = boundary_w_dofs(mesh, topo, dofmap)
+        coords = dofmap.w_coords[wdofs]
+        values = _scalar_field(problem.g, coords[:, 0], coords[:, 1]).copy()
+        mat, rhs = _eliminate_strong(mat, rhs, dofmap.n_q + wdofs, values)
+        dirichlet = list(zip(wdofs.tolist(), values.tolist()))
+    return LinearSystem(SparseSym.from_csr(mat), rhs, dofmap.n_q, dofmap.n_w, dirichlet)
 
 
 def assemble_transport(
@@ -180,90 +175,29 @@ def assemble_transport(
     """Assemble the scalar-only transport-reaction system on W_h."""
     if problem.epsilon != 0.0:
         raise ValueError("transport assembly requires epsilon == 0")
-    m = dofmap.degree
     geo = fem.element_geometry(mesh)
     rule = fem.triangle_rule(fem.assembly_degree(dofmap.k))
-    wvals, wgrads = fem.w_tables(m, rule.xy, geo)
-    X = geo.map_points(rule.xy)
-    wq = rule.weights[None, :] * geo.det[:, None]
-
-    beta = problem.beta(X[..., 0], X[..., 1])
-    cval = _scalar_field(problem.c, X[..., 0], X[..., 1])
-    fval = _scalar_field(problem.f, X[..., 0], X[..., 1])
-
-    rscal = np.einsum("tiqd,tqd->tiq", wgrads, beta) + cval[:, None, :] * wvals[None, :, :]
+    wvals, wgrads = fem.w_tables(dofmap.degree, rule.xy, geo)
+    rscal, fval, wq = _scalar_residual(problem, geo, rule, wvals, wgrads)
     a_loc = np.einsum("tiq,tjq,tq->tij", rscal, rscal, wq)
     b_loc = np.einsum("tq,tiq,tq->ti", fval, rscal, wq)
 
     n = dofmap.n_w
-    gidx = dofmap.w_index
-    nloc = dofmap.nloc_w
-    rows = np.repeat(gidx, nloc, axis=1)
-    cols = np.tile(gidx, (1, nloc))
-    mat = coo_matrix((a_loc.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
-    rhs = np.zeros(n)
-    np.add.at(rhs, gidx.ravel(), b_loc.ravel())
-
-    pen, pen_rhs = _boundary_penalty(
-        problem, mesh, topo, dofmap, geo, mode="transport", w_only=True
-    )
-    mat = (mat + pen).tocsr()
-    rhs += pen_rhs
-    return LinearSystem(SparseSym.from_csr(mat), rhs, 0, dofmap.n_w)
+    mat, rhs = _scatter(a_loc, b_loc, dofmap.w_index, n)
+    # with eps == 0 the weak boundary weight is the inflow weight alone
+    pen, pen_rhs = _face_terms(problem, topo, geo, dofmap, "weak", 0, n)
+    return LinearSystem(SparseSym.from_csr(mat + pen), rhs + pen_rhs, 0, n)
 
 
-def apply_slit(
-    system: LinearSystem,
-    problem: ProblemSpec,
-    mesh: Mesh,
-    topo: Topology,
-    dofmap: fem.DofMap,
-) -> LinearSystem:
-    """Add the interior-face penalty enforcing data on flagged slit edges.
+def apply_slit(problem: ProblemSpec, topo: Topology, geo, dofmap: fem.DofMap):
+    """Interior-face penalty enforcing ``problem.slit_g`` on the flagged slit
+    edges, for the least-squares system on element geometry ``geo``;
+    returns (CSR matrix, rhs).
 
     The weight is (eps + |beta . n_F|) / h_F with n_F the stored oriented
     normal; the absolute value keeps the term symmetric and side-agnostic.
     """
-    if topo.slit_edges.size == 0:
-        return system
-    if problem.slit_g is None:
-        raise ValueError(f"problem {problem.name!r} carries no slit data")
-    geo = fem.element_geometry(mesh)
-    n = system.matrix.n
-    offset = system.n_q
-    erule = fem.edge_rule(fem.assembly_degree(dofmap.k))
-    t = erule.points[:, 0]
-    m = dofmap.degree
-    trace = [fem.lagrange_basis(m, fem.edge_ref_points(le, t))[0] for le in range(3)]
-
-    rows, cols, vals = [], [], []
-    rhs_add = np.zeros(n)
-    for e in topo.slit_edges:
-        tri = topo.edge_to_tri[e, 0]
-        le = int(np.flatnonzero(topo.tri_to_edge[tri] == e)[0])
-        pts = geo.v0[tri] + fem.edge_ref_points(le, t) @ geo.jac[tri].T
-        beta_n = problem.beta(pts[:, 0], pts[:, 1]) @ topo.normals[e]
-        weight = (problem.epsilon + np.abs(beta_n)) / topo.h_F[e]
-        scale = weight * erule.weights * topo.h_F[e]
-        tv = trace[le]
-        local = np.einsum("aq,bq,q->ab", tv, tv, scale)
-        gdofs = offset + dofmap.w_index[tri]
-        rows.append(np.repeat(gdofs, len(gdofs)))
-        cols.append(np.tile(gdofs, len(gdofs)))
-        vals.append(local.ravel())
-        gslit = _scalar_field(problem.slit_g, pts[:, 0], pts[:, 1])
-        np.add.at(rhs_add, gdofs, tv @ (scale * gslit))
-    pen = coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    mat = (system.matrix.to_scipy() + pen).tocsr()
-    return LinearSystem(
-        SparseSym.from_csr(mat),
-        system.rhs + rhs_add,
-        system.n_q,
-        system.n_w,
-        system.dirichlet,
-    )
+    return _face_terms(problem, topo, geo, dofmap, "slit", dofmap.n_q, dofmap.n_total)
 
 
 def boundary_w_dofs(mesh: Mesh, topo: Topology, dofmap: fem.DofMap) -> np.ndarray:
@@ -300,77 +234,66 @@ def mass_diagonal(mesh: Mesh, dofmap: fem.DofMap, w_only: bool = False) -> np.nd
     return diag
 
 
-def _boundary_penalty(problem, mesh, topo, dofmap, geo, mode, w_only=False):
-    """Boundary face terms; returns (sparse matrix, rhs vector)."""
-    n = dofmap.n_w if w_only else dofmap.n_total
-    offset = 0 if w_only else dofmap.n_q
-    erule = fem.edge_rule(fem.assembly_degree(dofmap.k))
-    t = erule.points[:, 0]
-    m = dofmap.degree
-    trace = [fem.lagrange_basis(m, fem.edge_ref_points(le, t))[0] for le in range(3)]
-    ref_edge = [fem.edge_ref_points(le, t) for le in range(3)]
+def _scalar_residual(problem, geo, rule, wvals, wgrads):
+    """Scalar residual beta.grad(w) + c w of each W basis function
+    (T, nloc, nq), the source f (T, nq) and the quadrature weights (T, nq)."""
+    X = geo.map_points(rule.xy)
+    wq = rule.weights[None, :] * geo.det[:, None]
+    beta = problem.beta(X[..., 0], X[..., 1])
+    cval = _scalar_field(problem.c, X[..., 0], X[..., 1])
+    fval = _scalar_field(problem.f, X[..., 0], X[..., 1])
+    rw = np.einsum("tiqd,tqd->tiq", wgrads, beta) + cval[:, None, :] * wvals[None, :, :]
+    return rw, fval, wq
 
-    rows, cols, vals = [], [], []
+
+def _scatter(a_loc, b_loc, gidx, n):
+    """Sum local blocks (E, nl, nl) and vectors (E, nl) at global indices
+    gidx (E, nl) into an n x n CSR matrix and a length-n vector."""
+    nloc = gidx.shape[1]
+    rows = np.repeat(gidx, nloc, axis=1)
+    cols = np.tile(gidx, (1, nloc))
+    mat = coo_matrix((a_loc.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
     rhs = np.zeros(n)
-    bedges = topo.boundary_edges
-    tris = topo.edge_to_tri[bedges, 0]
-    local = np.argmax(topo.tri_to_edge[tris] == bedges[:, None], axis=1)
-    outward = topo.outward_normals(bedges)
-    for le in range(3):
-        sel = np.flatnonzero(local == le)
-        if sel.size == 0:
-            continue
-        e_ids = bedges[sel]
-        tri_ids = tris[sel]
-        pts = geo.v0[tri_ids][:, None, :] + np.einsum(
-            "tdr,qr->tqd", geo.jac[tri_ids], ref_edge[le]
-        )
-        beta_n = np.einsum(
-            "eqd,ed->eq", problem.beta(pts[..., 0], pts[..., 1]), outward[sel]
-        )
-        h = topo.h_F[e_ids]
-        if mode == "transport":
-            weight = np.maximum(-beta_n, 0.0) / h[:, None]
-        else:
-            weight = face_weight(mode, problem.epsilon, beta_n, h[:, None])
-        scale = weight * erule.weights[None, :] * h[:, None]
-        tv = trace[le]
-        block = np.einsum("aq,bq,eq->eab", tv, tv, scale)
-        gval = _scalar_field(problem.g, pts[..., 0], pts[..., 1])
-        rhs_block = np.einsum("aq,eq->ea", tv, scale * gval)
-        gdofs = offset + dofmap.w_index[tri_ids]
-        nw = gdofs.shape[1]
-        rows.append(np.repeat(gdofs, nw, axis=1).ravel())
-        cols.append(np.tile(gdofs, (1, nw)).ravel())
-        vals.append(block.ravel())
-        np.add.at(rhs, gdofs.ravel(), rhs_block.ravel())
-    if rows:
-        pen = coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        )
+    np.add.at(rhs, gidx.ravel(), b_loc.ravel())
+    return mat, rhs
+
+
+def _face_terms(problem, topo, geo, dofmap, mode, offset, n):
+    """Face penalty int_F w (u - d)^2 as an n x n CSR matrix and rhs, with
+    the W block starting at ``offset``.
+
+    Slit mode runs over the flagged slit edges with their stored normals and
+    d = slit_g; the other modes over the boundary with outward normals and
+    d = g. w is face_weight(mode, eps, beta.n, h_F).
+    """
+    if mode == "slit":
+        edges = topo.slit_edges
+        normals, data = topo.normals[edges], problem.slit_g
     else:
-        pen = coo_matrix((n, n))
-    return pen, rhs
+        edges = topo.boundary_edges
+        normals, data = topo.outward_normals(edges), problem.g
+    blocks, rhs_blocks, gidx = [], [], []
+    for sel, tris, pts, trace, weights, h in fem.edge_quadrature(
+        topo, geo, edges, fem.assembly_degree(dofmap.k), dofmap.degree
+    ):
+        beta_n = np.einsum("eqd,ed->eq", problem.beta(pts[..., 0], pts[..., 1]), normals[sel])
+        scale = face_weight(mode, problem.epsilon, beta_n, h) * weights * h
+        gval = _scalar_field(data, pts[..., 0], pts[..., 1])
+        blocks.append(np.einsum("aq,bq,eq->eab", trace, trace, scale))
+        rhs_blocks.append(np.einsum("aq,eq->ea", trace, scale * gval))
+        gidx.append(offset + dofmap.w_index[tris])
+    return _scatter(np.concatenate(blocks), np.concatenate(rhs_blocks), np.concatenate(gidx), n)
 
 
-def _eliminate_strong(system, problem, mesh, topo, dofmap):
-    """Interpolate g at boundary scalar nodes and eliminate symmetrically."""
-    wdofs = boundary_w_dofs(mesh, topo, dofmap)
-    coords = dofmap.w_coords[wdofs]
-    values = _scalar_field(problem.g, coords[:, 0], coords[:, 1]).copy()
-    idx = system.n_q + wdofs
-
-    A = system.matrix.to_scipy()
-    n = A.shape[0]
-    xk = np.zeros(n)
+def _eliminate_strong(mat, rhs, idx, values):
+    """Fix the unknowns ``idx`` to ``values`` by symmetric elimination:
+    their rows and columns become identity, and the rhs absorbs the
+    columns. Returns the new (CSR matrix, rhs)."""
+    xk = np.zeros(mat.shape[0])
     xk[idx] = values
-    rhs = system.rhs - A @ xk
-    keep = np.ones(n)
+    rhs = rhs - mat @ xk
+    keep = np.ones(mat.shape[0])
     keep[idx] = 0.0
     D = diags(keep)
-    A = (D @ A @ D + diags(1.0 - keep)).tocsr()
     rhs[idx] = values
-    system.matrix = SparseSym.from_csr(A)
-    system.rhs = rhs
-    system.dirichlet = list(zip(wdofs.tolist(), values.tolist()))
+    return (D @ mat @ D + diags(1.0 - keep)).tocsr(), rhs

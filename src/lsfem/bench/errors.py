@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .. import fem
-from ..assembly import ProblemSpec, _scalar_field
+from ..assembly import ProblemSpec, _scalar_field, face_weight
 from ..mesh import Mesh, Topology
 
 
@@ -109,7 +109,7 @@ def error_norms(
         dq = (-se * grad_ex - q_h)[sel]
         e_q = np.sqrt(np.einsum("tqd,tqd,tq->", dq, dq, w_sel))
 
-    e_bdry = _boundary_error(coef_w, mesh, topo, dofmap, problem, sel)
+    e_bdry = _boundary_error(coef_w, geo, topo, dofmap, problem, sel)
 
     return ErrorReport(
         level=level,
@@ -204,29 +204,18 @@ def _q_moments(field, mesh: Mesh, topo: Topology, dofmap: fem.DofMap) -> np.ndar
     return out
 
 
-def _boundary_error(coef_w, mesh, topo, dofmap, problem, sel):
-    eps = problem.epsilon
-    m = dofmap.degree
-    erule = fem.edge_rule(fem.error_degree(dofmap.k))
-    t = erule.points[:, 0]
-    trace = [fem.lagrange_basis(m, fem.edge_ref_points(le, t))[0] for le in range(3)]
-    geo = fem.element_geometry(mesh)
-    selmask = np.zeros(mesh.num_triangles, dtype=bool)
-    selmask[sel] = True
-
+def _boundary_error(coef_w, geo, topo, dofmap, problem, sel):
+    """Weighted boundary norm over the boundary edges of elements in ``sel``."""
+    edges = topo.boundary_edges[np.isin(topo.edge_to_tri[topo.boundary_edges, 0], sel)]
+    normals = topo.outward_normals(edges)
     total = 0.0
-    for e in topo.boundary_edges:
-        tri = topo.edge_to_tri[e, 0]
-        if not selmask[tri]:
-            continue
-        le = int(np.flatnonzero(topo.tri_to_edge[tri] == e)[0])
-        pts = geo.v0[tri] + fem.edge_ref_points(le, t) @ geo.jac[tri].T
-        u_h = trace[le].T @ coef_w[dofmap.w_index[tri]]
-        du = _scalar_field(problem.exact_u, pts[:, 0], pts[:, 1]) - u_h
-        n_out = topo.outward_normals([e])[0]
-        beta_n = problem.beta(pts[:, 0], pts[:, 1]) @ n_out
-        weight = (eps + np.maximum(-beta_n, 0.0)) / topo.h_F[e]
-        total += float(np.sum(weight * du**2 * erule.weights) * topo.h_F[e])
+    for esel, tris, pts, trace, weights, h in fem.edge_quadrature(
+        topo, geo, edges, fem.error_degree(dofmap.k), dofmap.degree
+    ):
+        u_h = np.einsum("aq,ea->eq", trace, coef_w[dofmap.w_index[tris]])
+        du = _scalar_field(problem.exact_u, pts[..., 0], pts[..., 1]) - u_h
+        beta_n = np.einsum("eqd,ed->eq", problem.beta(pts[..., 0], pts[..., 1]), normals[esel])
+        total += np.sum(face_weight("weak", problem.epsilon, beta_n, h) * du**2 * weights * h)
     return np.sqrt(total)
 
 

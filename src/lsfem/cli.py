@@ -47,8 +47,6 @@ def _build_parser() -> _Parser:
         default=os.environ.get(OUTDIR_ENV, "."),
         help=f"output directory (default: ${OUTDIR_ENV} or current directory)",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker hint; outputs do not depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)

@@ -14,7 +14,14 @@ from .basis import (
     shifted_legendre,
 )
 from .dofmap import DofMap, build_dofmap
-from .geometry import ElementGeometry, edge_ref_points, element_geometry, q_tables, w_tables
+from .geometry import (
+    ElementGeometry,
+    edge_quadrature,
+    edge_ref_points,
+    element_geometry,
+    q_tables,
+    w_tables,
+)
 
 # assembly uses degree 2(k+2)+2; error norms add another +2 of margin
 def assembly_degree(k: int) -> int:
@@ -40,6 +47,7 @@ __all__ = [
     "build_dofmap",
     "ElementGeometry",
     "element_geometry",
+    "edge_quadrature",
     "edge_ref_points",
     "q_tables",
     "w_tables",

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..mesh import Mesh
-from . import basis
+from ..mesh import Mesh, Topology
+from . import basis, quadrature
 
 
 @dataclass(frozen=True)
@@ -60,3 +60,29 @@ def edge_ref_points(local_edge: int, t: np.ndarray) -> np.ndarray:
     a, b = basis.LOCAL_EDGES[local_edge]
     pa, pb = basis.REF_VERTS[a], basis.REF_VERTS[b]
     return pa[None, :] + t[:, None] * (pb - pa)[None, :]
+
+
+def edge_quadrature(topo: Topology, geo: ElementGeometry, edges, degree: int, m: int):
+    """Gauss quadrature of exact degree ``degree`` on the given edges, each
+    seen from its first neighbouring triangle, grouped by local edge.
+
+    Yields ``(sel, tris, pts, trace, weights, h)`` per nonempty group: the
+    positions ``sel`` in ``edges``, the owning triangles (E,), the physical
+    points (E, nq, 2), the degree-m Lagrange traces (nloc, nq), the
+    reference weights (nq,) and h_F as a column (E, 1). An edge integral of
+    a penalty ``w`` is ``sum(w * weights * h)``, formed in that order.
+    """
+    erule = quadrature.edge_rule(degree)
+    t = erule.points[:, 0]
+    tris = topo.edge_to_tri[edges, 0]
+    local = np.argmax(topo.tri_to_edge[tris] == edges[:, None], axis=1)
+    h = topo.h_F[edges]
+    for le in range(3):
+        sel = np.flatnonzero(local == le)
+        if sel.size == 0:
+            continue
+        ref = edge_ref_points(le, t)
+        owners = tris[sel]
+        pts = geo.v0[owners][:, None, :] + np.einsum("tdr,qr->tqd", geo.jac[owners], ref)
+        trace = basis.lagrange_basis(m, ref)[0]
+        yield sel, owners, pts, trace, erule.weights, h[sel, None]

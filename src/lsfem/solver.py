@@ -83,7 +83,7 @@ class SparseSym:
 @dataclass
 class CgStats:
     iterations: int
-    residual: float            # final relative 2-norm residual
+    residual: float            # final true relative residual ||b - Ax|| / ||b||
     converged: bool
     residual_history: np.ndarray
     alpha_history: np.ndarray
@@ -112,10 +112,11 @@ def cg_solve(
     precond: str = "jacobi",
     keep_iterates: bool = False,
 ):
-    """Preconditioned conjugate gradients; returns (x, CgStats).
+    """Preconditioned conjugate gradients; returns (x, CgStats). Converged
+    means the true relative residual ||b - Ax|| / ||b|| is at most tol.
 
     Raises NotSPDError on non-positive curvature and ConvergenceError
-    (with the best iterate attached) if maxit is exhausted.
+    (with the last iterate attached) if maxit is exhausted.
     """
     mat = A.to_scipy()
     n = A.n
@@ -157,6 +158,10 @@ def cg_solve(
         r -= alpha * Ap
         alphas.append(alpha)
         rel = np.linalg.norm(r) / norm_b
+        if rel <= tol:
+            # the recursive r drifts from b - Ax by rounding; go on from the true one
+            r = b - mat @ x
+            rel = np.linalg.norm(r) / norm_b
         history.append(rel)
         if keep_iterates:
             iterates.append(x.copy())
@@ -168,9 +173,10 @@ def cg_solve(
         p = z + (rz_new / rz) * p
         rz = rz_new
 
-    stats = CgStats(maxit, history[-1], False, np.asarray(history), np.asarray(alphas), iterates)
+    rel = np.linalg.norm(b - mat @ x) / norm_b
+    stats = CgStats(maxit, rel, False, np.asarray(history), np.asarray(alphas), iterates)
     raise ConvergenceError(
-        f"CG did not reach tol {tol:g} in {maxit} iterations (best residual {history[-1]:.3e})",
+        f"CG did not reach tol {tol:g} in {maxit} iterations (residual {rel:.3e})",
         x=x,
         stats=stats,
     )

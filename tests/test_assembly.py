@@ -4,7 +4,6 @@ import pytest
 from conftest import make_case, polynomial_problem
 from lsfem import fem
 from lsfem.assembly import (
-    apply_slit,
     assemble_ls,
     assemble_transport,
     boundary_w_dofs,
@@ -128,7 +127,9 @@ def test_polynomial_exactness(k, mode):
     problem = polynomial_problem(0.37, k)
     mesh, topo, dm = make_case(3, k, perturb=0.2)
     system = assemble_ls(problem, mesh, topo, dm, mode)
-    x, _ = cg_solve(system.matrix, system.rhs, tol=1e-13)
+    # tol bounds the true residual b - Ax, whose rounding floor on the P3
+    # systems lies near 2e-13
+    x, _ = cg_solve(system.matrix, system.rhs, tol=1e-12)
     report = error_norms(x, mesh, topo, dm, problem)
     assert report.e_L2 <= 1e-8
     assert report.e_q <= 1e-8
@@ -163,23 +164,37 @@ def test_boundary_weight_values():
         face_weight("strong", eps, np.array([1.0]), h)
 
 
-def test_strong_mode_records_eliminations():
-    mesh, topo, dm = make_case(2, 1, perturb=0.1)
-    problem = polynomial_problem(0.25, 1)
+SLIT = ((0.5, 0.0), (0.5, 0.5))
+
+
+@pytest.mark.parametrize(
+    "slit,k",
+    [pytest.param(None, 1, id="plain-P2"), pytest.param(SLIT, 0, id="slit-P1"),
+     pytest.param(SLIT, 1, id="slit-P2")],
+)
+def test_strong_mode_records_eliminations(slit, k):
+    if slit is None:
+        mesh, topo, dm = make_case(2, k, perturb=0.1)
+        problem = polynomial_problem(0.25, k)
+    else:
+        # the slit ends on the boundary node (0.5, 0), which strong mode eliminates
+        mesh, topo, dm = make_case(8, k, slit=slit)
+        problem = get_problem("rotating")
     system = assemble_ls(problem, mesh, topo, dm, "strong")
     recorded = dict(system.dirichlet)
     expect = boundary_w_dofs(mesh, topo, dm)
     assert sorted(recorded) == sorted(expect.tolist())
     coords = dm.w_coords[list(recorded)]
-    values = problem.g(coords[:, 0], coords[:, 1])
-    assert np.allclose(list(recorded.values()), values)
-    # eliminated rows are identity rows with the boundary value in the rhs
-    A = system.matrix.to_scipy()
-    for wdof, val in list(recorded.items())[:5]:
-        i = dm.n_q + wdof
-        row = A.getrow(i)
-        assert row.nnz == 1 and row[0, i] == pytest.approx(1.0)
-        assert system.rhs[i] == pytest.approx(val)
+    values = np.array(list(recorded.values()))
+    assert np.allclose(values, problem.g(coords[:, 0], coords[:, 1]))
+    # every eliminated row is an identity row with the boundary value in the rhs
+    idx = dm.n_q + np.array(list(recorded))
+    rows = system.matrix.to_scipy()[idx]
+    assert np.array_equal(np.diff(rows.indptr), np.ones(len(idx)))
+    assert np.array_equal(rows.indices, idx) and np.all(rows.data == 1.0)
+    assert np.array_equal(system.rhs[idx], values)
+    x, _ = cg_solve(system.matrix, system.rhs)
+    assert np.abs(x[idx] - values).max() <= 1e-10 * max(np.abs(values).max(), 1.0)
 
 
 def test_transport_requires_zero_epsilon():
@@ -263,31 +278,61 @@ def _transport_volume_only(problem, mesh, topo, dm):
 
 
 def test_slit_noop_without_flags():
+    # a slit-free topology adds no slit term, whatever the problem's slit data
     mesh, topo, dm = make_case(2, 0)
-    problem = get_problem("rotating", 1e-6)
-    system = assemble_ls(problem, mesh, topo, dm, "weak")
-    same = apply_slit(system, problem, mesh, topo, dm)
-    assert same is system
+    system = assemble_ls(get_problem("rotating", 1e-6), mesh, topo, dm, "weak")
+    bare = assemble_ls(get_problem("rotating", 1e-6, slit_g=None), mesh, topo, dm, "weak")
+    for a, b in ((system.matrix.indptr, bare.matrix.indptr),
+                 (system.matrix.indices, bare.matrix.indices),
+                 (system.matrix.data, bare.matrix.data), (system.rhs, bare.rhs)):
+        assert np.array_equal(a, b)
 
 
 def test_slit_penalty_nonnegative_shift():
     # zero slit data: rhs unchanged and the smallest eigenvalue cannot drop
-    import dataclasses
-
-    mesh, topo, dm = make_case(4, 0, perturb=0.0, slit=((0.5, 0.0), (0.5, 0.5)))
-    zero_slit = dataclasses.replace(
-        get_problem("rotating", 1e-6), slit_g=lambda x, y: np.zeros(np.shape(x))
-    )
     from lsfem.mesh import build_topology
 
+    mesh, topo, dm = make_case(4, 0, perturb=0.0, slit=SLIT)
+    zero_slit = get_problem("rotating", 1e-6, slit_g=lambda x, y: np.zeros(np.shape(x)))
     plain_topo = build_topology(mesh)  # same mesh, no slit flags
     without = assemble_ls(zero_slit, mesh, plain_topo, dm, "weak")
-    with_slit = apply_slit(without, zero_slit, mesh, topo, dm)
+    with_slit = assemble_ls(zero_slit, mesh, topo, dm, "weak")
     assert np.allclose(with_slit.rhs, without.rhs)
+    assert not np.allclose(with_slit.matrix.toarray(), without.matrix.toarray())
     lam_without = scipy.linalg.eigvalsh(without.matrix.toarray())[0]
     lam_with = scipy.linalg.eigvalsh(with_slit.matrix.toarray())[0]
     assert lam_with >= lam_without - 1e-12
     assert lam_without > 0
+
+
+def test_slit_penalty_matches_edge_loop():
+    # reference: the slit face integral of (eps + |beta.n|) / h_F, edge by edge
+    from lsfem.mesh import build_topology
+
+    mesh, topo, dm = make_case(4, 1, slit=SLIT)
+    problem = get_problem("rotating", 1e-3)
+    with_slit = assemble_ls(problem, mesh, topo, dm, "weak")
+    without = assemble_ls(problem, mesh, build_topology(mesh), dm, "weak")
+    pen = with_slit.matrix.toarray() - without.matrix.toarray()
+    pen_rhs = with_slit.rhs - without.rhs
+
+    geo = fem.element_geometry(mesh)
+    erule = fem.edge_rule(fem.assembly_degree(dm.k))
+    te = erule.points[:, 0]
+    ref, ref_rhs = np.zeros_like(pen), np.zeros_like(pen_rhs)
+    for e in topo.slit_edges:
+        tri = topo.edge_to_tri[e, 0]
+        le = int(np.flatnonzero(topo.tri_to_edge[tri] == e)[0])
+        ref_pts = fem.edge_ref_points(le, te)
+        pts = geo.v0[tri] + ref_pts @ geo.jac[tri].T
+        tv, _ = fem.lagrange_basis(dm.degree, ref_pts)
+        beta_n = problem.beta(pts[:, 0], pts[:, 1]) @ topo.normals[e]
+        scale = (problem.epsilon + np.abs(beta_n)) * erule.weights
+        g = dm.n_q + dm.w_index[tri]
+        ref[np.ix_(g, g)] += np.einsum("aq,bq,q->ab", tv, tv, scale)
+        ref_rhs[g] += tv @ (scale * problem.slit_g(pts[:, 0], pts[:, 1]))
+    assert np.abs(pen - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(pen_rhs - ref_rhs).max() <= 1e-12 * np.abs(ref_rhs).max()
 
 
 def test_symmetry_and_spd_at_2048_elements():

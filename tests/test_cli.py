@@ -16,7 +16,7 @@ def test_help_exits_zero(capsys):
         main(["--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    for flag in ("solve", "convergence", "condition", "compare", "list-problems", "--threads"):
+    for flag in ("solve", "convergence", "condition", "compare", "list-problems"):
         assert flag in out
 
 

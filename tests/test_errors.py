@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_case, polynomial_problem
+from lsfem import fem
 from lsfem.bench import error_norms, get_problem, interpolate_solution, sample_solution
 from lsfem.bench.errors import region_elements
 
@@ -23,6 +24,34 @@ def test_zero_solution_gives_exact_norm():
     zero = np.zeros(dm.n_total)
     report = error_norms(zero, mesh, topo, dm, problem)
     assert report.e_L2 == pytest.approx(0.5, abs=1e-9)
+
+
+def test_boundary_error_matches_edge_loop():
+    # reference: the weighted boundary norm edge by edge, on the boundary
+    # edges of the elements a region keeps
+    problem = get_problem("boundary-layer", 1e-2)
+    mesh, topo, dm = make_case(5, 1, perturb=0.15)
+    x = np.random.default_rng(3).standard_normal(dm.n_total)
+    region = (0.0, 0.6, 0.0, 1.0)
+    report = error_norms(x, mesh, topo, dm, problem, region=region)
+
+    kept = set(region_elements(mesh, region).tolist())
+    geo = fem.element_geometry(mesh)
+    erule = fem.edge_rule(fem.error_degree(dm.k))
+    te = erule.points[:, 0]
+    total = 0.0
+    for e in topo.boundary_edges:
+        tri = topo.edge_to_tri[e, 0]
+        if tri not in kept:
+            continue
+        le = int(np.flatnonzero(topo.tri_to_edge[tri] == e)[0])
+        ref_pts = fem.edge_ref_points(le, te)
+        pts = geo.v0[tri] + ref_pts @ geo.jac[tri].T
+        u_h = fem.lagrange_basis(dm.degree, ref_pts)[0].T @ x[dm.n_q + dm.w_index[tri]]
+        du = problem.exact_u(pts[:, 0], pts[:, 1]) - u_h
+        beta_n = problem.beta(pts[:, 0], pts[:, 1]) @ topo.outward_normals([e])[0]
+        total += np.sum((problem.epsilon + np.maximum(-beta_n, 0.0)) * du**2 * erule.weights)
+    assert 0.0 < report.e_bdry == pytest.approx(np.sqrt(total), rel=1e-13)
 
 
 def test_region_filter_excludes_touching_elements():

@@ -51,6 +51,20 @@ def test_indefinite_matrix_detected():
         cg_solve(A, np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "kappa,seed", [pytest.param(1e2, 0, id="kappa1e2"), pytest.param(1e6, 2, id="kappa1e6")]
+)
+def test_reported_residual_is_true_residual(kappa, seed):
+    # on ill-conditioned systems the recursive residual can reach tol while
+    # b - Ax is still above it
+    A = SparseSym.from_dense(random_spd(40, seed, kappa))
+    b = np.random.default_rng(seed + 7).standard_normal(40)
+    x, stats = cg_solve(A, b, tol=1e-10)
+    true = np.linalg.norm(b - A.matvec(x)) / np.linalg.norm(b)
+    assert stats.converged
+    assert stats.residual == true <= 1e-10
+
+
 def test_zero_rhs_short_circuits():
     A = SparseSym.from_dense(np.eye(3))
     x, stats = cg_solve(A, np.zeros(3))
