@@ -118,42 +118,27 @@ def assemble_ls(
         raise ValueError("dofmap was built for a different mesh")
 
     se = np.sqrt(problem.epsilon)
-    m = dofmap.degree
-    geo = fem.element_geometry(mesh)
     rule = fem.triangle_rule(fem.assembly_degree(dofmap.k))
-    wvals, wgrads = fem.w_tables(m, rule.xy, geo)
-    qvals, qdivs = fem.q_tables(m, rule.xy, geo)
-    rw, fval, wq = _scalar_residual(problem, geo, rule, wvals, wgrads)
+    X, wq, wvals, wgrads = fem.volume_quadrature(dofmap, rule)
+    qvals, qdivs = fem.signed_q_tables(dofmap, rule.xy)
+    rw, fval = _scalar_residual(problem, X, wvals, wgrads)
 
-    T = mesh.num_triangles
-    nq_loc, nw_loc = dofmap.nloc_q, dofmap.nloc_w
-    nloc = nq_loc + nw_loc
-    nq_pts = len(rule.weights)
-
-    rvec = np.empty((T, nloc, nq_pts, 2))
-    rvec[:, :nq_loc] = qvals
-    rvec[:, nq_loc:] = se * wgrads
-    rscal = np.empty((T, nloc, nq_pts))
-    rscal[:, :nq_loc] = se * qdivs
-    rscal[:, nq_loc:] = rw
-
+    # both residuals of every local basis function, Q block first
+    rvec = np.concatenate([qvals, se * wgrads], axis=1)
+    rscal = np.concatenate([se * qdivs, rw], axis=1)
     a_loc = np.einsum("tiqd,tjqd,tq->tij", rvec, rvec, wq)
     a_loc += np.einsum("tiq,tjq,tq->tij", rscal, rscal, wq)
     b_loc = np.einsum("tq,tiq,tq->ti", fval, rscal, wq)
-
-    signs = np.concatenate([dofmap.q_sign, np.ones((T, nw_loc))], axis=1)
-    a_loc *= signs[:, :, None] * signs[:, None, :]
-    b_loc *= signs
 
     gidx = np.concatenate([dofmap.q_index, dofmap.n_q + dofmap.w_index], axis=1)
     n = dofmap.n_total
     mat, rhs = _scatter(a_loc, b_loc, gidx, n)
     if bc_mode != "strong":
-        pen, pen_rhs = _face_terms(problem, topo, geo, dofmap, bc_mode, dofmap.n_q, n)
+        pen, pen_rhs = _face_terms(problem, topo, dofmap, bc_mode, dofmap.n_q, n)
         mat, rhs = mat + pen, rhs + pen_rhs
     # slit terms enter before strong elimination, so eliminated rows stay identity rows
     if topo.slit_edges.size and problem.slit_g is not None:
-        pen, pen_rhs = apply_slit(problem, topo, geo, dofmap)
+        pen, pen_rhs = apply_slit(problem, topo, dofmap)
         mat, rhs = mat + pen, rhs + pen_rhs
 
     dirichlet = []
@@ -175,29 +160,28 @@ def assemble_transport(
     """Assemble the scalar-only transport-reaction system on W_h."""
     if problem.epsilon != 0.0:
         raise ValueError("transport assembly requires epsilon == 0")
-    geo = fem.element_geometry(mesh)
     rule = fem.triangle_rule(fem.assembly_degree(dofmap.k))
-    wvals, wgrads = fem.w_tables(dofmap.degree, rule.xy, geo)
-    rscal, fval, wq = _scalar_residual(problem, geo, rule, wvals, wgrads)
+    X, wq, wvals, wgrads = fem.volume_quadrature(dofmap, rule)
+    rscal, fval = _scalar_residual(problem, X, wvals, wgrads)
     a_loc = np.einsum("tiq,tjq,tq->tij", rscal, rscal, wq)
     b_loc = np.einsum("tq,tiq,tq->ti", fval, rscal, wq)
 
     n = dofmap.n_w
     mat, rhs = _scatter(a_loc, b_loc, dofmap.w_index, n)
     # with eps == 0 the weak boundary weight is the inflow weight alone
-    pen, pen_rhs = _face_terms(problem, topo, geo, dofmap, "weak", 0, n)
+    pen, pen_rhs = _face_terms(problem, topo, dofmap, "weak", 0, n)
     return LinearSystem(SparseSym.from_csr(mat + pen), rhs + pen_rhs, 0, n)
 
 
-def apply_slit(problem: ProblemSpec, topo: Topology, geo, dofmap: fem.DofMap):
+def apply_slit(problem: ProblemSpec, topo: Topology, dofmap: fem.DofMap):
     """Interior-face penalty enforcing ``problem.slit_g`` on the flagged slit
-    edges, for the least-squares system on element geometry ``geo``;
-    returns (CSR matrix, rhs).
+    edges, for the least-squares system numbered by ``dofmap``; returns
+    (CSR matrix, rhs).
 
     The weight is (eps + |beta . n_F|) / h_F with n_F the stored oriented
     normal; the absolute value keeps the term symmetric and side-agnostic.
     """
-    return _face_terms(problem, topo, geo, dofmap, "slit", dofmap.n_q, dofmap.n_total)
+    return _face_terms(problem, topo, dofmap, "slit", dofmap.n_q, dofmap.n_total)
 
 
 def boundary_w_dofs(mesh: Mesh, topo: Topology, dofmap: fem.DofMap) -> np.ndarray:
@@ -212,38 +196,32 @@ def boundary_w_dofs(mesh: Mesh, topo: Topology, dofmap: fem.DofMap) -> np.ndarra
     return np.concatenate([verts, edge_nodes])
 
 
-def mass_diagonal(mesh: Mesh, dofmap: fem.DofMap, w_only: bool = False) -> np.ndarray:
+def mass_diagonal(mesh: Mesh, dofmap: fem.DofMap) -> np.ndarray:
     """Squared L2 norms of the global basis functions, blockwise [Q | W].
 
     Used to rescale assembled systems so matrix Rayleigh quotients mirror
-    the function-space ones when estimating condition numbers.
+    the function-space ones when estimating condition numbers. ``mesh`` is
+    not read: the DOF map carries the geometry.
     """
-    geo = fem.element_geometry(mesh)
-    m = dofmap.degree
-    rule = fem.triangle_rule(2 * m + 2)
-    wq = rule.weights[None, :] * geo.det[:, None]
-    wvals, _ = fem.w_tables(m, rule.xy, geo)
-    diag = np.zeros(dofmap.n_w if w_only else dofmap.n_total)
-    offset = 0 if w_only else dofmap.n_q
+    rule = fem.triangle_rule(2 * dofmap.degree + 2)
+    _, wq, wvals, _ = fem.volume_quadrature(dofmap, rule)
+    qvals, _ = fem.signed_q_tables(dofmap, rule.xy)
+    diag = np.zeros(dofmap.n_total)
     w_sq = np.einsum("iq,iq,tq->ti", wvals, wvals, wq)
-    np.add.at(diag, offset + dofmap.w_index.ravel(), w_sq.ravel())
-    if not w_only:
-        qvals, _ = fem.q_tables(m, rule.xy, geo)
-        q_sq = np.einsum("tiqd,tiqd,tq->ti", qvals, qvals, wq)
-        np.add.at(diag, dofmap.q_index.ravel(), q_sq.ravel())
+    np.add.at(diag, dofmap.n_q + dofmap.w_index.ravel(), w_sq.ravel())
+    q_sq = np.einsum("tiqd,tiqd,tq->ti", qvals, qvals, wq)
+    np.add.at(diag, dofmap.q_index.ravel(), q_sq.ravel())
     return diag
 
 
-def _scalar_residual(problem, geo, rule, wvals, wgrads):
+def _scalar_residual(problem, X, wvals, wgrads):
     """Scalar residual beta.grad(w) + c w of each W basis function
-    (T, nloc, nq), the source f (T, nq) and the quadrature weights (T, nq)."""
-    X = geo.map_points(rule.xy)
-    wq = rule.weights[None, :] * geo.det[:, None]
+    (T, nloc, nq) and the source f (T, nq) at the physical points X."""
     beta = problem.beta(X[..., 0], X[..., 1])
     cval = _scalar_field(problem.c, X[..., 0], X[..., 1])
     fval = _scalar_field(problem.f, X[..., 0], X[..., 1])
     rw = np.einsum("tiqd,tqd->tiq", wgrads, beta) + cval[:, None, :] * wvals[None, :, :]
-    return rw, fval, wq
+    return rw, fval
 
 
 def _scatter(a_loc, b_loc, gidx, n):
@@ -258,7 +236,7 @@ def _scatter(a_loc, b_loc, gidx, n):
     return mat, rhs
 
 
-def _face_terms(problem, topo, geo, dofmap, mode, offset, n):
+def _face_terms(problem, topo, dofmap, mode, offset, n):
     """Face penalty int_F w (u - d)^2 as an n x n CSR matrix and rhs, with
     the W block starting at ``offset``.
 
@@ -274,7 +252,7 @@ def _face_terms(problem, topo, geo, dofmap, mode, offset, n):
         normals, data = topo.outward_normals(edges), problem.g
     blocks, rhs_blocks, gidx = [], [], []
     for sel, tris, pts, trace, weights, h in fem.edge_quadrature(
-        topo, geo, edges, fem.assembly_degree(dofmap.k), dofmap.degree
+        topo, dofmap, edges, fem.assembly_degree(dofmap.k)
     ):
         beta_n = np.einsum("eqd,ed->eq", problem.beta(pts[..., 0], pts[..., 1]), normals[sel])
         scale = face_weight(mode, problem.epsilon, beta_n, h) * weights * h

@@ -76,12 +76,8 @@ def error_norms(
     se = np.sqrt(eps)
 
     sel = region_elements(mesh, region)
-    geo = fem.element_geometry(mesh)
     rule = fem.triangle_rule(fem.error_degree(dofmap.k))
-    m = dofmap.degree
-    wvals, wgrads = fem.w_tables(m, rule.xy, geo)
-    X = geo.map_points(rule.xy)
-    wq = rule.weights[None, :] * geo.det[:, None]
+    X, wq, wvals, wgrads = fem.volume_quadrature(dofmap, rule)
 
     cw = coef_w[dofmap.w_index]                      # (T, nloc_w)
     u_h = np.einsum("iq,ti->tq", wvals, cw)
@@ -103,13 +99,12 @@ def error_norms(
     if transport:
         e_q = 0.0
     else:
-        qvals, _ = fem.q_tables(m, rule.xy, geo)
-        cq = (dofmap.q_sign * solution[dofmap.q_index])
-        q_h = np.einsum("tiqd,ti->tqd", qvals, cq)
+        qvals, _ = fem.signed_q_tables(dofmap, rule.xy)
+        q_h = np.einsum("tiqd,ti->tqd", qvals, solution[dofmap.q_index])
         dq = (-se * grad_ex - q_h)[sel]
         e_q = np.sqrt(np.einsum("tqd,tqd,tq->", dq, dq, w_sel))
 
-    e_bdry = _boundary_error(coef_w, geo, topo, dofmap, problem, sel)
+    e_bdry = _boundary_error(coef_w, topo, dofmap, problem, sel)
 
     return ErrorReport(
         level=level,
@@ -161,11 +156,9 @@ def sample_solution(solution: np.ndarray, mesh: Mesh, dofmap: fem.DofMap):
     u_vertices = coef_w[: mesh.num_vertices].copy()
     if transport:
         return u_vertices, None
-    geo = fem.element_geometry(mesh)
     center = np.array([[1.0 / 3.0, 1.0 / 3.0]])
-    qvals, _ = fem.q_tables(dofmap.degree, center, geo)
-    cq = dofmap.q_sign * solution[dofmap.q_index]
-    q_cells = np.einsum("tiqd,ti->tqd", qvals, cq)[:, 0, :]
+    qvals, _ = fem.signed_q_tables(dofmap, center)
+    q_cells = np.einsum("tiqd,ti->tqd", qvals, solution[dofmap.q_index])[:, 0, :]
     return u_vertices, q_cells
 
 
@@ -188,29 +181,28 @@ def _q_moments(field, mesh: Mesh, topo: Topology, dofmap: fem.DofMap) -> np.ndar
             "eq,q,e->e", fn, leg * erule.weights, topo.h_F
         )
 
-    n_int = m * (m + 1)
-    if n_int:
-        geo = fem.element_geometry(mesh)
-        rule = fem.triangle_rule(2 * m + 4)
-        X = geo.map_points(rule.xy)
-        fvals = field(X[..., 0], X[..., 1])          # (T, nq, 2)
-        # reference pullback det(J) J^{-1} f keeps the interior moments affine-invariant
-        inv = np.swapaxes(geo.inv_t, 1, 2)           # J^{-1}
-        fhat = np.einsum("trd,tqd->tqr", inv, fvals) * geo.det[:, None, None]
-        tests = fem.basis.rt_interior_tests(m, rule.xy)
-        moments = np.einsum("tqd,iqd,q->ti", fhat, tests, rule.weights)
-        base = topo.num_edges * n_edge
-        out[base:] = moments.ravel()
+    # every RT space of order m >= 1 has m (m + 1) interior moments
+    geo = dofmap.geo
+    rule = fem.triangle_rule(2 * m + 4)
+    X = geo.map_points(rule.xy)
+    fvals = field(X[..., 0], X[..., 1])          # (T, nq, 2)
+    # reference pullback det(J) J^{-1} f keeps the interior moments affine-invariant
+    inv = np.swapaxes(geo.inv_t, 1, 2)           # J^{-1}
+    fhat = np.einsum("trd,tqd->tqr", inv, fvals) * geo.det[:, None, None]
+    tests = fem.basis.rt_interior_tests(m, rule.xy)
+    moments = np.einsum("tqd,iqd,q->ti", fhat, tests, rule.weights)
+    base = topo.num_edges * n_edge
+    out[base:] = moments.ravel()
     return out
 
 
-def _boundary_error(coef_w, geo, topo, dofmap, problem, sel):
+def _boundary_error(coef_w, topo, dofmap, problem, sel):
     """Weighted boundary norm over the boundary edges of elements in ``sel``."""
     edges = topo.boundary_edges[np.isin(topo.edge_to_tri[topo.boundary_edges, 0], sel)]
     normals = topo.outward_normals(edges)
     total = 0.0
     for esel, tris, pts, trace, weights, h in fem.edge_quadrature(
-        topo, geo, edges, fem.error_degree(dofmap.k), dofmap.degree
+        topo, dofmap, edges, fem.error_degree(dofmap.k)
     ):
         u_h = np.einsum("aq,ea->eq", trace, coef_w[dofmap.w_index[tris]])
         du = _scalar_field(problem.exact_u, pts[..., 0], pts[..., 1]) - u_h

@@ -67,37 +67,53 @@ def _zero(x, y):
     return np.zeros(np.shape(x))
 
 
-def _smooth(eps: float) -> ProblemSpec:
-    two_pi = 2.0 * np.pi
+def _one(x, y):
+    return np.ones(np.shape(x))
 
-    def u(x, y):
-        return np.sin(two_pi * x) * np.sin(two_pi * y)
 
-    def grad(x, y):
-        out = np.empty(np.shape(x) + (2,))
-        out[..., 0] = two_pi * np.cos(two_pi * x) * np.sin(two_pi * y)
-        out[..., 1] = two_pi * np.sin(two_pi * x) * np.cos(two_pi * y)
-        return out
-
-    def lap(x, y):
-        return -2.0 * two_pi**2 * u(x, y)
+def _manufactured(name, eps, u, grad, lap, c=_zero) -> ProblemSpec:
+    """Entry with convection beta = (1, 1), exact solution u, boundary data
+    g = u and the source f = -eps lap(u) + beta.grad(u) + c u."""
+    beta = _const_beta(1.0, 1.0)
 
     def f(x, y):
-        g = grad(x, y)
-        return -eps * lap(x, y) + g[..., 0] + g[..., 1]
+        bg = beta(x, y) * grad(x, y)
+        return -eps * lap(x, y) + bg[..., 0] + bg[..., 1] + c(x, y) * u(x, y)
 
     return ProblemSpec(
-        name="smooth",
+        name=name,
         epsilon=eps,
-        beta=_const_beta(1.0, 1.0),
+        beta=beta,
         div_beta=_zero,
-        c=_zero,
+        c=c,
         f=f,
         g=u,
         exact_u=u,
         exact_grad=grad,
         exact_lap=lap,
     )
+
+
+TWO_PI = 2.0 * np.pi
+
+
+def _sin_sin(x, y):
+    return np.sin(TWO_PI * x) * np.sin(TWO_PI * y)
+
+
+def _sin_sin_grad(x, y):
+    out = np.empty(np.shape(x) + (2,))
+    out[..., 0] = TWO_PI * np.cos(TWO_PI * x) * np.sin(TWO_PI * y)
+    out[..., 1] = TWO_PI * np.sin(TWO_PI * x) * np.cos(TWO_PI * y)
+    return out
+
+
+def _sin_sin_lap(x, y):
+    return -2.0 * TWO_PI**2 * _sin_sin(x, y)
+
+
+def _smooth(eps: float) -> ProblemSpec:
+    return _manufactured("smooth", eps, _sin_sin, _sin_sin_grad, _sin_sin_lap)
 
 
 def _rotating(eps: float) -> ProblemSpec:
@@ -182,52 +198,8 @@ def _boundary_layer(eps: float) -> ProblemSpec:
         smooth = -half_pi**2 * (s(x) * (1.0 - s(y)) + s(y) * (1.0 - s(x)))
         return smooth - E * ((1.0 - x) ** 2 + (1.0 - y) ** 2) / (eps**2 * denom)
 
-    def f(x, y):
-        g = grad(x, y)
-        return -eps * lap(x, y) + g[..., 0] + g[..., 1]
-
-    return ProblemSpec(
-        name="boundary-layer",
-        epsilon=eps,
-        beta=_const_beta(1.0, 1.0),
-        div_beta=_zero,
-        c=_zero,
-        f=f,
-        g=u,
-        exact_u=u,
-        exact_grad=grad,
-        exact_lap=lap,
-    )
+    return _manufactured("boundary-layer", eps, u, grad, lap)
 
 
 def _transport() -> ProblemSpec:
-    two_pi = 2.0 * np.pi
-
-    def u(x, y):
-        return np.sin(two_pi * x) * np.sin(two_pi * y)
-
-    def grad(x, y):
-        out = np.empty(np.shape(x) + (2,))
-        out[..., 0] = two_pi * np.cos(two_pi * x) * np.sin(two_pi * y)
-        out[..., 1] = two_pi * np.sin(two_pi * x) * np.cos(two_pi * y)
-        return out
-
-    def one(x, y):
-        return np.ones(np.shape(x))
-
-    def f(x, y):
-        g = grad(x, y)
-        return g[..., 0] + g[..., 1] + u(x, y)
-
-    return ProblemSpec(
-        name="transport",
-        epsilon=0.0,
-        beta=_const_beta(1.0, 1.0),
-        div_beta=_zero,
-        c=one,
-        f=f,
-        g=u,
-        exact_u=u,
-        exact_grad=grad,
-        exact_lap=lambda x, y: -2.0 * two_pi**2 * u(x, y),
-    )
+    return _manufactured("transport", 0.0, _sin_sin, _sin_sin_grad, _sin_sin_lap, c=_one)

@@ -20,6 +20,8 @@ from .geometry import (
     edge_ref_points,
     element_geometry,
     q_tables,
+    signed_q_tables,
+    volume_quadrature,
     w_tables,
 )
 
@@ -50,6 +52,8 @@ __all__ = [
     "edge_quadrature",
     "edge_ref_points",
     "q_tables",
+    "signed_q_tables",
+    "volume_quadrature",
     "w_tables",
     "assembly_degree",
     "error_degree",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..mesh import Mesh, Topology
-from . import basis
+from . import basis, geometry
 
 MAX_K = 2
 
@@ -25,7 +25,8 @@ class DofMap:
 
     Global layout is [Q block | W block]: W indices are offset by ``n_q``
     in the assembled system. ``q_sign`` carries the orientation sign of each
-    edge-based vector DOF (interior DOFs are always +1).
+    edge-based vector DOF (interior DOFs are always +1); the volume tables
+    of ``geometry.signed_q_tables`` apply it.
     """
 
     k: int
@@ -35,7 +36,7 @@ class DofMap:
     q_sign: np.ndarray    # (T, nloc_q) float, +-1
     w_index: np.ndarray   # (T, nloc_w) int, within the W block
     w_coords: np.ndarray  # (n_w, 2) global Lagrange node positions
-    flips: np.ndarray     # (T, 3) bool, local edge traversal vs global low->high
+    geo: geometry.ElementGeometry  # of the numbered mesh, built once here
 
     @property
     def degree(self) -> int:
@@ -64,6 +65,7 @@ def build_dofmap(mesh: Mesh, topo: Topology, k: int) -> DofMap:
     V = mesh.num_vertices
     E = topo.num_edges
     tris = mesh.triangles
+    geo = geometry.element_geometry(mesh)
 
     # local edge e of a triangle is (a, b) with the listed traversal; flip
     # records whether that traversal disagrees with global low->high order
@@ -113,19 +115,10 @@ def build_dofmap(mesh: Mesh, topo: Topology, k: int) -> DofMap:
         w_coords[V + np.arange(E) * n_edge_w + pos - 1] = lo + (pos / m) * (hi - lo)
     if n_int_w:
         ref = basis.lagrange_nodes(m)[3 + 3 * n_edge_w:]
-        v0 = mesh.vertices[tris[:, 0]]
-        jac = _jacobians(mesh)
-        phys = v0[:, None, :] + np.einsum("tdr,nr->tnd", jac, ref)
-        w_coords[V + E * n_edge_w:] = phys.reshape(-1, 2)
+        w_coords[V + E * n_edge_w:] = geo.map_points(ref).reshape(-1, 2)
 
     return DofMap(
         k=k, n_q=n_q, n_w=n_w,
         q_index=q_index, q_sign=q_sign,
-        w_index=w_index, w_coords=w_coords,
-        flips=flips,
+        w_index=w_index, w_coords=w_coords, geo=geo,
     )
-
-
-def _jacobians(mesh: Mesh) -> np.ndarray:
-    p = mesh.vertices[mesh.triangles]
-    return np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)

@@ -3,15 +3,20 @@
 Scalar bases ride the affine map (values unchanged, gradients through
 J^{-T}); vector bases ride the contravariant Piola map, whose divergence
 is the reference divergence divided by det J.
+The geometry is built once per DOF map and read from ``DofMap.geo``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..mesh import Mesh, Topology
 from . import basis, quadrature
+
+if TYPE_CHECKING:
+    from .dofmap import DofMap
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,24 @@ def q_tables(order: int, ref_pts: np.ndarray, geo: ElementGeometry):
     return vals, divs
 
 
+def volume_quadrature(dofmap: DofMap, rule: quadrature.QuadRule):
+    """Element quadrature of ``rule`` for the W space of ``dofmap``: the
+    physical points (T, nq, 2), the weights times det J (T, nq), and the
+    W tables of ``w_tables``."""
+    geo = dofmap.geo
+    vals, grads = w_tables(dofmap.degree, rule.xy, geo)
+    return geo.map_points(rule.xy), rule.weights[None, :] * geo.det[:, None], vals, grads
+
+
+def signed_q_tables(dofmap: DofMap, ref_pts: np.ndarray):
+    """The Q tables of ``q_tables`` with the orientation signs ``q_sign``
+    applied, so they multiply global coefficients directly."""
+    vals, divs = q_tables(dofmap.degree, ref_pts, dofmap.geo)
+    vals *= dofmap.q_sign[:, :, None, None]
+    divs *= dofmap.q_sign[:, :, None]
+    return vals, divs
+
+
 def edge_ref_points(local_edge: int, t: np.ndarray) -> np.ndarray:
     """Reference coordinates along a directed local edge at parameters t."""
     a, b = basis.LOCAL_EDGES[local_edge]
@@ -62,16 +85,17 @@ def edge_ref_points(local_edge: int, t: np.ndarray) -> np.ndarray:
     return pa[None, :] + t[:, None] * (pb - pa)[None, :]
 
 
-def edge_quadrature(topo: Topology, geo: ElementGeometry, edges, degree: int, m: int):
+def edge_quadrature(topo: Topology, dofmap: DofMap, edges, degree: int):
     """Gauss quadrature of exact degree ``degree`` on the given edges, each
     seen from its first neighbouring triangle, grouped by local edge.
 
     Yields ``(sel, tris, pts, trace, weights, h)`` per nonempty group: the
     positions ``sel`` in ``edges``, the owning triangles (E,), the physical
-    points (E, nq, 2), the degree-m Lagrange traces (nloc, nq), the
+    points (E, nq, 2), the W-space Lagrange traces (nloc, nq), the
     reference weights (nq,) and h_F as a column (E, 1). An edge integral of
     a penalty ``w`` is ``sum(w * weights * h)``, formed in that order.
     """
+    geo = dofmap.geo
     erule = quadrature.edge_rule(degree)
     t = erule.points[:, 0]
     tris = topo.edge_to_tri[edges, 0]
@@ -84,5 +108,5 @@ def edge_quadrature(topo: Topology, geo: ElementGeometry, edges, degree: int, m:
         ref = edge_ref_points(le, t)
         owners = tris[sel]
         pts = geo.v0[owners][:, None, :] + np.einsum("tdr,qr->tqd", geo.jac[owners], ref)
-        trace = basis.lagrange_basis(m, ref)[0]
+        trace = basis.lagrange_basis(dofmap.degree, ref)[0]
         yield sel, owners, pts, trace, erule.weights, h[sel, None]

@@ -86,7 +86,6 @@ class CgStats:
     residual: float            # final true relative residual ||b - Ax|| / ||b||
     converged: bool
     residual_history: np.ndarray
-    alpha_history: np.ndarray
     iterates: Optional[list] = None
 
 
@@ -136,7 +135,7 @@ def cg_solve(
 
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
-        stats = CgStats(0, 0.0, True, np.zeros(1), np.zeros(0), [] if keep_iterates else None)
+        stats = CgStats(0, 0.0, True, np.zeros(1), [] if keep_iterates else None)
         return np.zeros(n), stats
 
     x = np.zeros(n)
@@ -145,7 +144,6 @@ def cg_solve(
     p = z.copy()
     rz = r @ z
     history = [1.0]
-    alphas = []
     iterates = [x.copy()] if keep_iterates else None
 
     for it in range(1, maxit + 1):
@@ -156,7 +154,6 @@ def cg_solve(
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        alphas.append(alpha)
         rel = np.linalg.norm(r) / norm_b
         if rel <= tol:
             # the recursive r drifts from b - Ax by rounding; go on from the true one
@@ -166,7 +163,7 @@ def cg_solve(
         if keep_iterates:
             iterates.append(x.copy())
         if rel <= tol:
-            stats = CgStats(it, rel, True, np.asarray(history), np.asarray(alphas), iterates)
+            stats = CgStats(it, rel, True, np.asarray(history), iterates)
             return x, stats
         z = apply_m(r)
         rz_new = r @ z
@@ -174,7 +171,7 @@ def cg_solve(
         rz = rz_new
 
     rel = np.linalg.norm(b - mat @ x) / norm_b
-    stats = CgStats(maxit, rel, False, np.asarray(history), np.asarray(alphas), iterates)
+    stats = CgStats(maxit, rel, False, np.asarray(history), iterates)
     raise ConvergenceError(
         f"CG did not reach tol {tol:g} in {maxit} iterations (residual {rel:.3e})",
         x=x,

@@ -356,6 +356,11 @@ def test_mass_diagonal_positive_and_partitioned():
     mesh, topo, dm = make_case(3, 1, perturb=0.1)
     diag = mass_diagonal(mesh, dm)
     assert (diag > 0).all()
-    # W block sums basis L2 norms; constant-one function has unit mass
-    w_only = mass_diagonal(mesh, dm, w_only=True)
-    assert np.allclose(diag[dm.n_q:], w_only)
+    # P2 basis on a triangle K: int phi^2 is |K|/30 at a vertex, 8|K|/45 at an edge midpoint
+    p = mesh.vertices[mesh.triangles]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    area = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    expected = np.zeros(dm.n_w)
+    np.add.at(expected, dm.w_index[:, :3].ravel(), np.repeat(area / 30.0, 3))
+    np.add.at(expected, dm.w_index[:, 3:].ravel(), np.repeat(8.0 * area / 45.0, 3))
+    assert np.allclose(diag[dm.n_q:], expected, rtol=1e-13, atol=0.0)
