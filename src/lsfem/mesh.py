@@ -55,11 +55,12 @@ class Mesh:
         if (areas <= 0).any():
             bad = int(np.argmax(areas <= 0))
             raise MeshError(f"triangle {bad} has non-positive area {areas[bad]:.3e}")
+        # equal vertex sets sort next to each other, lowest index first
         key = np.sort(tris, axis=1)
-        if len(np.unique(key, axis=0)) != len(tris):
-            _, first = np.unique(key, axis=0, return_index=True)
-            dup = sorted(set(range(len(tris))) - set(first.tolist()))[0]
-            raise MeshError(f"duplicate triangle at index {dup}")
+        order = np.lexsort(key.T[::-1])
+        repeat = (key[order[1:]] == key[order[:-1]]).all(axis=1)
+        if repeat.any():
+            raise MeshError(f"duplicate triangle at index {order[1:][repeat].min()}")
         region = np.asarray(self.region_id, dtype=np.int64)
         if region.shape != (len(tris),):
             raise MeshError("region_id must have one entry per triangle")
@@ -147,19 +148,14 @@ def generate_structured(n: int, perturb: float = 0.0) -> Mesh:
         shift = _coordinate_noise(verts) * (perturb / n)
         interior = (ii.ravel() != 0) & (ii.ravel() != n) & (jj.ravel() != 0) & (jj.ravel() != n)
         verts[interior] += shift[interior]
-    tris = []
-    vid = lambda i, j: i * (n + 1) + j
-    for i in range(n):
-        for j in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            if (i + j) % 2 == 0:
-                tris.append((v00, v10, v11))
-                tris.append((v00, v11, v01))
-            else:
-                tris.append((v00, v10, v01))
-                tris.append((v10, v11, v01))
-    tris = np.asarray(tris, dtype=np.int64)
+    # cell (i, j), in row-major order, yields two triangles from its corners
+    i, j = np.divmod(np.arange(n * n), n)
+    v00 = i * (n + 1) + j
+    v10, v01, v11 = v00 + n + 1, v00 + 1, v00 + n + 2
+    even = ((i + j) % 2 == 0)[:, None]
+    first = np.where(even, np.column_stack([v00, v10, v11]), np.column_stack([v00, v10, v01]))
+    second = np.where(even, np.column_stack([v00, v11, v01]), np.column_stack([v10, v11, v01]))
+    tris = np.stack([first, second], axis=1).reshape(-1, 3)
     areas = _signed_areas(verts, tris)
     if (areas <= 0).any():
         raise MeshError(
@@ -171,8 +167,8 @@ def generate_structured(n: int, perturb: float = 0.0) -> Mesh:
 def refine_uniform(mesh: Mesh) -> Mesh:
     """Split every triangle into 4 congruent children through edge midpoints."""
     topo = build_topology(mesh)
-    mids = 0.5 * (mesh.vertices[topo.edges[:, 0]] + mesh.vertices[topo.edges[:, 1]])
-    verts = np.vstack([mesh.vertices, mids])
+    midpoints = 0.5 * (mesh.vertices[topo.edges[:, 0]] + mesh.vertices[topo.edges[:, 1]])
+    verts = np.vstack([mesh.vertices, midpoints])
     V = mesh.num_vertices
     t = mesh.triangles
     m = V + topo.tri_to_edge  # midpoint vertex of local edge i (opposite vertex i)
@@ -195,23 +191,27 @@ def build_topology(mesh: Mesh, slit=None) -> Topology:
     of interior mesh edges; those edges are flagged as constraint faces.
     """
     t = mesh.triangles
-    # local edge i is opposite local vertex i
-    raw = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]])
-    ordered = np.sort(raw, axis=1)
-    edges, inverse = np.unique(ordered, axis=0, return_inverse=True)
+    V, T = mesh.num_vertices, mesh.num_triangles
+    # local edge i is opposite local vertex i; row local*T + tri of the stack
+    raw = np.sort(np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]]), axis=1)
+    # lo*V + hi sorts like the pair (lo, hi)
+    keys, inverse = np.unique(raw[:, 0] * V + raw[:, 1], return_inverse=True)
+    edges = np.column_stack([keys // V, keys % V])
     E = len(edges)
-    T = mesh.num_triangles
     tri_to_edge = inverse.reshape(3, T).T.copy()
 
-    edge_to_tri = np.full((E, 2), -1, dtype=np.int64)
-    count = np.zeros(E, dtype=np.int64)
-    for local in range(3):
-        for tri, e in enumerate(tri_to_edge[:, local]):
-            if count[e] >= 2:
-                raise MeshError(f"edge {edges[e].tolist()} is shared by more than 2 triangles")
-            edge_to_tri[e, count[e]] = tri
-            count[e] += 1
+    # the rows of each edge, in stack order: (local edge, triangle) ascending
+    count = np.bincount(inverse, minlength=E)
+    rows = np.argsort(inverse, kind="stable")
+    first = np.cumsum(count) - count
+    crowded = np.flatnonzero(count > 2)
+    if crowded.size:
+        e = crowded[np.argmin(rows[first[crowded] + 2])]  # first to gain a third
+        raise MeshError(f"edge {edges[e].tolist()} is shared by more than 2 triangles")
     is_boundary = count == 1
+    edge_to_tri = np.full((E, 2), -1, dtype=np.int64)
+    edge_to_tri[:, 0] = rows[first] % T
+    edge_to_tri[~is_boundary, 1] = rows[first[~is_boundary] + 1] % T
 
     vec = mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]]
     h_F = np.linalg.norm(vec, axis=1)
@@ -228,16 +228,19 @@ def build_topology(mesh: Mesh, slit=None) -> Topology:
     outward_sign[b] = np.where((normals[b] * toward).sum(axis=1) > 0, 1.0, -1.0)
 
     # hanging-node guard: an edge midpoint coinciding with a mesh vertex
-    # (other than its endpoints) means the neighbour was refined
-    mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
-    lookup = {}
-    for idx, v in enumerate(np.round(mesh.vertices, 12)):
-        lookup[(v[0], v[1])] = idx
-    for e, m in enumerate(np.round(mids, 12)):
-        hit = lookup.get((m[0], m[1]))
-        if hit is not None and hit not in (edges[e, 0], edges[e, 1]):
-            tri = edge_to_tri[e, 0]
-            raise MeshError(f"non-conforming mesh: vertex {hit} hangs on an edge of triangle {tri}")
+    # (other than its endpoints) means the neighbour was refined. Points are
+    # compared as complex numbers; coincident vertices resolve to the last.
+    points = np.round(np.concatenate([mesh.vertices, midpoints]), 12)
+    _, place = np.unique(points[:, 0] + 1j * points[:, 1], return_inverse=True)
+    vertex_at = np.full(V + E, -1)
+    np.maximum.at(vertex_at, place[:V], np.arange(V))
+    hit = vertex_at[place[V:]]
+    hanging = (hit >= 0) & (hit != edges[:, 0]) & (hit != edges[:, 1])
+    if hanging.any():
+        e = np.argmax(hanging)
+        raise MeshError(
+            f"non-conforming mesh: vertex {hit[e]} hangs on an edge of triangle {edge_to_tri[e, 0]}"
+        )
 
     areas = _signed_areas(mesh.vertices, t)
     h_K = np.sqrt(areas)
@@ -312,46 +315,61 @@ def _signed_areas(verts, tris):
     )
 
 
-def _tokens(path):
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            body = line.split("#", 1)[0].strip()
-            if body:
-                yield lineno, body.split()
+class _Rows:
+    """The lines of a mesh file, '#' comments stripped. ``read`` parses the
+    next non-blank line; a missing or malformed line raises MeshError naming
+    the file and line."""
+
+    def __init__(self, path):
+        self.path = path
+        self.lineno = 0
+        self._lines = self._split(path)
+
+    @staticmethod
+    def _split(path):
+        with open(path) as f:
+            for lineno, line in enumerate(f, start=1):
+                yield lineno, line.split("#", 1)[0].split()
+
+    def read(self, what, parse):
+        for self.lineno, tok in self._lines:
+            if tok:
+                try:
+                    return parse(tok)
+                except (ValueError, IndexError, OverflowError):
+                    raise MeshError(f"{self.path}:{self.lineno}: bad {what}") from None
+        raise MeshError(f"{self.path}:{self.lineno + 1}: expected {what}, found end of file")
+
+
+def _count(tok):
+    n = int(tok)
+    if n < 0:
+        raise ValueError(f"negative count {n}")
+    return n
+
+
+def _ints(tok, *cols):
+    return tuple(np.int64(tok[c]) for c in cols)
 
 
 def _load_native(path: str) -> Mesh:
-    rows = _tokens(path)
+    rows = _Rows(path)
+    if rows.read("header 'lsfem-mesh 1'", lambda tok: tok[:2]) != ["lsfem-mesh", "1"]:
+        raise MeshError(f"{path}:{rows.lineno}: expected header 'lsfem-mesh 1'")
+    nv, nt = rows.read("'V T' count line", lambda tok: (_count(tok[0]), _count(tok[1])))
+    # rows go to lists, not arrays sized by the counts: a count beyond the
+    # file's length ends at its last line instead of in a huge allocation
+    verts = [
+        rows.read(f"vertex line {i}", lambda tok: (float(tok[0]), float(tok[1]))) for i in range(nv)
+    ]
+    # the region id in the fourth column defaults to 0
+    tris = [
+        rows.read(f"triangle line {i}", lambda tok: _ints(tok + ["0"], 0, 1, 2, 3))
+        for i in range(nt)
+    ]
+    tris = np.array(tris, dtype=np.int64).reshape(nt, 4)
     try:
-        lineno, header = next(rows)
-    except StopIteration:
-        raise MeshError(f"{path}:1: empty mesh file") from None
-    if header[:2] != ["lsfem-mesh", "1"]:
-        raise MeshError(f"{path}:{lineno}: expected header 'lsfem-mesh 1'")
-    try:
-        lineno, counts = next(rows)
-        nv, nt = int(counts[0]), int(counts[1])
-    except (StopIteration, ValueError, IndexError):
-        raise MeshError(f"{path}: missing or malformed 'V T' count line") from None
-    verts = np.empty((nv, 2))
-    tris = np.empty((nt, 3), dtype=np.int64)
-    region = np.zeros(nt, dtype=np.int64)
-    for i in range(nv):
-        try:
-            lineno, tok = next(rows)
-            verts[i] = float(tok[0]), float(tok[1])
-        except (StopIteration, ValueError, IndexError):
-            raise MeshError(f"{path}:{lineno}: bad vertex line {i}") from None
-    for i in range(nt):
-        try:
-            lineno, tok = next(rows)
-            tris[i] = int(tok[0]), int(tok[1]), int(tok[2])
-            if len(tok) > 3:
-                region[i] = int(tok[3])
-        except (StopIteration, ValueError, IndexError):
-            raise MeshError(f"{path}:{lineno}: bad triangle line {i}") from None
-    try:
-        return Mesh(verts, tris, region)
+        return Mesh(np.array(verts, dtype=float).reshape(nv, 2), tris[:, :3], tris[:, 3])
     except MeshError as exc:
         raise MeshError(f"{path}: {exc}") from None
 
@@ -362,29 +380,34 @@ def _load_triangle(path: str) -> Mesh:
     for p in (node_path, ele_path):
         if not os.path.exists(p):
             raise MeshError(f"missing file {p}")
-    rows = _tokens(node_path)
-    lineno, head = next(rows)
-    nv = int(head[0])
-    verts = np.empty((nv, 2))
-    ids = {}
-    for i in range(nv):
-        lineno, tok = next(rows)
-        ids[int(tok[0])] = i
-        verts[i] = float(tok[1]), float(tok[2])
-    rows = _tokens(ele_path)
-    lineno, head = next(rows)
-    nt = int(head[0])
-    tris = np.empty((nt, 3), dtype=np.int64)
-    region = np.zeros(nt, dtype=np.int64)
-    for i in range(nt):
-        lineno, tok = next(rows)
-        try:
-            tris[i] = ids[int(tok[1])], ids[int(tok[2])], ids[int(tok[3])]
-        except KeyError as exc:
-            raise MeshError(f"{ele_path}:{lineno}: element {tok[0]} references unknown node {exc}") from None
-        # trailing attribute columns are ignored
+    rows = _Rows(node_path)
+    nv = rows.read("node count line", lambda tok: _count(tok[0]))
+    nodes = [
+        rows.read(f"node line {i}", lambda tok: (np.int64(tok[0]), float(tok[1]), float(tok[2])))
+        for i in range(nv)
+    ]
+    ids = np.array([node[0] for node in nodes], dtype=np.int64)
+    verts = np.array([node[1:] for node in nodes], dtype=float).reshape(nv, 2)
+    rows = _Rows(ele_path)
+    nt = rows.read("element count line", lambda tok: _count(tok[0]))
+    # (line, node, node, node); trailing attribute columns are ignored
+    elements = [
+        rows.read(f"element line {i}", lambda tok: (rows.lineno, *_ints(tok, 1, 2, 3)))
+        for i in range(nt)
+    ]
+    elements = np.array(elements, dtype=np.int64).reshape(nt, 4)
+    lines, refs = elements[:, 0], elements[:, 1:]
+    unknown = ~np.isin(refs, ids)
+    if unknown.any():
+        row = np.argmax(unknown.any(axis=1))
+        raise MeshError(
+            f"{ele_path}:{lines[row]}: element references unknown node {refs[row][unknown[row]][0]}"
+        )
+    # node ids may be any integers; a repeated id names its last node
+    order = np.argsort(ids, kind="stable")
+    tris = order[np.searchsorted(ids[order], refs, side="right") - 1]
     try:
-        return Mesh(verts, tris, region)
+        return Mesh(verts, tris, np.zeros(nt, dtype=np.int64))
     except MeshError as exc:
         raise MeshError(f"{ele_path}: {exc}") from None
 
@@ -398,34 +421,22 @@ def _resolve_slit(mesh, edges, is_boundary, slit, tol=1e-12):
         raise ValueError("slit segment has zero length")
     d = d / length
 
-    def param(p):
-        rel = p - a
-        off = abs(rel[0] * d[1] - rel[1] * d[0])
-        s = rel @ d
-        if off > tol or s < -tol or s > length + tol:
-            return None
-        return s
-
-    found = []
-    for e in range(len(edges)):
-        s0 = param(mesh.vertices[edges[e, 0]])
-        s1 = param(mesh.vertices[edges[e, 1]])
-        if s0 is not None and s1 is not None:
-            if is_boundary[e]:
-                raise MeshError("slit segment touches a boundary edge; interior edges required")
-            found.append((min(s0, s1), max(s0, s1), e))
-    found.sort()
-    cursor = 0.0
-    for lo, hi, _ in found:
-        if lo > cursor + tol:
-            raise MeshError(
-                f"slit not resolved by the mesh: no edge covers "
-                f"[{cursor / length:.6g}, {lo / length:.6g}] of the segment"
-            )
-        cursor = max(cursor, hi)
-    if cursor < length - tol:
+    # arc length s of every vertex along the segment, and which lie on it
+    rel = mesh.vertices - a
+    s = rel @ d
+    on = (np.abs(rel[:, 0] * d[1] - rel[:, 1] * d[0]) <= tol) & (s >= -tol) & (s <= length + tol)
+    found = np.flatnonzero(on[edges[:, 0]] & on[edges[:, 1]])
+    if is_boundary[found].any():
+        raise MeshError("slit segment touches a boundary edge; interior edges required")
+    ends = np.sort(s[edges[found]], axis=1)
+    lo, hi = ends[np.argsort(ends[:, 0])].T
+    # reach[i]: how far the edges before the i-th cover the segment from 0
+    reach = np.maximum.accumulate(np.concatenate([[0.0], hi]))
+    gap = np.flatnonzero(lo > reach[:-1] + tol)
+    if gap.size or reach[-1] < length - tol:
+        start, stop = (reach[gap[0]], lo[gap[0]]) if gap.size else (reach[-1], length)
         raise MeshError(
             f"slit not resolved by the mesh: no edge covers "
-            f"[{cursor / length:.6g}, 1] of the segment"
+            f"[{start / length:.6g}, {stop / length:.6g}] of the segment"
         )
-    return np.array(sorted(e for _, _, e in found), dtype=np.int64)
+    return found

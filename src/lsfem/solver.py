@@ -48,7 +48,6 @@ class SparseSym:
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-    symmetric: bool = True
 
     @classmethod
     def from_csr(cls, mat: sp.csr_matrix) -> "SparseSym":
@@ -73,12 +72,6 @@ class SparseSym:
     def toarray(self) -> np.ndarray:
         return self.to_scipy().toarray()
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.to_scipy() @ x
-
-    def diagonal(self) -> np.ndarray:
-        return self.to_scipy().diagonal()
-
 
 @dataclass
 class CgStats:
@@ -86,7 +79,6 @@ class CgStats:
     residual: float            # final true relative residual ||b - Ax|| / ||b||
     converged: bool
     residual_history: np.ndarray
-    iterates: Optional[list] = None
 
 
 @dataclass(frozen=True)
@@ -108,11 +100,10 @@ def cg_solve(
     b: np.ndarray,
     tol: float = 1e-10,
     maxit: Optional[int] = None,
-    precond: str = "jacobi",
-    keep_iterates: bool = False,
 ):
-    """Preconditioned conjugate gradients; returns (x, CgStats). Converged
-    means the true relative residual ||b - Ax|| / ||b|| is at most tol.
+    """Jacobi-preconditioned conjugate gradients; returns (x, CgStats).
+    Converged means the true relative residual ||b - Ax|| / ||b|| is at most
+    tol.
 
     Raises NotSPDError on non-positive curvature and ConvergenceError
     (with the last iterate attached) if maxit is exhausted.
@@ -122,29 +113,21 @@ def cg_solve(
     b = np.asarray(b, dtype=float)
     if maxit is None:
         maxit = 20 * n
-    if precond == "jacobi":
-        d = mat.diagonal()
-        if (d == 0).any():
-            raise SolverError("zero diagonal entry; jacobi preconditioner unavailable")
-        inv_d = 1.0 / d
-        apply_m = lambda r: inv_d * r
-    elif precond == "none":
-        apply_m = lambda r: r
-    else:
-        raise ValueError(f"unknown preconditioner {precond!r}")
+    d = mat.diagonal()
+    if (d == 0).any():
+        raise SolverError("zero diagonal entry; jacobi preconditioner unavailable")
+    inv_d = 1.0 / d
 
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
-        stats = CgStats(0, 0.0, True, np.zeros(1), [] if keep_iterates else None)
-        return np.zeros(n), stats
+        return np.zeros(n), CgStats(0, 0.0, True, np.zeros(1))
 
     x = np.zeros(n)
     r = b.copy()
-    z = apply_m(r)
+    z = inv_d * r
     p = z.copy()
     rz = r @ z
     history = [1.0]
-    iterates = [x.copy()] if keep_iterates else None
 
     for it in range(1, maxit + 1):
         Ap = mat @ p
@@ -160,18 +143,15 @@ def cg_solve(
             r = b - mat @ x
             rel = np.linalg.norm(r) / norm_b
         history.append(rel)
-        if keep_iterates:
-            iterates.append(x.copy())
         if rel <= tol:
-            stats = CgStats(it, rel, True, np.asarray(history), iterates)
-            return x, stats
-        z = apply_m(r)
+            return x, CgStats(it, rel, True, np.asarray(history))
+        z = inv_d * r
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new
 
     rel = np.linalg.norm(b - mat @ x) / norm_b
-    stats = CgStats(maxit, rel, False, np.asarray(history), iterates)
+    stats = CgStats(maxit, rel, False, np.asarray(history))
     raise ConvergenceError(
         f"CG did not reach tol {tol:g} in {maxit} iterations (residual {rel:.3e})",
         x=x,

@@ -4,7 +4,7 @@ import pytest
 
 from lsfem import fem
 from lsfem.assembly import ProblemSpec
-from lsfem.mesh import build_topology, generate_structured
+from lsfem.mesh import MeshError, Topology, build_topology, generate_structured
 
 
 @pytest.fixture(scope="session")
@@ -19,6 +19,96 @@ def make_case(n, k, perturb=0.0, slit=None):
     topo = build_topology(mesh, slit=slit)
     dofmap = fem.build_dofmap(mesh, topo, k)
     return mesh, topo, dofmap
+
+
+def topology_oracle(mesh, slit=None, tol=1e-12):
+    """Reference topology built with per-edge Python loops: the neighbour
+    fill in (local edge, triangle) order, a dict from rounded coordinates to
+    the last vertex there, and a scan of every edge against the slit.
+    ``build_topology`` must agree with it field for field and error for
+    error."""
+    t, V = mesh.triangles, mesh.vertices
+    raw = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]])
+    edges, inverse = np.unique(np.sort(raw, axis=1), axis=0, return_inverse=True)
+    tri_to_edge = inverse.reshape(3, len(t)).T.copy()
+    edge_to_tri = np.full((len(edges), 2), -1, dtype=np.int64)
+    count = np.zeros(len(edges), dtype=np.int64)
+    for local in range(3):
+        for tri, e in enumerate(tri_to_edge[:, local]):
+            if count[e] >= 2:
+                raise MeshError(f"edge {edges[e].tolist()} is shared by more than 2 triangles")
+            edge_to_tri[e, count[e]] = tri
+            count[e] += 1
+    is_boundary = count == 1
+
+    vec = V[edges[:, 1]] - V[edges[:, 0]]
+    h_F = np.linalg.norm(vec, axis=1)
+    tang = vec / h_F[:, None]
+    normals = np.column_stack([tang[:, 1], -tang[:, 0]])
+    mids = 0.5 * (V[edges[:, 0]] + V[edges[:, 1]])
+    outward_sign = np.zeros(len(edges))
+    b = np.flatnonzero(is_boundary)
+    toward = mids[b] - V[t].mean(axis=1)[edge_to_tri[b, 0]]
+    outward_sign[b] = np.where((normals[b] * toward).sum(axis=1) > 0, 1.0, -1.0)
+
+    lookup = {}
+    for idx, v in enumerate(np.round(V, 12)):
+        lookup[(v[0], v[1])] = idx
+    for e, m in enumerate(np.round(mids, 12)):
+        hit = lookup.get((m[0], m[1]))
+        if hit is not None and hit not in (edges[e, 0], edges[e, 1]):
+            raise MeshError(
+                f"non-conforming mesh: vertex {hit} hangs on an edge of triangle {edge_to_tri[e, 0]}"
+            )
+
+    slit_edges = np.empty(0, dtype=np.int64)
+    if slit is not None:
+        a = np.asarray(slit[0], dtype=float)
+        length = np.linalg.norm(np.asarray(slit[1], dtype=float) - a)
+        d = (np.asarray(slit[1], dtype=float) - a) / length
+
+        def param(p):
+            rel = p - a
+            off = abs(rel[0] * d[1] - rel[1] * d[0])
+            s = rel @ d
+            if off > tol or s < -tol or s > length + tol:
+                return None
+            return s
+
+        found = []
+        for e in range(len(edges)):
+            s0, s1 = param(V[edges[e, 0]]), param(V[edges[e, 1]])
+            if s0 is not None and s1 is not None:
+                if is_boundary[e]:
+                    raise MeshError("slit segment touches a boundary edge; interior edges required")
+                found.append((min(s0, s1), max(s0, s1), e))
+        found.sort()
+        cursor = 0.0
+        for lo, hi, _ in found:
+            if lo > cursor + tol:
+                raise MeshError(
+                    f"slit not resolved by the mesh: no edge covers "
+                    f"[{cursor / length:.6g}, {lo / length:.6g}] of the segment"
+                )
+            cursor = max(cursor, hi)
+        if cursor < length - tol:
+            raise MeshError(
+                f"slit not resolved by the mesh: no edge covers "
+                f"[{cursor / length:.6g}, 1] of the segment"
+            )
+        slit_edges = np.array(sorted(e for _, _, e in found), dtype=np.int64)
+
+    return Topology(
+        edges=edges,
+        edge_to_tri=edge_to_tri,
+        tri_to_edge=tri_to_edge,
+        is_boundary=is_boundary,
+        normals=normals,
+        outward_sign=outward_sign,
+        h_K=np.sqrt(mesh.areas()),
+        h_F=h_F,
+        slit_edges=slit_edges,
+    )
 
 
 def polynomial_problem(eps, k, c_coeff=1.0):

@@ -99,6 +99,44 @@ def test_solve_from_mesh_file(tmp_path, capsys):
     assert "errors:" in out
 
 
+def _corrupt_empty_node(node, ele):
+    node.write_text("")
+    return f"{node}:1:"
+
+
+def _corrupt_short_ele(node, ele):
+    lines = ele.read_text().splitlines(keepends=True)
+    ele.write_text("".join(lines[:-1]))  # the count line still says 32
+    return f"{ele}:{len(lines)}:"
+
+
+def _corrupt_narrow_element(node, ele):
+    lines = ele.read_text().splitlines(keepends=True)
+    lines[3] = "3 1 2\n"
+    ele.write_text("".join(lines))
+    return f"{ele}:4:"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_corrupt_empty_node, _corrupt_short_ele, _corrupt_narrow_element],
+    ids=["empty-node", "short-ele", "narrow-element"],
+)
+def test_malformed_triangle_files_report_file_and_line(tmp_path, capsys, corrupt):
+    from lsfem.mesh import generate_structured, save_mesh
+
+    save_mesh(generate_structured(4, 0.0), str(tmp_path / "grid"), format="triangle")
+    where = corrupt(tmp_path / "grid.node", tmp_path / "grid.ele")
+    code, _, err = run(
+        capsys, "--out-dir", str(tmp_path),
+        "solve", "--problem", "smooth", "--mesh-format", "triangle",
+        "--mesh-file", str(tmp_path / "grid.node"),
+    )
+    assert code == 1
+    assert "error [solve]" in err and where in err
+    assert "Traceback" not in err
+
+
 def test_identical_argv_identical_output(tmp_path, capsys):
     argv = [
         "--out-dir", str(tmp_path),

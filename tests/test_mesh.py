@@ -179,6 +179,14 @@ def test_hanging_node_detected():
         build_topology(Mesh(verts, tris, np.zeros(3, int)))
 
 
+def test_edge_shared_by_three_triangles_rejected():
+    # triangles above, below and again above the edge (0, 1)
+    verts = np.array([(0, 0), (1, 0), (0.5, 1), (0.5, -1), (0.3, 0.5)], dtype=float)
+    tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+    with pytest.raises(MeshError, match=r"edge \[0, 1\] is shared by more than 2 triangles"):
+        build_topology(Mesh(verts, tris, np.zeros(3, int)))
+
+
 def test_cw_input_is_reoriented():
     verts = np.array([(0, 0), (1, 0), (0, 1)], dtype=float)
     mesh = Mesh(verts, np.array([[0, 2, 1]]), np.zeros(1, int))
