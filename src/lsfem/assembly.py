@@ -26,6 +26,9 @@ from .mesh import Mesh, Topology
 from .solver import SparseSym
 
 BC_MODES = ("weak", "strong", "alt-weak")
+# elements per block of quadrature tables and local matrices; bounds the
+# tables' memory, which for the whole mesh is many times the local matrices
+ELEMENT_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -118,18 +121,16 @@ def assemble_ls(
         raise ValueError("dofmap was built for a different mesh")
 
     se = np.sqrt(problem.epsilon)
-    rule = fem.triangle_rule(fem.assembly_degree(dofmap.k))
-    X, wq, wvals, wgrads = fem.volume_quadrature(dofmap, rule)
-    qvals, qdivs = fem.signed_q_tables(dofmap, rule.xy)
-    rw, fval = _scalar_residual(problem, X, wvals, wgrads)
 
-    # both residuals of every local basis function, Q block first
-    rvec = np.concatenate([qvals, se * wgrads], axis=1)
-    rscal = np.concatenate([se * qdivs, rw], axis=1)
-    a_loc = np.einsum("tiqd,tjqd,tq->tij", rvec, rvec, wq)
-    a_loc += np.einsum("tiq,tjq,tq->tij", rscal, rscal, wq)
-    b_loc = np.einsum("tq,tiq,tq->ti", fval, rscal, wq)
+    def residuals(cells, rule):
+        # both residuals of every local basis function, Q block first
+        X, wq, wvals, wgrads = fem.volume_quadrature(dofmap, rule, cells)
+        qvals, qdivs = fem.signed_q_tables(dofmap, rule.xy, cells)
+        rw, fval = _scalar_residual(problem, X, wvals, wgrads)
+        rvec = np.concatenate([qvals, se * wgrads], axis=1)
+        return wq, fval, np.concatenate([se * qdivs, rw], axis=1), rvec
 
+    a_loc, b_loc = _local_systems(dofmap, dofmap.nloc_q + dofmap.nloc_w, residuals)
     gidx = np.concatenate([dofmap.q_index, dofmap.n_q + dofmap.w_index], axis=1)
     n = dofmap.n_total
     mat, rhs = _scatter(a_loc, b_loc, gidx, n)
@@ -160,12 +161,13 @@ def assemble_transport(
     """Assemble the scalar-only transport-reaction system on W_h."""
     if problem.epsilon != 0.0:
         raise ValueError("transport assembly requires epsilon == 0")
-    rule = fem.triangle_rule(fem.assembly_degree(dofmap.k))
-    X, wq, wvals, wgrads = fem.volume_quadrature(dofmap, rule)
-    rscal, fval = _scalar_residual(problem, X, wvals, wgrads)
-    a_loc = np.einsum("tiq,tjq,tq->tij", rscal, rscal, wq)
-    b_loc = np.einsum("tq,tiq,tq->ti", fval, rscal, wq)
 
+    def residuals(cells, rule):
+        X, wq, wvals, wgrads = fem.volume_quadrature(dofmap, rule, cells)
+        rscal, fval = _scalar_residual(problem, X, wvals, wgrads)
+        return wq, fval, rscal, None
+
+    a_loc, b_loc = _local_systems(dofmap, dofmap.nloc_w, residuals)
     n = dofmap.n_w
     mat, rhs = _scatter(a_loc, b_loc, dofmap.w_index, n)
     # with eps == 0 the weak boundary weight is the inflow weight alone
@@ -212,6 +214,31 @@ def mass_diagonal(mesh: Mesh, dofmap: fem.DofMap) -> np.ndarray:
     q_sq = np.einsum("tiqd,tiqd,tq->ti", qvals, qvals, wq)
     np.add.at(diag, dofmap.q_index.ravel(), q_sq.ravel())
     return diag
+
+
+def _local_systems(dofmap, nloc, residuals):
+    """Local matrices (T, nloc, nloc) and vectors (T, nloc) of the
+    least-squares form, built ELEMENT_BLOCK elements at a time.
+
+    ``residuals(cells, rule)`` gives, on the elements ``cells``, the
+    quadrature weights (T, nq), the source f (T, nq), the scalar residual of
+    every local basis function (T, nloc, nq) and its vector residual
+    (T, nloc, nq, 2) or None. The local matrix pairs each residual with
+    itself and the local vector pairs f with the scalar residual.
+    """
+    rule = fem.triangle_rule(fem.assembly_degree(dofmap.k))
+    T = dofmap.geo.det.shape[0]
+    a_loc = np.empty((T, nloc, nloc))
+    b_loc = np.empty((T, nloc))
+    for start in range(0, T, ELEMENT_BLOCK):
+        cells = slice(start, start + ELEMENT_BLOCK)
+        wq, fval, rscal, rvec = residuals(cells, rule)
+        a, b = a_loc[cells], b_loc[cells]
+        np.einsum("tiq,tjq,tq->tij", rscal, rscal, wq, out=a)
+        if rvec is not None:
+            a += np.einsum("tiqd,tjqd,tq->tij", rvec, rvec, wq)
+        np.einsum("tq,tiq,tq->ti", fval, rscal, wq, out=b)
+    return a_loc, b_loc
 
 
 def _scalar_residual(problem, X, wvals, wgrads):

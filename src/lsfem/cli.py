@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure (CG stagnation,
-non-SPD system, spectral breakdown). Identical arguments produce identical
-stdout and output files; the RNG seeds behind mesh jitter and eigenvalue
-start vectors are fixed.
+non-SPD or singular system, spectral breakdown). Identical arguments
+produce identical stdout and output files; the RNG seeds behind mesh jitter
+and eigenvalue start vectors are fixed.
 """
 from __future__ import annotations
 

@@ -26,6 +26,10 @@ class ElementGeometry:
     det: np.ndarray     # (T,) determinant, positive for CCW elements
     inv_t: np.ndarray   # (T, 2, 2) inverse transpose, maps reference gradients
 
+    def __getitem__(self, cells) -> "ElementGeometry":
+        """The geometry of the elements ``cells``; a slice gives views."""
+        return ElementGeometry(self.v0[cells], self.jac[cells], self.det[cells], self.inv_t[cells])
+
     def map_points(self, ref_pts: np.ndarray) -> np.ndarray:
         """Physical images of reference points, shape (T, npts, 2)."""
         return self.v0[:, None, :] + np.einsum("tdr,qr->tqd", self.jac, ref_pts)
@@ -60,21 +64,23 @@ def q_tables(order: int, ref_pts: np.ndarray, geo: ElementGeometry):
     return vals, divs
 
 
-def volume_quadrature(dofmap: DofMap, rule: quadrature.QuadRule):
-    """Element quadrature of ``rule`` for the W space of ``dofmap``: the
-    physical points (T, nq, 2), the weights times det J (T, nq), and the
-    W tables of ``w_tables``."""
-    geo = dofmap.geo
+def volume_quadrature(dofmap: DofMap, rule: quadrature.QuadRule, cells=slice(None)):
+    """Element quadrature of ``rule`` for the W space of ``dofmap`` on the
+    elements ``cells`` (all by default): the physical points (T, nq, 2), the
+    weights times det J (T, nq), and the W tables of ``w_tables``."""
+    geo = dofmap.geo[cells]
     vals, grads = w_tables(dofmap.degree, rule.xy, geo)
     return geo.map_points(rule.xy), rule.weights[None, :] * geo.det[:, None], vals, grads
 
 
-def signed_q_tables(dofmap: DofMap, ref_pts: np.ndarray):
-    """The Q tables of ``q_tables`` with the orientation signs ``q_sign``
-    applied, so they multiply global coefficients directly."""
-    vals, divs = q_tables(dofmap.degree, ref_pts, dofmap.geo)
-    vals *= dofmap.q_sign[:, :, None, None]
-    divs *= dofmap.q_sign[:, :, None]
+def signed_q_tables(dofmap: DofMap, ref_pts: np.ndarray, cells=slice(None)):
+    """The Q tables of ``q_tables`` on the elements ``cells`` (all by
+    default) with the orientation signs ``q_sign`` applied, so they multiply
+    global coefficients directly."""
+    vals, divs = q_tables(dofmap.degree, ref_pts, dofmap.geo[cells])
+    sign = dofmap.q_sign[cells]
+    vals *= sign[:, :, None, None]
+    divs *= sign[:, :, None]
     return vals, divs
 
 

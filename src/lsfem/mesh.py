@@ -45,6 +45,10 @@ class Mesh:
             raise MeshError(
                 f"triangle {bad} references vertex {culprit} outside 0..{len(verts) - 1}"
             )
+        # a NaN area would pass both area checks below
+        finite = np.isfinite(verts).all(axis=1)
+        if not finite.all():
+            raise MeshError(f"vertex {int(np.argmin(finite))} has a non-finite coordinate")
         # canonical orientation: flip clockwise triangles, then reject degenerates
         areas = _signed_areas(verts, tris)
         flip = areas < 0
@@ -352,6 +356,13 @@ def _ints(tok, *cols):
     return tuple(np.int64(tok[c]) for c in cols)
 
 
+def _coords(tok, *cols):
+    xy = tuple(float(tok[c]) for c in cols)
+    if not np.isfinite(xy).all():
+        raise ValueError("non-finite coordinate")
+    return xy
+
+
 def _load_native(path: str) -> Mesh:
     rows = _Rows(path)
     if rows.read("header 'lsfem-mesh 1'", lambda tok: tok[:2]) != ["lsfem-mesh", "1"]:
@@ -360,7 +371,7 @@ def _load_native(path: str) -> Mesh:
     # rows go to lists, not arrays sized by the counts: a count beyond the
     # file's length ends at its last line instead of in a huge allocation
     verts = [
-        rows.read(f"vertex line {i}", lambda tok: (float(tok[0]), float(tok[1]))) for i in range(nv)
+        rows.read(f"vertex line {i}", lambda tok: _coords(tok, 0, 1)) for i in range(nv)
     ]
     # the region id in the fourth column defaults to 0
     tris = [
@@ -383,7 +394,7 @@ def _load_triangle(path: str) -> Mesh:
     rows = _Rows(node_path)
     nv = rows.read("node count line", lambda tok: _count(tok[0]))
     nodes = [
-        rows.read(f"node line {i}", lambda tok: (np.int64(tok[0]), float(tok[1]), float(tok[2])))
+        rows.read(f"node line {i}", lambda tok: (np.int64(tok[0]), *_coords(tok, 1, 2)))
         for i in range(nv)
     ]
     ids = np.array([node[0] for node in nodes], dtype=np.int64)

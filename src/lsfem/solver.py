@@ -1,18 +1,26 @@
 """Sparse symmetric linear algebra: CSR storage with symmetry validation,
-preconditioned conjugate gradients, and extreme-eigenvalue estimation
-(dense below a size cutoff, Lanczos plus inverse iteration above it).
+a sparse factorization, preconditioned conjugate gradients, and
+extreme-eigenvalue estimation (dense below a size cutoff, Lanczos plus
+inverse iteration through one factor above it).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 DENSE_CUTOFF = 2000
 SYMMETRY_RTOL = 1e-12
+# stagnation: true-residual checks that fail in a row before CG gives up, the
+# iterations without progress after which CG checks, and the growth of b - Ax
+# over its least value that fails a check
+STALL_CHECKS = 2
+STALL_ITERS = 10
+STALL_GROWTH = 100.0
 
 
 class SolverError(RuntimeError):
@@ -95,28 +103,69 @@ class SpectralEstimate:
             raise ValueError("lambda_min exceeds lambda_max")
 
 
+def factorize(A: SparseSym) -> Callable[[np.ndarray], np.ndarray]:
+    """Sparse factor of A; returns the map r -> A^-1 r.
+
+    SuperLU with a minimum-degree ordering of A^T + A, symmetric mode and no
+    pivoting, which on an SPD matrix is a Cholesky-like LU whose fill does
+    not depend on the values. The CSR arrays are read as CSC, that is as
+    A^T, which equals A to the symmetry tolerance of ``SparseSym``; this
+    avoids a converted copy. Raises SingularMatrixError on an exactly
+    singular factor.
+    """
+    at = sp.csc_matrix((A.data, A.indices, A.indptr), shape=(A.n, A.n))
+    try:
+        lu = spla.splu(
+            at,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:  # SuperLU reports a zero pivot this way
+        raise SingularMatrixError(f"sparse factorization failed: {exc}") from None
+    return lu.solve
+
+
 def cg_solve(
     A: SparseSym,
     b: np.ndarray,
     tol: float = 1e-10,
     maxit: Optional[int] = None,
+    precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ):
-    """Jacobi-preconditioned conjugate gradients; returns (x, CgStats).
-    Converged means the true relative residual ||b - Ax|| / ||b|| is at most
-    tol.
+    """Preconditioned conjugate gradients; returns (x, CgStats).
 
-    Raises NotSPDError on non-positive curvature and ConvergenceError
-    (with the last iterate attached) if maxit is exhausted.
+    ``precond`` maps a residual r to M^-1 r for an SPD M, such as the
+    ``factorize`` of A; without it CG uses the Jacobi preconditioner
+    diag(A)^-1, the reference path. Converged means the true relative
+    residual ||b - Ax|| / ||b|| is at most tol.
+
+    CG checks its recursive residual r against the true one b - Ax when r
+    reaches tol, when r halves its least value so far, and when STALL_ITERS
+    iterations pass without either. A check fails when it does not halve
+    the least true residual and either shows b - Ax more than STALL_GROWTH
+    times that least value, or shows r to be rounding noise (off b - Ax by
+    more than half its norm); CG then goes on from b - Ax, as it does after
+    a check at tol. Checks pass on a slow stretch, where r and b - Ax agree.
+
+    Raises NotSPDError on non-positive curvature, and ConvergenceError if
+    maxit is exhausted (with the last iterate) or on stagnation at the
+    rounding floor, after STALL_CHECKS failed checks in a row (with the
+    iterate of the least true residual, and that residual in its stats).
     """
     mat = A.to_scipy()
     n = A.n
     b = np.asarray(b, dtype=float)
     if maxit is None:
         maxit = 20 * n
-    d = mat.diagonal()
-    if (d == 0).any():
-        raise SolverError("zero diagonal entry; jacobi preconditioner unavailable")
-    inv_d = 1.0 / d
+    if precond is None:
+        d = mat.diagonal()
+        if (d == 0).any():
+            raise SolverError("zero diagonal entry; jacobi preconditioner unavailable")
+        inv_d = 1.0 / d
+
+        def precond(r):
+            return inv_d * r
 
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
@@ -124,10 +173,13 @@ def cg_solve(
 
     x = np.zeros(n)
     r = b.copy()
-    z = inv_d * r
+    z = precond(r)
     p = z.copy()
     rz = r @ z
     history = [1.0]
+    best_x, best_rel = x.copy(), 1.0  # least true residual checked, and its iterate
+    mark_rel, mark_it = 1.0, 0  # r at its last halving, and the last check
+    failed = 0
 
     for it in range(1, maxit + 1):
         Ap = mat @ p
@@ -138,14 +190,37 @@ def cg_solve(
         x += alpha * p
         r -= alpha * Ap
         rel = np.linalg.norm(r) / norm_b
-        if rel <= tol:
-            # the recursive r drifts from b - Ax by rounding; go on from the true one
-            r = b - mat @ x
-            rel = np.linalg.norm(r) / norm_b
+        halved = rel <= 0.5 * mark_rel
+        if halved:
+            mark_rel = rel
+        if rel <= tol or halved or it - mark_it >= STALL_ITERS:
+            mark_it = it
+            true_r = b - mat @ x
+            true_rel = np.linalg.norm(true_r) / norm_b
+            if true_rel <= tol:
+                history.append(true_rel)
+                return x, CgStats(it, true_rel, True, np.asarray(history))
+            noisy = not np.linalg.norm(true_r - r) <= 0.5 * np.linalg.norm(true_r)
+            if true_rel <= 0.5 * best_rel:
+                failed = 0
+            elif noisy or true_rel > STALL_GROWTH * best_rel:
+                failed += 1
+            if true_rel < best_rel:
+                best_rel = true_rel
+                np.copyto(best_x, x)
+            if failed >= STALL_CHECKS:
+                history.append(true_rel)
+                raise ConvergenceError(
+                    f"CG stagnated at the rounding floor after {it} iterations: "
+                    f"least true residual {best_rel:.3e} above tol {tol:g}",
+                    x=best_x,
+                    stats=CgStats(it, best_rel, False, np.asarray(history)),
+                )
+            if rel <= tol or noisy:
+                # the recursive r drifted from b - Ax by rounding; go on from the true one
+                r, rel = true_r, true_rel
         history.append(rel)
-        if rel <= tol:
-            return x, CgStats(it, rel, True, np.asarray(history))
-        z = inv_d * r
+        z = precond(r)
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -178,8 +253,8 @@ def estimate_extremes(A: SparseSym, dense_cutoff: int = DENSE_CUTOFF) -> Spectra
 
     Below the cutoff: dense symmetric eigensolve. Above it: Lanczos for the
     largest eigenvalue, and Krylov-accelerated inverse iteration (Lanczos on
-    the inverse, applied through CG solves at 1e-8) for the smallest; plain
-    inverse power iteration stalls when the small eigenvalues cluster.
+    the inverse, applied through one ``factorize`` of A) for the smallest;
+    plain inverse power iteration stalls when the small eigenvalues cluster.
     """
     if A.n <= dense_cutoff:
         eigs = scipy.linalg.eigvalsh(A.toarray())
@@ -187,9 +262,7 @@ def estimate_extremes(A: SparseSym, dense_cutoff: int = DENSE_CUTOFF) -> Spectra
         return SpectralEstimate(lam_min, lam_max, lam_max / lam_min, "dense")
     mat = A.to_scipy()
     lam_max, tol_max = _lanczos_extreme(lambda v: mat @ v, A.n, seed=1234)
-    inv_top, tol_min = _lanczos_extreme(
-        lambda v: cg_solve(A, v, tol=1e-8)[0], A.n, seed=4321
-    )
+    inv_top, tol_min = _lanczos_extreme(factorize(A), A.n, seed=4321)
     lam_min = 1.0 / inv_top
     return SpectralEstimate(
         lam_min, lam_max, lam_max / lam_min, "iterative", tol_min=tol_min, tol_max=tol_max

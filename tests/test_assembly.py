@@ -364,3 +364,32 @@ def test_mass_diagonal_positive_and_partitioned():
     np.add.at(expected, dm.w_index[:, :3].ravel(), np.repeat(area / 30.0, 3))
     np.add.at(expected, dm.w_index[:, 3:].ravel(), np.repeat(8.0 * area / 45.0, 3))
     assert np.allclose(diag[dm.n_q:], expected, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_blocked_assembly_bit_identical(monkeypatch, k):
+    # block sizes of one element, the whole mesh and the default give the
+    # same local matrices, summed in the same order
+    from lsfem import assembly
+    from lsfem.cli import SLITS
+
+    mesh, topo, dm = make_case(10, k, perturb=0.1)
+    slit = make_case(10, k, slit=SLITS["rotating"])
+    cases = [
+        lambda: assemble_ls(get_problem("smooth", 1e-3), mesh, topo, dm, "weak"),
+        lambda: assemble_ls(get_problem("boundary-layer", 1e-2), mesh, topo, dm, "strong"),
+        lambda: assemble_ls(get_problem("rotating", 1e-6), *slit, "alt-weak"),
+        lambda: assemble_transport(get_problem("transport"), mesh, topo, dm),
+    ]
+    T = mesh.num_triangles
+    assert assembly.ELEMENT_BLOCK < T
+    results = {}
+    for block in (1, T, assembly.ELEMENT_BLOCK):
+        monkeypatch.setattr(assembly, "ELEMENT_BLOCK", block)
+        results[block] = [build() for build in cases]
+    for block, systems in results.items():
+        for ref, got in zip(results[1], systems):
+            assert np.array_equal(ref.matrix.indptr, got.matrix.indptr)
+            assert np.array_equal(ref.matrix.indices, got.matrix.indices)
+            assert np.array_equal(ref.matrix.data, got.matrix.data), block
+            assert np.array_equal(ref.rhs, got.rhs), block

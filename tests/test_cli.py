@@ -36,10 +36,11 @@ def test_bad_value_exits_one(tmp_path, capsys):
 
 
 def test_numerical_failure_exits_two(tmp_path, capsys):
-    # an absurdly small iteration cap forces CG to give up
+    # a cap of zero iterations forces CG to give up; with the factor it
+    # converges in one iteration
     code, out, err = run(
         capsys, "--out-dir", str(tmp_path),
-        "solve", "--problem", "smooth", "--eps", "1e-3", "--mesh-n", "8", "--maxit", "2",
+        "solve", "--problem", "smooth", "--eps", "1e-3", "--mesh-n", "8", "--maxit", "0",
     )
     assert code == 2
     assert "numerical failure" in err
@@ -134,6 +135,18 @@ def test_malformed_triangle_files_report_file_and_line(tmp_path, capsys, corrupt
     )
     assert code == 1
     assert "error [solve]" in err and where in err
+    assert "Traceback" not in err
+
+
+def test_non_finite_vertex_reports_file_and_line(tmp_path, capsys):
+    path = tmp_path / "nan.mesh"
+    path.write_text("lsfem-mesh 1\n4 2\n0 0\n1 0\nnan 1\n0 1\n0 1 2\n0 2 3\n")
+    code, _, err = run(
+        capsys, "--out-dir", str(tmp_path),
+        "solve", "--problem", "smooth", "--mesh-file", str(path),
+    )
+    assert code == 1
+    assert "error [solve]" in err and f"{path}:5:" in err
     assert "Traceback" not in err
 
 

@@ -171,6 +171,13 @@ def test_degenerate_triangle_rejected():
         Mesh(verts, np.array([[0, 1, 2]]), np.zeros(1, int))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_vertex_rejected(bad):
+    verts = np.array([(0.0, 0.0), (1.0, 0.0), (bad, 1.0)])
+    with pytest.raises(MeshError, match="vertex 2 has a non-finite coordinate"):
+        Mesh(verts, np.array([[0, 1, 2]]), np.zeros(1, int))
+
+
 def test_hanging_node_detected():
     # vertex 3 sits in the middle of the bottom triangle's edge (0, 1)
     verts = np.array([(0, 0), (1, 0), (0, 1), (0.5, 0.0), (0.5, -0.5)], dtype=float)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from lsfem import solver
 from lsfem.solver import (
     ConvergenceError,
     NotSPDError,
@@ -13,6 +14,7 @@ from lsfem.solver import (
     cg_solve,
     dense_oracle_solve,
     estimate_extremes,
+    factorize,
 )
 
 
@@ -161,3 +163,59 @@ def test_deterministic_results():
     e1 = estimate_extremes(A, dense_cutoff=10)
     e2 = estimate_extremes(A, dense_cutoff=10)
     assert e1.kappa == e2.kappa
+
+
+def test_factorize_inverts_spd():
+    A = random_spd(60, seed=4, kappa=1e6)
+    b = np.sin(np.arange(60.0))
+    x = factorize(SparseSym.from_dense(A))(b)
+    assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-10
+
+
+def test_factorize_rejects_singular():
+    with pytest.raises(SingularMatrixError):
+        factorize(SparseSym.from_dense(np.array([[1.0, 1.0], [1.0, 1.0]])))
+
+
+def test_indefinite_matrix_detected_under_factor():
+    A = SparseSym.from_dense(np.diag([1.0, -1.0]))
+    b = np.array([1.0, 1.0])
+    with pytest.raises(NotSPDError):
+        cg_solve(A, b, precond=factorize(A))
+    # an SPD preconditioner does not hide the curvature of A either
+    with pytest.raises(NotSPDError):
+        cg_solve(A, b, precond=factorize(SparseSym.from_dense(np.eye(2))))
+
+
+def test_factor_preconditioned_cg_matches_jacobi():
+    S = SparseSym.from_dense(random_spd(50, seed=11, kappa=1e4))
+    b = np.cos(np.arange(50.0))
+    x_j, stats_j = cg_solve(S, b, tol=1e-12)
+    x_f, stats_f = cg_solve(S, b, tol=1e-12, precond=factorize(S))
+    assert stats_f.converged and stats_f.iterations <= 2 < stats_j.iterations
+    assert np.linalg.norm(x_f - x_j) / np.linalg.norm(x_j) <= 1e-9
+
+
+@pytest.mark.parametrize("factor", [False, True], ids=["jacobi", "factor"])
+def test_stagnation_below_rounding_floor_is_bounded(factor):
+    # no iterate of b - Ax in double precision reaches 1e-20
+    A, b = SparseSym.from_dense(random_spd(40, seed=3, kappa=1e6)), np.ones(40)
+    precond = factorize(A) if factor else None
+    maxit = 20 * A.n
+    with pytest.raises(ConvergenceError, match="stagnated") as err:
+        cg_solve(A, b, tol=1e-20, maxit=maxit, precond=precond)
+    stats, x = err.value.stats, err.value.x
+    assert not stats.converged and stats.iterations < maxit
+    if factor:
+        assert stats.iterations <= 3 * solver.STALL_ITERS
+    # the error carries the best iterate, and its residual is the reported one
+    true = np.linalg.norm(b - A.to_scipy() @ x) / np.linalg.norm(b)
+    assert stats.residual == true <= 1e-9
+
+
+def test_repeated_factor_solves_identical():
+    S = SparseSym.from_dense(random_spd(80, seed=2))
+    b = np.ones(80)
+    x1, _ = cg_solve(S, b, precond=factorize(S))
+    x2, _ = cg_solve(S, b, precond=factorize(S))
+    assert np.array_equal(x1, x2)

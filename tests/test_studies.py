@@ -10,9 +10,10 @@ from lsfem.bench import (
     convergence_study,
     get_problem,
     nearest_generated_n,
+    solve_problem,
 )
 from lsfem.bench.studies import build_case
-from lsfem.solver import SparseSym, estimate_extremes
+from lsfem.solver import SparseSym, cg_solve, dense_oracle_solve, estimate_extremes
 
 
 def test_nearest_generated_sizes():
@@ -100,3 +101,33 @@ def test_compare_modes_interior_layer_reports_overshoot():
 def test_compare_modes_rejects_other_problems():
     with pytest.raises(ValueError):
         compare_bc_modes("smooth", 0, mesh_n=4)
+
+
+def test_solve_problem_matches_dense_oracle_and_jacobi():
+    mesh, topo, dm = build_case(4, 1)
+    problem = get_problem("smooth", 1e-3)
+    system = assemble_ls(problem, mesh, topo, dm, "weak")
+    x, stats = solve_problem(problem, mesh, topo, dm, "weak")
+    x_dense = dense_oracle_solve(system.matrix.toarray(), system.rhs)
+    x_jacobi, _ = cg_solve(system.matrix, system.rhs)
+    assert stats.converged
+    for ref in (x_dense, x_jacobi):
+        assert np.linalg.norm(x - ref) / np.linalg.norm(ref) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [0, 1], ids=["P1", "P2"])
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_factor_preconditioned_iterations_flat_in_h_and_eps(k, n):
+    mesh, topo, dm = build_case(n, k)
+    for eps in (1.0, 1e-3, 1e-9):
+        _, stats = solve_problem(get_problem("smooth", eps), mesh, topo, dm, "weak")
+        assert stats.converged and stats.iterations <= 2, (eps, stats.iterations)
+
+
+def test_repeated_iterative_estimates_identical():
+    mesh, topo, dm = build_case(4, 0)
+    system = assemble_ls(get_problem("smooth", 1e-3), mesh, topo, dm, "weak")
+    first = estimate_extremes(system.matrix, dense_cutoff=50)
+    again = estimate_extremes(system.matrix, dense_cutoff=50)
+    assert first.method == "iterative"
+    assert first == again
