@@ -26,9 +26,6 @@ from .mesh import Mesh, Topology
 from .solver import SparseSym
 
 BC_MODES = ("weak", "strong", "alt-weak")
-# elements per block of quadrature tables and local matrices; bounds the
-# tables' memory, which for the whole mesh is many times the local matrices
-ELEMENT_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -120,17 +117,7 @@ def assemble_ls(
     if dofmap.q_index.shape[0] != mesh.num_triangles:
         raise ValueError("dofmap was built for a different mesh")
 
-    se = np.sqrt(problem.epsilon)
-
-    def residuals(cells, rule):
-        # both residuals of every local basis function, Q block first
-        X, wq, wvals, wgrads = fem.volume_quadrature(dofmap, rule, cells)
-        qvals, qdivs = fem.signed_q_tables(dofmap, rule.xy, cells)
-        rw, fval = _scalar_residual(problem, X, wvals, wgrads)
-        rvec = np.concatenate([qvals, se * wgrads], axis=1)
-        return wq, fval, np.concatenate([se * qdivs, rw], axis=1), rvec
-
-    a_loc, b_loc = _local_systems(dofmap, dofmap.nloc_q + dofmap.nloc_w, residuals)
+    a_loc, b_loc = _local_systems(problem, dofmap)
     gidx = np.concatenate([dofmap.q_index, dofmap.n_q + dofmap.w_index], axis=1)
     n = dofmap.n_total
     mat, rhs = _scatter(a_loc, b_loc, gidx, n)
@@ -161,13 +148,7 @@ def assemble_transport(
     """Assemble the scalar-only transport-reaction system on W_h."""
     if problem.epsilon != 0.0:
         raise ValueError("transport assembly requires epsilon == 0")
-
-    def residuals(cells, rule):
-        X, wq, wvals, wgrads = fem.volume_quadrature(dofmap, rule, cells)
-        rscal, fval = _scalar_residual(problem, X, wvals, wgrads)
-        return wq, fval, rscal, None
-
-    a_loc, b_loc = _local_systems(dofmap, dofmap.nloc_w, residuals)
+    a_loc, b_loc = _local_systems(problem, dofmap)
     n = dofmap.n_w
     mat, rhs = _scatter(a_loc, b_loc, dofmap.w_index, n)
     # with eps == 0 the weak boundary weight is the inflow weight alone
@@ -205,50 +186,68 @@ def mass_diagonal(mesh: Mesh, dofmap: fem.DofMap) -> np.ndarray:
     the function-space ones when estimating condition numbers. ``mesh`` is
     not read: the DOF map carries the geometry.
     """
-    rule = fem.triangle_rule(2 * dofmap.degree + 2)
-    _, wq, wvals, _ = fem.volume_quadrature(dofmap, rule)
-    qvals, _ = fem.signed_q_tables(dofmap, rule.xy)
+    tab = fem.reference_tables(dofmap.k, 2 * dofmap.degree + 2)
+    geo = dofmap.geo
     diag = np.zeros(dofmap.n_total)
-    w_sq = np.einsum("iq,iq,tq->ti", wvals, wvals, wq)
+    w_sq = geo.det[:, None] * (tab.w_vals**2 @ tab.weights)[None, :]
     np.add.at(diag, dofmap.n_q + dofmap.w_index.ravel(), w_sq.ravel())
-    q_sq = np.einsum("tiqd,tiqd,tq->ti", qvals, qvals, wq)
+    q_mass = _affine_block(geo.jac, 1.0 / geo.det, tab.q_vals, tab.weights)
+    q_sq = np.diagonal(q_mass, axis1=1, axis2=2)
     np.add.at(diag, dofmap.q_index.ravel(), q_sq.ravel())
     return diag
 
 
-def _local_systems(dofmap, nloc, residuals):
+def _local_systems(problem, dofmap):
     """Local matrices (T, nloc, nloc) and vectors (T, nloc) of the
-    least-squares form, built ELEMENT_BLOCK elements at a time.
+    least-squares form, [Q | W] for eps > 0 and W alone for transport.
 
-    ``residuals(cells, rule)`` gives, on the elements ``cells``, the
-    quadrature weights (T, nq), the source f (T, nq), the scalar residual of
-    every local basis function (T, nloc, nq) and its vector residual
-    (T, nloc, nq, 2) or None. The local matrix pairs each residual with
-    itself and the local vector pairs f with the scalar residual.
+    R (T, nloc, nq) is the scalar residual sqrt(eps) div q + beta.grad w + c w
+    of every local basis function times sqrt(w det J); its part is R R^T and
+    the local vector pairs R with f. The vector residual q + sqrt(eps) grad w
+    is affine in the element map: its blocks are ``_affine_block``s.
     """
-    rule = fem.triangle_rule(fem.assembly_degree(dofmap.k))
-    T = dofmap.geo.det.shape[0]
-    a_loc = np.empty((T, nloc, nloc))
-    b_loc = np.empty((T, nloc))
-    for start in range(0, T, ELEMENT_BLOCK):
-        cells = slice(start, start + ELEMENT_BLOCK)
-        wq, fval, rscal, rvec = residuals(cells, rule)
-        a, b = a_loc[cells], b_loc[cells]
-        np.einsum("tiq,tjq,tq->tij", rscal, rscal, wq, out=a)
-        if rvec is not None:
-            a += np.einsum("tiqd,tjqd,tq->tij", rvec, rvec, wq)
-        np.einsum("tq,tiq,tq->ti", fval, rscal, wq, out=b)
+    eps, se = problem.epsilon, np.sqrt(problem.epsilon)
+    geo, sign = dofmap.geo, dofmap.q_sign
+    tab = fem.reference_tables(dofmap.k, fem.assembly_degree(dofmap.k))
+    X = geo.map_points(tab.xy)
+    sqw = np.sqrt(tab.weights[None, :] * geo.det[:, None])          # (T, nq)
+    # beta.grad w + c w = (J^{-1} beta, c) . (reference grad w, w)
+    beta_ref = np.einsum("tdr,tqd->tqr", geo.inv_t, problem.beta(X[..., 0], X[..., 1]))
+    cval = _scalar_field(problem.c, X[..., 0], X[..., 1])
+    coef = np.concatenate([beta_ref, cval[..., None]], axis=2) * sqw[..., None]
+    w_tab = np.concatenate([tab.w_grads, tab.w_vals[..., None]], axis=2)
+
+    nq = dofmap.nloc_q if eps > 0.0 else 0
+    R = np.empty((len(geo.det), nq + dofmap.nloc_w, len(tab.weights)))
+    np.einsum("tqr,iqr->tiq", coef, w_tab, out=R[:, nq:])
+    # Q rows sqrt(eps) div q = sqrt(eps) (sign) (reference div) / det J; none for transport
+    np.einsum("tq,ti,iq->tiq", (se / geo.det)[:, None] * sqw, sign[:, :nq], tab.q_divs[:nq],
+              out=R[:, :nq])
+    a_loc = np.matmul(R, R.swapaxes(1, 2))
+    b_loc = np.einsum("tiq,tq->ti", R, _scalar_field(problem.f, X[..., 0], X[..., 1]) * sqw)
+    if nq:
+        q_mass = _affine_block(geo.jac, 1.0 / geo.det, tab.q_vals, tab.weights)
+        a_loc[:, :nq, :nq] += q_mass * (sign[:, :, None] * sign[:, None, :])
+        a_loc[:, nq:, nq:] += _affine_block(geo.inv_t, eps * geo.det, tab.w_grads, tab.weights)
+        # q_i . sqrt(eps) grad w_j does not depend on the map: J and J^{-T} cancel
+        cross = np.einsum("iqd,jqd,q->ij", tab.q_vals, tab.w_grads, tab.weights)
+        cross = se * sign[:, :, None] * cross[None]
+        a_loc[:, :nq, nq:] += cross
+        a_loc[:, nq:, :nq] += cross.swapaxes(1, 2)
+    # the matrix products may sum the terms of (i, j) and (j, i) in different
+    # orders, as the 2x2 contractions do; averaging makes a_loc exactly symmetric
+    a_loc += a_loc.swapaxes(1, 2)
+    a_loc *= 0.5
     return a_loc, b_loc
 
 
-def _scalar_residual(problem, X, wvals, wgrads):
-    """Scalar residual beta.grad(w) + c w of each W basis function
-    (T, nloc, nq) and the source f (T, nq) at the physical points X."""
-    beta = problem.beta(X[..., 0], X[..., 1])
-    cval = _scalar_field(problem.c, X[..., 0], X[..., 1])
-    fval = _scalar_field(problem.f, X[..., 0], X[..., 1])
-    rw = np.einsum("tiqd,tqd->tiq", wgrads, beta) + cval[:, None, :] * wvals[None, :, :]
-    return rw, fval
+def _affine_block(F, scale, ref, weights):
+    """Matrices sum_q w_q scale (F v_i).(F v_j) of reference fields v (n, nq, 2)
+    on every element, as the element factors scale F^T F (T, 4) times the
+    reference Gram matrices (4, n*n); returns (T, n, n)."""
+    factor = np.einsum("tda,tdb->tab", F, F).reshape(len(F), 4) * scale[:, None]
+    gram = np.einsum("iqa,jqb,q->abij", ref, ref, weights).reshape(4, -1)
+    return (factor @ gram).reshape(len(F), len(ref), len(ref))
 
 
 def _scatter(a_loc, b_loc, gidx, n):

@@ -76,12 +76,15 @@ def error_norms(
     se = np.sqrt(eps)
 
     sel = region_elements(mesh, region)
-    rule = fem.triangle_rule(fem.error_degree(dofmap.k))
-    X, wq, wvals, wgrads = fem.volume_quadrature(dofmap, rule)
+    tab = fem.reference_tables(dofmap.k, fem.error_degree(dofmap.k))
+    geo = dofmap.geo
+    X = geo.map_points(tab.xy)
+    wq = tab.weights[None, :] * geo.det[:, None]
 
+    # contract on the reference element, then map: grad u_h = J^{-T} (ref grad u_h)
     cw = coef_w[dofmap.w_index]                      # (T, nloc_w)
-    u_h = np.einsum("iq,ti->tq", wvals, cw)
-    grad_h = np.einsum("tiqd,ti->tqd", wgrads, cw)
+    u_h = cw @ tab.w_vals
+    grad_h = np.einsum("tdr,tqr->tqd", geo.inv_t, np.einsum("ti,iqr->tqr", cw, tab.w_grads))
 
     u_ex = _scalar_field(problem.exact_u, X[..., 0], X[..., 1])
     grad_ex = problem.exact_grad(X[..., 0], X[..., 1])
@@ -99,8 +102,8 @@ def error_norms(
     if transport:
         e_q = 0.0
     else:
-        qvals, _ = fem.signed_q_tables(dofmap, rule.xy)
-        q_h = np.einsum("tiqd,ti->tqd", qvals, solution[dofmap.q_index])
+        cq = dofmap.q_sign * solution[dofmap.q_index]
+        q_h = geo.piola(np.einsum("ti,iqr->tqr", cq, tab.q_vals))
         dq = (-se * grad_ex - q_h)[sel]
         e_q = np.sqrt(np.einsum("tqd,tqd,tq->", dq, dq, w_sel))
 
@@ -157,9 +160,9 @@ def sample_solution(solution: np.ndarray, mesh: Mesh, dofmap: fem.DofMap):
     if transport:
         return u_vertices, None
     center = np.array([[1.0 / 3.0, 1.0 / 3.0]])
-    qvals, _ = fem.signed_q_tables(dofmap, center)
-    q_cells = np.einsum("tiqd,ti->tqd", qvals, solution[dofmap.q_index])[:, 0, :]
-    return u_vertices, q_cells
+    cq = dofmap.q_sign * solution[dofmap.q_index]
+    q_ref = np.einsum("ti,iqr->tqr", cq, fem.rt_basis(dofmap.degree, center)[0])
+    return u_vertices, dofmap.geo.piola(q_ref)[:, 0, :]
 
 
 def _q_moments(field, mesh: Mesh, topo: Topology, dofmap: fem.DofMap) -> np.ndarray:

@@ -56,8 +56,9 @@ def _build_parser() -> _Parser:
     common.add_argument("--bc", default="weak", choices=("weak", "strong", "alt-weak"))
     common.add_argument("--perturb", type=float, default=DEFAULT_PERTURB,
                         help="vertex jitter fraction of the cell size")
-    common.add_argument("--tol", type=float, default=1e-10, help="CG relative residual")
-    common.add_argument("--maxit", type=int, default=None, help="CG iteration cap")
+    common.add_argument("--tol", type=_bounded(float, 0.0, strict=True), default=1e-10,
+                        help="CG relative residual")
+    common.add_argument("--maxit", type=_bounded(int, 0), default=None, help="CG iteration cap")
 
     p = sub.add_parser("solve", parents=[common], help="single solve, VTK output")
     p.add_argument("--eps", type=float, default=None, help="diffusion coefficient")
@@ -68,7 +69,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("convergence", parents=[common], help="EOC study, CSV output")
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--levels", type=int, default=4, help="number of refinement levels")
+    p.add_argument("--levels", type=_bounded(int, 1), default=4,
+                   help="number of refinement levels")
     p.add_argument("--base-n", type=int, default=8, help="coarsest cells per side")
     p.add_argument("--region", default=None,
                    help="xmin,xmax,ymin,ymax subdomain filter")
@@ -77,7 +79,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("condition", parents=[common], help="kappa study, CSV output")
     p.add_argument("--eps-list", default="1,1e-3,1e-9",
                    help="comma-separated diffusion coefficients")
-    p.add_argument("--levels", type=int, default=2)
+    p.add_argument("--levels", type=_bounded(int, 1), default=2)
     p.add_argument("--base-n", type=int, default=4)
     p.set_defaults(func=_cmd_condition)
 
@@ -92,6 +94,18 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("list-problems", help="catalog entries and notes")
     p.set_defaults(func=_cmd_list)
     return parser
+
+
+def _bounded(kind, low, strict=False):
+    """Argument type: a ``kind`` value above ``low`` (strict) or at least ``low``."""
+    def parse(text):
+        value = kind(text)
+        if not (value > low if strict else value >= low):  # NaN fails both
+            bound = f"{'>' if strict else '>='} {low:g}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in its own errors
+    return parse
 
 
 def _parse_region(text):

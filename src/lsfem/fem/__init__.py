@@ -7,6 +7,7 @@ from .basis import (
     REF_VERTS,
     lagrange_basis,
     lagrange_nodes,
+    reference_tables,
     rt_basis,
     rt_dimension,
     rt_dof_matrix,
@@ -20,8 +21,6 @@ from .geometry import (
     edge_ref_points,
     element_geometry,
     q_tables,
-    signed_q_tables,
-    volume_quadrature,
     w_tables,
 )
 
@@ -32,32 +31,3 @@ def assembly_degree(k: int) -> int:
 
 def error_degree(k: int) -> int:
     return 2 * (k + 2) + 4
-
-
-__all__ = [
-    "QuadRule",
-    "edge_rule",
-    "triangle_rule",
-    "lagrange_basis",
-    "lagrange_nodes",
-    "rt_basis",
-    "rt_dimension",
-    "rt_dof_matrix",
-    "rt_edge_dofs",
-    "shifted_legendre",
-    "DofMap",
-    "build_dofmap",
-    "ElementGeometry",
-    "element_geometry",
-    "edge_quadrature",
-    "edge_ref_points",
-    "q_tables",
-    "signed_q_tables",
-    "volume_quadrature",
-    "w_tables",
-    "assembly_degree",
-    "error_degree",
-    "LOCAL_EDGES",
-    "REF_EDGE_NORMALS",
-    "REF_VERTS",
-]

@@ -10,6 +10,9 @@ each of those traversals runs counterclockwise around the element.
 """
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
+
 import numpy as np
 
 from .quadrature import edge_rule, triangle_rule
@@ -72,11 +75,12 @@ def lagrange_basis(degree: int, points: np.ndarray):
     return values, grads
 
 
+@functools.cache
 def _lagrange_coefficients(degree: int) -> np.ndarray:
     nodes = lagrange_nodes(degree)
     exps = _poly_exponents(degree)
     vand, _ = _eval_monomials(exps, nodes)
-    return np.linalg.inv(vand.T)  # column i: monomial coefficients of basis i
+    return _read_only(np.linalg.inv(vand.T))  # column i: monomial coefficients of basis i
 
 
 def _check_degree(degree: int):
@@ -149,24 +153,22 @@ def rt_interior_tests(order: int, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-_INTERIOR_COEFF_CACHE: dict[int, np.ndarray] = {}
-
-
 def _interior_scalar_tests(order: int, pts: np.ndarray) -> np.ndarray:
     """Orthonormal basis of P_{order-1}(reference triangle) at ``pts``."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    exps = _poly_exponents(order - 1)
-    R = _INTERIOR_COEFF_CACHE.get(order)
-    if R is None:
-        rule = triangle_rule(2 * order + 2)
-        u, v = rule.xy[:, 0] - _CENTROID, rule.xy[:, 1] - _CENTROID
-        vals = np.array([u**a * v**b for a, b in exps])
-        gram = np.einsum("iq,jq,q->ij", vals, vals, rule.weights)
-        R = np.linalg.inv(np.linalg.cholesky(gram)).T
-        _INTERIOR_COEFF_CACHE[order] = R
     u, v = pts[:, 0] - _CENTROID, pts[:, 1] - _CENTROID
-    vals = np.array([u**a * v**b for a, b in exps])
-    return R.T @ vals
+    vals = np.array([u**a * v**b for a, b in _poly_exponents(order - 1)])
+    return _interior_coefficients(order).T @ vals
+
+
+@functools.cache
+def _interior_coefficients(order: int) -> np.ndarray:
+    """Monomial coefficients (columns) of the orthonormal basis of P_{order-1}."""
+    rule = triangle_rule(2 * order + 2)
+    u, v = rule.xy[:, 0] - _CENTROID, rule.xy[:, 1] - _CENTROID
+    vals = np.array([u**a * v**b for a, b in _poly_exponents(order - 1)])
+    gram = np.einsum("iq,jq,q->ij", vals, vals, rule.weights)
+    return _read_only(np.linalg.inv(np.linalg.cholesky(gram)).T)
 
 
 _CENTROID = 1.0 / 3.0
@@ -235,15 +237,39 @@ def _rt_moment_matrix(order: int) -> np.ndarray:
     return M
 
 
-_RT_COEFF_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _rt_coefficients(order: int) -> np.ndarray:
-    got = _RT_COEFF_CACHE.get(order)
-    if got is None:
-        M = _rt_moment_matrix(order)
-        got = np.linalg.inv(M)
-        for _ in range(2):  # Newton refinement keeps duality at machine precision
-            got = got @ (2.0 * np.eye(len(M)) - M @ got)
-        _RT_COEFF_CACHE[order] = got
-    return got
+    M = _rt_moment_matrix(order)
+    got = np.linalg.inv(M)
+    for _ in range(2):  # Newton refinement keeps duality at machine precision
+        got = got @ (2.0 * np.eye(len(M)) - M @ got)
+    return _read_only(got)
+
+
+@dataclass(frozen=True)
+class ReferenceTables:
+    """Both bases at the points of one triangle rule on the reference
+    triangle, as read-only arrays; ``geometry`` says how they map."""
+
+    xy: np.ndarray       # (nq, 2) reference points
+    weights: np.ndarray  # (nq,) reference weights
+    w_vals: np.ndarray   # (nloc_w, nq)
+    w_grads: np.ndarray  # (nloc_w, nq, 2) reference gradients
+    q_vals: np.ndarray   # (nloc_q, nq, 2)
+    q_divs: np.ndarray   # (nloc_q, nq) reference divergences
+
+
+@functools.cache
+def reference_tables(k: int, degree: int) -> ReferenceTables:
+    """Tables of the method with index ``k`` (both spaces of degree k+1) at
+    the points of ``triangle_rule(degree)``, built once per (k, degree)."""
+    rule = triangle_rule(degree)
+    w_vals, w_grads = lagrange_basis(k + 1, rule.xy)
+    q_vals, q_divs = rt_basis(k + 1, rule.xy)
+    arrays = (rule.xy, rule.weights, w_vals, w_grads, q_vals, q_divs)
+    return ReferenceTables(*map(_read_only, arrays))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr

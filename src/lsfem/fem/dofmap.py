@@ -25,8 +25,8 @@ class DofMap:
 
     Global layout is [Q block | W block]: W indices are offset by ``n_q``
     in the assembled system. ``q_sign`` carries the orientation sign of each
-    edge-based vector DOF (interior DOFs are always +1); the volume tables
-    of ``geometry.signed_q_tables`` apply it.
+    edge-based vector DOF (interior DOFs are always +1): a global Q
+    coefficient times its sign is the coefficient of the local basis.
     """
 
     k: int

@@ -4,6 +4,8 @@ Scalar bases ride the affine map (values unchanged, gradients through
 J^{-T}); vector bases ride the contravariant Piola map, whose divergence
 is the reference divergence divided by det J.
 The geometry is built once per DOF map and read from ``DofMap.geo``.
+The pipeline contracts on ``basis.reference_tables`` and maps afterwards;
+``w_tables`` and ``q_tables`` build the physical tables tests compare with.
 """
 from __future__ import annotations
 
@@ -27,12 +29,16 @@ class ElementGeometry:
     inv_t: np.ndarray   # (T, 2, 2) inverse transpose, maps reference gradients
 
     def __getitem__(self, cells) -> "ElementGeometry":
-        """The geometry of the elements ``cells``; a slice gives views."""
+        """The geometry of the elements ``cells``."""
         return ElementGeometry(self.v0[cells], self.jac[cells], self.det[cells], self.inv_t[cells])
 
     def map_points(self, ref_pts: np.ndarray) -> np.ndarray:
         """Physical images of reference points, shape (T, npts, 2)."""
         return self.v0[:, None, :] + np.einsum("tdr,qr->tqd", self.jac, ref_pts)
+
+    def piola(self, ref_vals: np.ndarray) -> np.ndarray:
+        """Contravariant Piola images J v / det J of reference fields v (T, npts, 2)."""
+        return np.einsum("tdr,tqr->tqd", self.jac, ref_vals) / self.det[:, None, None]
 
 
 def element_geometry(mesh: Mesh) -> ElementGeometry:
@@ -61,26 +67,6 @@ def q_tables(order: int, ref_pts: np.ndarray, geo: ElementGeometry):
     ref_vals, ref_divs = basis.rt_basis(order, ref_pts)
     vals = np.einsum("tdr,iqr->tiqd", geo.jac, ref_vals) / geo.det[:, None, None, None]
     divs = ref_divs[None, :, :] / geo.det[:, None, None]
-    return vals, divs
-
-
-def volume_quadrature(dofmap: DofMap, rule: quadrature.QuadRule, cells=slice(None)):
-    """Element quadrature of ``rule`` for the W space of ``dofmap`` on the
-    elements ``cells`` (all by default): the physical points (T, nq, 2), the
-    weights times det J (T, nq), and the W tables of ``w_tables``."""
-    geo = dofmap.geo[cells]
-    vals, grads = w_tables(dofmap.degree, rule.xy, geo)
-    return geo.map_points(rule.xy), rule.weights[None, :] * geo.det[:, None], vals, grads
-
-
-def signed_q_tables(dofmap: DofMap, ref_pts: np.ndarray, cells=slice(None)):
-    """The Q tables of ``q_tables`` on the elements ``cells`` (all by
-    default) with the orientation signs ``q_sign`` applied, so they multiply
-    global coefficients directly."""
-    vals, divs = q_tables(dofmap.degree, ref_pts, dofmap.geo[cells])
-    sign = dofmap.q_sign[cells]
-    vals *= sign[:, :, None, None]
-    divs *= sign[:, :, None]
     return vals, divs
 
 
@@ -113,6 +99,6 @@ def edge_quadrature(topo: Topology, dofmap: DofMap, edges, degree: int):
             continue
         ref = edge_ref_points(le, t)
         owners = tris[sel]
-        pts = geo.v0[owners][:, None, :] + np.einsum("tdr,qr->tqd", geo.jac[owners], ref)
+        pts = geo[owners].map_points(ref)
         trace = basis.lagrange_basis(dofmap.degree, ref)[0]
         yield sel, owners, pts, trace, erule.weights, h[sel, None]

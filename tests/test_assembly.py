@@ -366,30 +366,110 @@ def test_mass_diagonal_positive_and_partitioned():
     assert np.allclose(diag[dm.n_q:], expected, rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_blocked_assembly_bit_identical(monkeypatch, k):
-    # block sizes of one element, the whole mesh and the default give the
-    # same local matrices, summed in the same order
+def _table_oracle(problem, dm, x):
+    """The local systems, mass diagonal, volume error norms and centroid
+    samples formed from the per-element physical tables ``w_tables`` and
+    ``q_tables``, with no reference-element contraction."""
+    geo = dm.geo
+    eps, se = problem.epsilon, np.sqrt(problem.epsilon)
+    sign = dm.q_sign
+
+    def volume(rule):
+        X = geo.map_points(rule.xy)
+        wvals, wgrads = fem.w_tables(dm.degree, rule.xy, geo)
+        qvals, qdivs = fem.q_tables(dm.degree, rule.xy, geo)
+        qvals *= sign[:, :, None, None]
+        qdivs *= sign[:, :, None]
+        return X, rule.weights[None, :] * geo.det[:, None], wvals, wgrads, qvals, qdivs
+
+    X, wq, wvals, wgrads, qvals, qdivs = volume(fem.triangle_rule(fem.assembly_degree(dm.k)))
+    beta = problem.beta(X[..., 0], X[..., 1])
+    cval = np.broadcast_to(problem.c(X[..., 0], X[..., 1]), X.shape[:2])
+    rscal = np.einsum("tiqd,tqd->tiq", wgrads, beta) + cval[:, None, :] * wvals[None]
+    rvec = se * wgrads
+    if eps > 0.0:
+        rscal = np.concatenate([se * qdivs, rscal], axis=1)
+        rvec = np.concatenate([qvals, rvec], axis=1)
+    fval = np.broadcast_to(problem.f(X[..., 0], X[..., 1]), X.shape[:2])
+    out = {
+        "a_loc": np.einsum("tiq,tjq,tq->tij", rscal, rscal, wq)
+        + np.einsum("tiqd,tjqd,tq->tij", rvec, rvec, wq),
+        "b_loc": np.einsum("tq,tiq,tq->ti", fval, rscal, wq),
+    }
+
+    _, wq, wvals, _, qvals, _ = volume(fem.triangle_rule(2 * dm.degree + 2))
+    diag = np.zeros(dm.n_total)
+    np.add.at(diag, dm.n_q + dm.w_index.ravel(), np.einsum("iq,iq,tq->ti", wvals, wvals, wq).ravel())
+    np.add.at(diag, dm.q_index.ravel(), np.einsum("tiqd,tiqd,tq->ti", qvals, qvals, wq).ravel())
+    out["mass"] = diag
+
+    qvals, _ = fem.q_tables(dm.degree, np.array([[1.0 / 3.0, 1.0 / 3.0]]), geo)
+    out["q_cells"] = np.einsum("tiqd,ti->td", qvals, sign * x[dm.q_index])
+    if problem.exact_u is None:
+        return out
+
+    X, wq, wvals, wgrads, qvals, _ = volume(fem.triangle_rule(fem.error_degree(dm.k)))
+    cw = x[dm.n_q:][dm.w_index]
+    du = problem.exact_u(X[..., 0], X[..., 1]) - np.einsum("iq,ti->tq", wvals, cw)
+    dgrad = problem.exact_grad(X[..., 0], X[..., 1]) - np.einsum("tiqd,ti->tqd", wgrads, cw)
+    dq = -se * problem.exact_grad(X[..., 0], X[..., 1]) - np.einsum(
+        "tiqd,ti->tqd", qvals, x[dm.q_index])
+    stream = np.einsum("tqd,tqd->tq", problem.beta(X[..., 0], X[..., 1]), dgrad)
+    out["e_L2"] = np.sqrt(np.sum(du**2 * wq))
+    out["e_grad"] = se * np.sqrt(np.sum(dgrad**2 * wq[..., None]))
+    out["e_q"] = np.sqrt(np.sum(dq**2 * wq[..., None]))
+    out["e_stream"] = np.sqrt(np.sum(stream**2 * wq))
+    return out
+
+
+def _needle_case(k):
+    """Jittered crisscross mesh squeezed 1000-fold in y: every triangle has
+    aspect ratio (longest edge over smallest height) of at least 1e2."""
+    from lsfem.mesh import Mesh, build_topology
+
+    base = make_case(6, k, perturb=0.1)[0]
+    mesh = Mesh(base.vertices * [1.0, 1e-3], base.triangles, base.region_id)
+    p = mesh.vertices[mesh.triangles]
+    lengths = np.linalg.norm(p - np.roll(p, 1, axis=1), axis=2).max(axis=1)
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    area = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    assert (lengths**2 / (2.0 * area)).min() >= 1e2
+    topo = build_topology(mesh)
+    return mesh, topo, fem.build_dofmap(mesh, topo, k)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_reference_contraction_matches_physical_tables(k):
+    # local matrices from reference Gram matrices and 2x2 element factors,
+    # and quantities contracted on the reference element before mapping,
+    # agree with the same quantities formed from the physical tables
     from lsfem import assembly
+    from lsfem.bench.errors import sample_solution
     from lsfem.cli import SLITS
 
-    mesh, topo, dm = make_case(10, k, perturb=0.1)
-    slit = make_case(10, k, slit=SLITS["rotating"])
+    case = make_case(5, k, perturb=0.1)
     cases = [
-        lambda: assemble_ls(get_problem("smooth", 1e-3), mesh, topo, dm, "weak"),
-        lambda: assemble_ls(get_problem("boundary-layer", 1e-2), mesh, topo, dm, "strong"),
-        lambda: assemble_ls(get_problem("rotating", 1e-6), *slit, "alt-weak"),
-        lambda: assemble_transport(get_problem("transport"), mesh, topo, dm),
+        (get_problem("smooth", 1e-3), case),
+        (get_problem("boundary-layer", 1e-2), case),
+        (get_problem("rotating", 1e-6), make_case(6, k, slit=SLITS["rotating"])),
+        (get_problem("transport"), case),
+        (get_problem("smooth", 1e-3), _needle_case(k)),
     ]
-    T = mesh.num_triangles
-    assert assembly.ELEMENT_BLOCK < T
-    results = {}
-    for block in (1, T, assembly.ELEMENT_BLOCK):
-        monkeypatch.setattr(assembly, "ELEMENT_BLOCK", block)
-        results[block] = [build() for build in cases]
-    for block, systems in results.items():
-        for ref, got in zip(results[1], systems):
-            assert np.array_equal(ref.matrix.indptr, got.matrix.indptr)
-            assert np.array_equal(ref.matrix.indices, got.matrix.indices)
-            assert np.array_equal(ref.matrix.data, got.matrix.data), block
-            assert np.array_equal(ref.rhs, got.rhs), block
+    rng = np.random.default_rng(k)
+
+    def close(got, ref):
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    for problem, (mesh, topo, dm) in cases:
+        x = rng.standard_normal(dm.n_total)
+        ref = _table_oracle(problem, dm, x)
+        a_loc, b_loc = assembly._local_systems(problem, dm)
+        assert np.array_equal(a_loc, a_loc.swapaxes(1, 2))
+        close(a_loc, ref["a_loc"])
+        close(b_loc, ref["b_loc"])
+        close(mass_diagonal(mesh, dm), ref["mass"])
+        close(sample_solution(x, mesh, dm)[1], ref["q_cells"])
+        if problem.exact_u is not None:
+            rep = error_norms(x, mesh, topo, dm, problem)
+            for name in ("e_L2", "e_grad", "e_q", "e_stream"):
+                assert getattr(rep, name) == pytest.approx(ref[name], rel=1e-13, abs=0.0), name

@@ -35,6 +35,23 @@ def test_bad_value_exits_one(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("solve", "--mesh-n", "4", "--maxit", "-3"), id="negative-maxit"),
+        pytest.param(("solve", "--mesh-n", "4", "--tol", "-1"), id="negative-tol"),
+        pytest.param(("convergence", "--levels", "0"), id="zero-levels"),
+    ],
+)
+def test_out_of_range_option_is_usage_error(tmp_path, capsys, argv):
+    # rejected by the parser: exit 1, nothing solved and no file written
+    with pytest.raises(SystemExit) as exc:
+        main(["--out-dir", str(tmp_path), argv[0], "--problem", "smooth", *argv[1:]])
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 def test_numerical_failure_exits_two(tmp_path, capsys):
     # a cap of zero iterations forces CG to give up; with the factor it
     # converges in one iteration
