@@ -12,6 +12,11 @@ the penalty (eps + |beta.n|) / h_F. Strong mode drops the boundary penalty
 and, after the slit terms, eliminates boundary scalar DOFs symmetrically.
 The pure-transport specialization keeps only the scalar residual and the
 inflow part of the penalty.
+
+``assemble_ls`` and ``assemble_transport`` return the full system, or with
+``condense`` the same system with the element-interior DOFs (the RT interior
+moments and the Lagrange bubbles) condensed out element by element, which
+is what the solves factor.
 """
 from __future__ import annotations
 
@@ -19,11 +24,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.sparse import coo_matrix, diags
+from scipy.sparse import coo_matrix
 
 from . import fem
 from .mesh import Mesh, Topology
-from .solver import SparseSym
+from .solver import NotSPDError, SparseSym
 
 BC_MODES = ("weak", "strong", "alt-weak")
 
@@ -108,35 +113,13 @@ def assemble_ls(
     topo: Topology,
     dofmap: fem.DofMap,
     bc_mode: str = "weak",
+    condense: bool = False,
 ) -> LinearSystem:
-    """Assemble the least-squares system for the diffusive problem."""
-    if bc_mode not in BC_MODES:
-        raise ValueError(f"bc_mode must be one of {BC_MODES}, got {bc_mode!r}")
+    """Assemble the least-squares system for the diffusive problem; with
+    ``condense``, its ``SkeletonSystem``."""
     if problem.epsilon <= 0.0:
         raise ValueError("epsilon must be positive; use assemble_transport for epsilon == 0")
-    if dofmap.q_index.shape[0] != mesh.num_triangles:
-        raise ValueError("dofmap was built for a different mesh")
-
-    a_loc, b_loc = _local_systems(problem, dofmap)
-    gidx = np.concatenate([dofmap.q_index, dofmap.n_q + dofmap.w_index], axis=1)
-    n = dofmap.n_total
-    mat, rhs = _scatter(a_loc, b_loc, gidx, n)
-    if bc_mode != "strong":
-        pen, pen_rhs = _face_terms(problem, topo, dofmap, bc_mode, dofmap.n_q, n)
-        mat, rhs = mat + pen, rhs + pen_rhs
-    # slit terms enter before strong elimination, so eliminated rows stay identity rows
-    if topo.slit_edges.size and problem.slit_g is not None:
-        pen, pen_rhs = apply_slit(problem, topo, dofmap)
-        mat, rhs = mat + pen, rhs + pen_rhs
-
-    dirichlet = []
-    if bc_mode == "strong":
-        wdofs = boundary_w_dofs(mesh, topo, dofmap)
-        coords = dofmap.w_coords[wdofs]
-        values = _scalar_field(problem.g, coords[:, 0], coords[:, 1]).copy()
-        mat, rhs = _eliminate_strong(mat, rhs, dofmap.n_q + wdofs, values)
-        dirichlet = list(zip(wdofs.tolist(), values.tolist()))
-    return LinearSystem(SparseSym.from_csr(mat), rhs, dofmap.n_q, dofmap.n_w, dirichlet)
+    return _assemble(problem, mesh, topo, dofmap, bc_mode, condense)
 
 
 def assemble_transport(
@@ -144,27 +127,102 @@ def assemble_transport(
     mesh: Mesh,
     topo: Topology,
     dofmap: fem.DofMap,
+    condense: bool = False,
 ) -> LinearSystem:
-    """Assemble the scalar-only transport-reaction system on W_h."""
+    """Assemble the scalar-only transport-reaction system on W_h; with
+    ``condense``, its ``SkeletonSystem``, which is the full system unless
+    the W space has bubbles (P3)."""
     if problem.epsilon != 0.0:
         raise ValueError("transport assembly requires epsilon == 0")
-    a_loc, b_loc = _local_systems(problem, dofmap)
-    n = dofmap.n_w
-    mat, rhs = _scatter(a_loc, b_loc, dofmap.w_index, n)
-    # with eps == 0 the weak boundary weight is the inflow weight alone
-    pen, pen_rhs = _face_terms(problem, topo, dofmap, "weak", 0, n)
-    return LinearSystem(SparseSym.from_csr(mat + pen), rhs + pen_rhs, 0, n)
+    return _assemble(problem, mesh, topo, dofmap, "weak", condense)
+
+
+@dataclass(kw_only=True)
+class SkeletonSystem(LinearSystem):
+    """A least-squares system with the element-interior DOFs condensed out.
+
+    The matrix is the Schur complement on the skeleton, numbered
+    [Q edge moments | W vertex and edge nodes]: the leading ``n_q_skel`` and
+    ``n_w_skel`` DOFs of the two blocks of the full system (see ``DofMap``),
+    so ``n_q``, ``n_w`` and ``dirichlet`` keep their meaning on it.
+    ``expand`` recovers the interiors element by element, so the full
+    residual b - A x of ``expand(x)`` is g - S x on the skeleton and zero on
+    the interiors; ``norm_b`` is ||b|| of the full system, against which
+    that residual is relative.
+    """
+
+    norm_b: float
+    on_skeleton: np.ndarray   # (n_total,) bool, the skeleton DOFs in the full numbering
+    skeleton: np.ndarray      # (T, nb) skeleton indices of each element's boundary DOFs
+    interior: np.ndarray      # (T, ni) full indices of each element's interior DOFs
+    chol: np.ndarray          # (T, ni, ni) Cholesky factors L of the interior blocks A_II
+    coupling: np.ndarray      # (T, ni, nb) L^-1 A_IB
+    interior_rhs: np.ndarray  # (T, ni) L^-1 b_I
+
+    @property
+    def n_total(self) -> int:
+        return len(self.on_skeleton)
+
+    def expand(self, x: np.ndarray) -> np.ndarray:
+        """Full coefficient vector of the skeleton vector x, with the
+        interiors x_I = A_II^-1 (b_I - A_IB x_B) of every element."""
+        full = np.empty(self.n_total)
+        full[self.on_skeleton] = x
+        if self.interior.size:
+            z = self.interior_rhs - np.einsum("tib,tb->ti", self.coupling, x[self.skeleton])
+            full[self.interior] = np.linalg.solve(self.chol.swapaxes(1, 2), z[..., None])[..., 0]
+        return full
+
+
+def _assemble(problem, mesh, topo, dofmap, bc_mode, condense):
+    """The full system, or with ``condense`` its skeleton system: every
+    element's interior DOFs eliminated through a batched Cholesky factor of
+    its interior block (eps == 0 has no Q block, and bc_mode is not read).
+
+    Interior DOFs couple only inside their element, and face, slit and
+    strong-BC terms touch only W traces, so those go straight onto the
+    skeleton.
+    """
+    blocks, n, fixed = _system_blocks(problem, mesh, topo, dofmap, bc_mode)
+    transport = problem.epsilon == 0.0
+    n_q = 0 if transport else dofmap.n_q
+    if not condense:
+        return _linear_system(blocks, n, n_q, dofmap.n_w, fixed)
+    nq_loc, nq_skel = (0, 0) if transport else (dofmap.nloc_q, dofmap.nloc_q_skel)
+    n_q_skel = 0 if transport else dofmap.n_q_skel
+    norm_b = float(np.linalg.norm(_rhs(blocks, n, _offset(fixed, n_q))))
+    (a_loc, b_loc, gidx), faces = blocks[0], blocks[1:]
+    keep = np.concatenate([np.arange(nq_skel), nq_loc + np.arange(dofmap.nloc_w_skel)])
+    drop = np.setdiff1d(np.arange(gidx.shape[1]), keep)
+    on_skeleton = np.zeros(n, dtype=bool)
+    on_skeleton[:n_q_skel] = True
+    on_skeleton[n_q:n_q + dofmap.n_w_skel] = True
+    renumber = np.cumsum(on_skeleton) - 1  # skeleton index of each skeleton DOF
+
+    s_loc, g_loc, (chol, coupling, interior_rhs) = _condense(a_loc, b_loc, keep, drop)
+    del a_loc, blocks  # the full local matrices are not needed for the scatter
+    skeleton = renumber[gidx[:, keep]]
+    skel_blocks = [(s_loc, g_loc, skeleton)] + [(a, b, renumber[idx]) for a, b, idx in faces]
+    # the fixed W-block indices are boundary nodes, so skeleton W-block indices too
+    system = _linear_system(skel_blocks, n_q_skel + dofmap.n_w_skel, n_q_skel,
+                            dofmap.n_w_skel, fixed)
+    return SkeletonSystem(
+        **vars(system), norm_b=norm_b, on_skeleton=on_skeleton, skeleton=skeleton,
+        interior=gidx[:, drop], chol=chol, coupling=coupling, interior_rhs=interior_rhs,
+    )
 
 
 def apply_slit(problem: ProblemSpec, topo: Topology, dofmap: fem.DofMap):
     """Interior-face penalty enforcing ``problem.slit_g`` on the flagged slit
     edges, for the least-squares system numbered by ``dofmap``; returns
-    (CSR matrix, rhs).
+    (CSR matrix, rhs). The assemblies do not call it: ``_system_blocks``
+    adds the same blocks. It stays while ``perfbench/tracing.py`` names it
+    (ROADMAP item 6).
 
     The weight is (eps + |beta . n_F|) / h_F with n_F the stored oriented
     normal; the absolute value keeps the term symmetric and side-agnostic.
     """
-    return _face_terms(problem, topo, dofmap, "slit", dofmap.n_q, dofmap.n_total)
+    return _scatter([_face_terms(problem, topo, dofmap, "slit", dofmap.n_q)], dofmap.n_total)
 
 
 def boundary_w_dofs(mesh: Mesh, topo: Topology, dofmap: fem.DofMap) -> np.ndarray:
@@ -250,21 +308,128 @@ def _affine_block(F, scale, ref, weights):
     return (factor @ gram).reshape(len(F), len(ref), len(ref))
 
 
-def _scatter(a_loc, b_loc, gidx, n):
-    """Sum local blocks (E, nl, nl) and vectors (E, nl) at global indices
-    gidx (E, nl) into an n x n CSR matrix and a length-n vector."""
-    nloc = gidx.shape[1]
-    rows = np.repeat(gidx, nloc, axis=1)
-    cols = np.tile(gidx, (1, nloc))
-    mat = coo_matrix((a_loc.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
-    rhs = np.zeros(n)
-    np.add.at(rhs, gidx.ravel(), b_loc.ravel())
-    return mat, rhs
+def _system_blocks(problem, mesh, topo, dofmap, bc_mode):
+    """Local blocks (a (E, l, l), b (E, l), idx (E, l)) of the least-squares
+    system in the numbering of the full system: the element block, then the
+    boundary and slit face blocks. Returns them with the system size and the
+    strongly fixed (W-block indices, values), or None. In strong mode the
+    blocks are already eliminated: every b holds b - A x_fixed, and every a
+    is zero in the rows and columns of fixed DOFs. Transport (eps == 0) has
+    the W block alone and the inflow penalty, whatever bc_mode.
+    """
+    if dofmap.q_index.shape[0] != mesh.num_triangles:
+        raise ValueError("dofmap was built for a different mesh")
+    if problem.epsilon < 0.0:
+        raise ValueError("epsilon must be positive, or zero for transport")
+    transport = problem.epsilon == 0.0
+    if transport:
+        bc_mode = "weak"  # with eps == 0 the weak boundary weight is the inflow weight alone
+    elif bc_mode not in BC_MODES:
+        raise ValueError(f"bc_mode must be one of {BC_MODES}, got {bc_mode!r}")
+    n_q = 0 if transport else dofmap.n_q
+    a_loc, b_loc = _local_systems(problem, dofmap)
+    gidx = n_q + dofmap.w_index
+    if not transport:
+        gidx = np.concatenate([dofmap.q_index, gidx], axis=1)
+    blocks = [(a_loc, b_loc, gidx)]
+    if bc_mode != "strong":
+        blocks.append(_face_terms(problem, topo, dofmap, bc_mode, n_q))
+    # slit terms enter before strong elimination, so eliminated rows stay identity rows
+    if topo.slit_edges.size and problem.slit_g is not None:
+        blocks.append(_face_terms(problem, topo, dofmap, "slit", n_q))
+    n = n_q + dofmap.n_w
+    if bc_mode != "strong":
+        return blocks, n, None
+    wdofs = boundary_w_dofs(mesh, topo, dofmap)
+    coords = dofmap.w_coords[wdofs]
+    values = _scalar_field(problem.g, coords[:, 0], coords[:, 1]).copy()
+    x_fixed, is_fixed = np.zeros(n), np.zeros(n, dtype=bool)
+    x_fixed[n_q + wdofs] = values
+    is_fixed[n_q + wdofs] = True
+    for a, b, idx in blocks:
+        b -= np.einsum("eij,ej->ei", a, x_fixed[idx])
+        on = is_fixed[idx]
+        a[on[:, :, None] | on[:, None, :]] = 0.0
+    return blocks, n, (wdofs, values)
 
 
-def _face_terms(problem, topo, dofmap, mode, offset, n):
-    """Face penalty int_F w (u - d)^2 as an n x n CSR matrix and rhs, with
-    the W block starting at ``offset``.
+def _offset(fixed, n_q):
+    """Strongly fixed (W-block indices, values) as (system indices, values)."""
+    return None if fixed is None else (n_q + fixed[0], fixed[1])
+
+
+def _linear_system(blocks, n, n_q, n_w, fixed):
+    """The validated n x n LinearSystem of local blocks whose W block starts
+    at n_q, with the strongly fixed (W-block indices, values) eliminated."""
+    mat, rhs = _scatter(blocks, n, _offset(fixed, n_q))
+    dirichlet = [] if fixed is None else list(zip(fixed[0].tolist(), fixed[1].tolist()))
+    return LinearSystem(SparseSym.from_csr(mat), rhs, n_q, n_w, dirichlet)
+
+
+def _rhs(blocks, n, fixed):
+    """Sum of the local vectors at their global indices; fixed rows hold their values."""
+    rhs = np.bincount(np.concatenate([idx.ravel() for _, _, idx in blocks]),
+                      np.concatenate([b.ravel() for _, b, _ in blocks]), minlength=n)
+    if fixed is not None:
+        rhs[fixed[0]] = fixed[1]
+    return rhs
+
+
+def _scatter(blocks, n, fixed=None):
+    """Sum local blocks [(a (E, l, l), b (E, l), idx (E, l))] at their global
+    indices into an n x n CSR matrix and a length-n vector.
+
+    One COO holds every block, so the pattern is structural: an entry whose
+    terms cancel to 0.0 stays. ``fixed`` = (indices, values) were eliminated
+    in the blocks (``_system_blocks``); their couplings are dropped by index,
+    and their rows become identity rows with the values as rhs.
+    """
+    size = sum(a.size for a, _, _ in blocks)
+    rows, cols = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    vals = np.empty(size)
+    start = 0
+    for a, _, idx in blocks:
+        e, l = idx.shape
+        part = slice(start, start + a.size)
+        rows[part].reshape(e, l, l)[...] = idx[:, :, None]
+        cols[part].reshape(e, l, l)[...] = idx[:, None, :]
+        vals[part] = a.ravel()
+        start += a.size
+    if fixed is not None:
+        free = np.ones(n, dtype=bool)
+        free[fixed[0]] = False
+        kept = free[rows] & free[cols]
+        rows = np.concatenate([rows[kept], fixed[0]])
+        cols = np.concatenate([cols[kept], fixed[0]])
+        vals = np.concatenate([vals[kept], np.ones(len(fixed[0]))])
+    mat = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return mat, _rhs(blocks, n, fixed)
+
+
+def _condense(a, b, keep, drop):
+    """Schur complements S = A_BB - A_BI A_II^-1 A_IB and g = b_B - A_BI A_II^-1 b_I
+    of local systems a (T, n, n), b (T, n) on the local positions ``keep``,
+    eliminating ``drop`` through a batched Cholesky factor L L^T = A_II.
+    Returns S, g and (L, L^-1 A_IB, L^-1 b_I)."""
+    if not drop.size:
+        t = len(a)
+        return a, b, (np.empty((t, 0, 0)), np.empty((t, 0, len(keep))), np.empty((t, 0)))
+    try:
+        chol = np.linalg.cholesky(a[:, drop[:, None], drop])
+    except np.linalg.LinAlgError:
+        raise NotSPDError("an element-interior block is not positive definite") from None
+    y = np.linalg.solve(chol, np.concatenate([a[:, drop[:, None], keep], b[:, drop, None]], axis=2))
+    coupling, interior_rhs = y[..., :-1], y[..., -1]
+    s = a[:, keep[:, None], keep] - np.matmul(coupling.swapaxes(1, 2), coupling)
+    s += s.swapaxes(1, 2)  # exactly symmetric, as the local matrices are
+    s *= 0.5
+    g = b[:, keep] - np.einsum("tib,ti->tb", coupling, interior_rhs)
+    return s, g, (chol, coupling, interior_rhs)
+
+
+def _face_terms(problem, topo, dofmap, mode, offset):
+    """Face penalty int_F w (u - d)^2 as local blocks (a, b, idx) on the W
+    traces (vertex and edge nodes), with the W block starting at ``offset``.
 
     Slit mode runs over the flagged slit edges with their stored normals and
     d = slit_g; the other modes over the boundary with outward normals and
@@ -276,28 +441,18 @@ def _face_terms(problem, topo, dofmap, mode, offset, n):
     else:
         edges = topo.boundary_edges
         normals, data = topo.outward_normals(edges), problem.g
+    # the traces are the local Lagrange basis, whose vertex and edge nodes
+    # (the skeleton columns of w_index) come first; the bubbles vanish on F
+    n_trace = dofmap.nloc_w_skel
     blocks, rhs_blocks, gidx = [], [], []
     for sel, tris, pts, trace, weights, h in fem.edge_quadrature(
         topo, dofmap, edges, fem.assembly_degree(dofmap.k)
     ):
+        trace = trace[:n_trace]
         beta_n = np.einsum("eqd,ed->eq", problem.beta(pts[..., 0], pts[..., 1]), normals[sel])
         scale = face_weight(mode, problem.epsilon, beta_n, h) * weights * h
         gval = _scalar_field(data, pts[..., 0], pts[..., 1])
         blocks.append(np.einsum("aq,bq,eq->eab", trace, trace, scale))
         rhs_blocks.append(np.einsum("aq,eq->ea", trace, scale * gval))
-        gidx.append(offset + dofmap.w_index[tris])
-    return _scatter(np.concatenate(blocks), np.concatenate(rhs_blocks), np.concatenate(gidx), n)
-
-
-def _eliminate_strong(mat, rhs, idx, values):
-    """Fix the unknowns ``idx`` to ``values`` by symmetric elimination:
-    their rows and columns become identity, and the rhs absorbs the
-    columns. Returns the new (CSR matrix, rhs)."""
-    xk = np.zeros(mat.shape[0])
-    xk[idx] = values
-    rhs = rhs - mat @ xk
-    keep = np.ones(mat.shape[0])
-    keep[idx] = 0.0
-    D = diags(keep)
-    rhs[idx] = values
-    return (D @ mat @ D + diags(1.0 - keep)).tocsr(), rhs
+        gidx.append(offset + dofmap.w_index[tris, :n_trace])
+    return np.concatenate(blocks), np.concatenate(rhs_blocks), np.concatenate(gidx)

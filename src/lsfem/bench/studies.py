@@ -16,7 +16,14 @@ import scipy.sparse as sp
 from .. import fem
 from ..assembly import ProblemSpec, assemble_ls, assemble_transport, mass_diagonal
 from ..mesh import Mesh, build_topology, generate_structured
-from ..solver import SparseSym, SpectralEstimate, cg_solve, estimate_extremes, factorize
+from ..solver import (
+    ConvergenceError,
+    SparseSym,
+    SpectralEstimate,
+    cg_solve,
+    estimate_extremes,
+    factorize,
+)
 from .errors import ErrorReport, error_norms
 from .problems import get_problem
 
@@ -91,16 +98,30 @@ def solve_problem(
     tol: float = 1e-10,
     maxit: Optional[int] = None,
 ):
-    """Assemble, factor and solve by CG preconditioned with the factor, which
-    converges in one or two iterations whatever h and eps; returns
-    (coefficient vector, CgStats)."""
+    """Condense the element interiors, factor the skeleton system and solve
+    it by CG preconditioned with the factor, which converges in one or two
+    iterations whatever h and eps; returns (full coefficient vector, CgStats).
+
+    The stats' residual is the full system's ||b - Ax|| / ||b||. A
+    ConvergenceError carries the full-length iterate.
+    """
     if problem.epsilon == 0.0:
-        system = assemble_transport(problem, mesh, topo, dofmap)
+        skel = assemble_transport(problem, mesh, topo, dofmap, condense=True)
     else:
-        system = assemble_ls(problem, mesh, topo, dofmap, bc_mode)
-    return cg_solve(
-        system.matrix, system.rhs, tol=tol, maxit=maxit, precond=factorize(system.matrix)
-    )
+        skel = assemble_ls(problem, mesh, topo, dofmap, bc_mode, condense=True)
+    matrix = skel.matrix
+    try:
+        x, stats = cg_solve(matrix, skel.rhs, tol=tol, maxit=maxit, precond=factorize(matrix),
+                            norm_b=skel.norm_b)
+    except ConvergenceError as err:
+        mode = "transport" if problem.epsilon == 0.0 else bc_mode
+        raise ConvergenceError(
+            f"{err} [eps={problem.epsilon:g}, {mode}, {skel.n_total} DOFs, "
+            f"{matrix.n} on the skeleton]",
+            x=skel.expand(err.x),
+            stats=err.stats,
+        ) from err
+    return skel.expand(x), stats
 
 
 def convergence_study(

@@ -27,6 +27,14 @@ class DofMap:
     in the assembled system. ``q_sign`` carries the orientation sign of each
     edge-based vector DOF (interior DOFs are always +1): a global Q
     coefficient times its sign is the coefficient of the local basis.
+
+    The skeleton is the Q edge moments and the W vertex and edge nodes: the
+    DOFs that couple elements. They are a prefix three ways: the first
+    ``nloc_q_skel`` (``nloc_w_skel``) columns of each row of q_index
+    (w_index), in the local basis order, and the first ``n_q_skel``
+    (``n_w_skel``) indices of each block. So a skeleton DOF has the same
+    index in the skeleton's blocks as in the full ones; the remaining
+    columns and indices are element interiors.
     """
 
     k: int
@@ -37,6 +45,8 @@ class DofMap:
     w_index: np.ndarray   # (T, nloc_w) int, within the W block
     w_coords: np.ndarray  # (n_w, 2) global Lagrange node positions
     geo: geometry.ElementGeometry  # of the numbered mesh, built once here
+    nloc_q_skel: int      # edge moments per element
+    nloc_w_skel: int      # vertex and edge nodes per element
 
     @property
     def degree(self) -> int:
@@ -53,6 +63,14 @@ class DofMap:
     @property
     def nloc_w(self) -> int:
         return self.w_index.shape[1]
+
+    @property
+    def n_q_skel(self) -> int:
+        return self.n_q - len(self.q_index) * (self.nloc_q - self.nloc_q_skel)
+
+    @property
+    def n_w_skel(self) -> int:
+        return self.n_w - len(self.w_index) * (self.nloc_w - self.nloc_w_skel)
 
 
 def build_dofmap(mesh: Mesh, topo: Topology, k: int) -> DofMap:
@@ -75,7 +93,8 @@ def build_dofmap(mesh: Mesh, topo: Topology, k: int) -> DofMap:
 
     n_edge_q = basis.rt_edge_dofs(m)           # moments per edge
     n_int_q = m * (m + 1)
-    nloc_q = 3 * n_edge_q + n_int_q
+    nloc_q_skel = 3 * n_edge_q
+    nloc_q = nloc_q_skel + n_int_q
     n_q = E * n_edge_q + T * n_int_q
 
     q_index = np.empty((T, nloc_q), dtype=np.int64)
@@ -86,13 +105,14 @@ def build_dofmap(mesh: Mesh, topo: Topology, k: int) -> DofMap:
         cols = slice(e * n_edge_q, (e + 1) * n_edge_q)
         q_index[:, cols] = topo.tri_to_edge[:, e, None] * n_edge_q + j[None, :]
         q_sign[:, cols] = np.where(flips[:, e, None], odd_flip[None, :], 1.0)
-    q_index[:, 3 * n_edge_q:] = (
+    q_index[:, nloc_q_skel:] = (
         E * n_edge_q + np.arange(T)[:, None] * n_int_q + np.arange(n_int_q)[None, :]
     )
 
     n_edge_w = m - 1
     n_int_w = (m - 1) * (m - 2) // 2
-    nloc_w = 3 + 3 * n_edge_w + n_int_w
+    nloc_w_skel = 3 + 3 * n_edge_w
+    nloc_w = nloc_w_skel + n_int_w
     n_w = V + E * n_edge_w + T * n_int_w
 
     w_index = np.empty((T, nloc_w), dtype=np.int64)
@@ -103,7 +123,7 @@ def build_dofmap(mesh: Mesh, topo: Topology, k: int) -> DofMap:
         pos = np.arange(n_edge_w)[None, :]
         pos = np.where(flips[:, e, None], n_edge_w - 1 - pos, pos)
         w_index[:, cols] = base + pos
-    w_index[:, 3 + 3 * n_edge_w:] = (
+    w_index[:, nloc_w_skel:] = (
         V + E * n_edge_w + np.arange(T)[:, None] * n_int_w + np.arange(n_int_w)[None, :]
     )
 
@@ -114,11 +134,12 @@ def build_dofmap(mesh: Mesh, topo: Topology, k: int) -> DofMap:
     for pos in range(1, m):
         w_coords[V + np.arange(E) * n_edge_w + pos - 1] = lo + (pos / m) * (hi - lo)
     if n_int_w:
-        ref = basis.lagrange_nodes(m)[3 + 3 * n_edge_w:]
+        ref = basis.lagrange_nodes(m)[nloc_w_skel:]
         w_coords[V + E * n_edge_w:] = geo.map_points(ref).reshape(-1, 2)
 
     return DofMap(
         k=k, n_q=n_q, n_w=n_w,
         q_index=q_index, q_sign=q_sign,
         w_index=w_index, w_coords=w_coords, geo=geo,
+        nloc_q_skel=nloc_q_skel, nloc_w_skel=nloc_w_skel,
     )

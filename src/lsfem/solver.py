@@ -132,13 +132,16 @@ def cg_solve(
     tol: float = 1e-10,
     maxit: Optional[int] = None,
     precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    norm_b: Optional[float] = None,
 ):
     """Preconditioned conjugate gradients; returns (x, CgStats).
 
     ``precond`` maps a residual r to M^-1 r for an SPD M, such as the
     ``factorize`` of A; without it CG uses the Jacobi preconditioner
     diag(A)^-1, the reference path. Converged means the true relative
-    residual ||b - Ax|| / ||b|| is at most tol.
+    residual ||b - Ax|| / norm_b is at most tol. ``norm_b`` defaults to
+    ||b||; a condensed system passes the norm of the rhs of the system it
+    was condensed from, whose residual its own equals.
 
     CG checks its recursive residual r against the true one b - Ax when r
     reaches tol, when r halves its least value so far, and when STALL_ITERS
@@ -167,18 +170,20 @@ def cg_solve(
         def precond(r):
             return inv_d * r
 
-    norm_b = np.linalg.norm(b)
-    if norm_b == 0.0:
+    if not b.any():
         return np.zeros(n), CgStats(0, 0.0, True, np.zeros(1))
+    if norm_b is None:
+        norm_b = np.linalg.norm(b)
 
     x = np.zeros(n)
     r = b.copy()
     z = precond(r)
     p = z.copy()
     rz = r @ z
-    history = [1.0]
-    best_x, best_rel = x.copy(), 1.0  # least true residual checked, and its iterate
-    mark_rel, mark_it = 1.0, 0  # r at its last halving, and the last check
+    rel = np.linalg.norm(r) / norm_b
+    history = [rel]
+    best_x, best_rel = x.copy(), rel  # least true residual checked, and its iterate
+    mark_rel, mark_it = rel, 0  # r at its last halving, and the last check
     failed = 0
 
     for it in range(1, maxit + 1):

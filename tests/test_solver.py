@@ -68,6 +68,19 @@ def test_reported_residual_is_true_residual(kappa, seed):
     assert stats.residual == true <= 1e-10
 
 
+def test_residual_relative_to_given_norm():
+    # a condensed system measures its residual against the full rhs norm
+    A = SparseSym.from_dense(random_spd(40, 5, 1e4))
+    b = np.random.default_rng(12).standard_normal(40)
+    norm_b = 1e3 * np.linalg.norm(b)
+    x, stats = cg_solve(A, b, tol=1e-12, norm_b=norm_b)
+    assert stats.residual == np.linalg.norm(b - A.to_scipy() @ x) / norm_b <= 1e-12
+    assert stats.residual_history[0] == pytest.approx(1e-3, rel=1e-15)
+    with pytest.raises(ConvergenceError) as err:
+        cg_solve(A, b, norm_b=norm_b, maxit=0)
+    assert err.value.stats.residual == pytest.approx(1e-3, rel=1e-15)
+
+
 def test_zero_diagonal_rejected():
     # symmetric but indefinite; the Jacobi preconditioner needs 1 / diag(A)
     A = SparseSym.from_dense(np.array([[0.0, 1.0], [1.0, 2.0]]))
