@@ -270,19 +270,23 @@ def _local_systems(problem, dofmap):
     X = geo.map_points(tab.xy)
     sqw = np.sqrt(tab.weights[None, :] * geo.det[:, None])          # (T, nq)
     # beta.grad w + c w = (J^{-1} beta, c) . (reference grad w, w)
-    beta_ref = np.einsum("tdr,tqd->tqr", geo.inv_t, problem.beta(X[..., 0], X[..., 1]))
+    beta_ref = problem.beta(X[..., 0], X[..., 1]) @ geo.inv_t
     cval = _scalar_field(problem.c, X[..., 0], X[..., 1])
     coef = np.concatenate([beta_ref, cval[..., None]], axis=2) * sqw[..., None]
     w_tab = np.concatenate([tab.w_grads, tab.w_vals[..., None]], axis=2)
 
     nq = dofmap.nloc_q if eps > 0.0 else 0
     R = np.empty((len(geo.det), nq + dofmap.nloc_w, len(tab.weights)))
-    np.einsum("tqr,iqr->tiq", coef, w_tab, out=R[:, nq:])
+    # W rows: the sum over the three components (reference grad w, w), unrolled
+    w_rows = R[:, nq:]
+    np.multiply(coef[:, None, :, 0], w_tab[:, :, 0], out=w_rows)
+    w_rows += coef[:, None, :, 1] * w_tab[:, :, 1]
+    w_rows += coef[:, None, :, 2] * w_tab[:, :, 2]
     # Q rows sqrt(eps) div q = sqrt(eps) (sign) (reference div) / det J; none for transport
     np.einsum("tq,ti,iq->tiq", (se / geo.det)[:, None] * sqw, sign[:, :nq], tab.q_divs[:nq],
               out=R[:, :nq])
     a_loc = np.matmul(R, R.swapaxes(1, 2))
-    b_loc = np.einsum("tiq,tq->ti", R, _scalar_field(problem.f, X[..., 0], X[..., 1]) * sqw)
+    b_loc = (R @ (_scalar_field(problem.f, X[..., 0], X[..., 1]) * sqw)[..., None])[..., 0]
     if nq:
         q_mass = _affine_block(geo.jac, 1.0 / geo.det, tab.q_vals, tab.weights)
         a_loc[:, :nq, :nq] += q_mass * (sign[:, :, None] * sign[:, None, :])
@@ -449,7 +453,7 @@ def _face_terms(problem, topo, dofmap, mode, offset):
         topo, dofmap, edges, fem.assembly_degree(dofmap.k)
     ):
         trace = trace[:n_trace]
-        beta_n = np.einsum("eqd,ed->eq", problem.beta(pts[..., 0], pts[..., 1]), normals[sel])
+        beta_n = (problem.beta(pts[..., 0], pts[..., 1]) @ normals[sel, :, None])[..., 0]
         scale = face_weight(mode, problem.epsilon, beta_n, h) * weights * h
         gval = _scalar_field(data, pts[..., 0], pts[..., 1])
         blocks.append(np.einsum("aq,bq,eq->eab", trace, trace, scale))

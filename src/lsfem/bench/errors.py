@@ -84,26 +84,25 @@ def error_norms(
     # contract on the reference element, then map: grad u_h = J^{-T} (ref grad u_h)
     cw = coef_w[dofmap.w_index]                      # (T, nloc_w)
     u_h = cw @ tab.w_vals
-    grad_h = np.einsum("tdr,tqr->tqd", geo.inv_t, np.einsum("ti,iqr->tqr", cw, tab.w_grads))
+    grad_h = np.tensordot(cw, tab.w_grads, 1) @ geo.inv_t.swapaxes(1, 2)
 
     u_ex = _scalar_field(problem.exact_u, X[..., 0], X[..., 1])
     grad_ex = problem.exact_grad(X[..., 0], X[..., 1])
-    beta = problem.beta(X[..., 0], X[..., 1])
+    beta = problem.beta(X[..., 0], X[..., 1])[sel]
 
     du = (u_ex - u_h)[sel]
     dgrad = (grad_ex - grad_h)[sel]
     w_sel = wq[sel]
     e_l2 = np.sqrt(np.einsum("tq,tq->", du**2, w_sel))
     e_grad = se * np.sqrt(np.einsum("tqd,tqd,tq->", dgrad, dgrad, w_sel))
-    e_stream = np.sqrt(
-        np.einsum("tq,tq->", np.einsum("tqd,tqd->tq", beta[sel], dgrad) ** 2, w_sel)
-    )
+    stream = beta[..., 0] * dgrad[..., 0] + beta[..., 1] * dgrad[..., 1]
+    e_stream = np.sqrt(np.einsum("tq,tq->", stream**2, w_sel))
 
     if transport:
         e_q = 0.0
     else:
         cq = dofmap.q_sign * solution[dofmap.q_index]
-        q_h = geo.piola(np.einsum("ti,iqr->tqr", cq, tab.q_vals))
+        q_h = geo.piola(np.tensordot(cq, tab.q_vals, 1))
         dq = (-se * grad_ex - q_h)[sel]
         e_q = np.sqrt(np.einsum("tqd,tqd,tq->", dq, dq, w_sel))
 
@@ -161,7 +160,7 @@ def sample_solution(solution: np.ndarray, mesh: Mesh, dofmap: fem.DofMap):
         return u_vertices, None
     center = np.array([[1.0 / 3.0, 1.0 / 3.0]])
     cq = dofmap.q_sign * solution[dofmap.q_index]
-    q_ref = np.einsum("ti,iqr->tqr", cq, fem.rt_basis(dofmap.degree, center)[0])
+    q_ref = np.tensordot(cq, fem.rt_basis(dofmap.degree, center)[0], 1)
     return u_vertices, dofmap.geo.piola(q_ref)[:, 0, :]
 
 
@@ -177,7 +176,7 @@ def _q_moments(field, mesh: Mesh, topo: Topology, dofmap: fem.DofMap) -> np.ndar
     hi = mesh.vertices[topo.edges[:, 1]]
     pts = lo[:, None, :] + t[None, :, None] * (hi - lo)[:, None, :]
     fvals = field(pts[..., 0], pts[..., 1])          # (E, nq, 2)
-    fn = np.einsum("eqd,ed->eq", fvals, topo.normals)
+    fn = (fvals @ topo.normals[:, :, None])[..., 0]
     for j in range(n_edge):
         leg = fem.basis.edge_moment_weight(j, t)
         out[np.arange(topo.num_edges) * n_edge + j] = np.einsum(
@@ -190,8 +189,7 @@ def _q_moments(field, mesh: Mesh, topo: Topology, dofmap: fem.DofMap) -> np.ndar
     X = geo.map_points(rule.xy)
     fvals = field(X[..., 0], X[..., 1])          # (T, nq, 2)
     # reference pullback det(J) J^{-1} f keeps the interior moments affine-invariant
-    inv = np.swapaxes(geo.inv_t, 1, 2)           # J^{-1}
-    fhat = np.einsum("trd,tqd->tqr", inv, fvals) * geo.det[:, None, None]
+    fhat = fvals @ geo.inv_t * geo.det[:, None, None]
     tests = fem.basis.rt_interior_tests(m, rule.xy)
     moments = np.einsum("tqd,iqd,q->ti", fhat, tests, rule.weights)
     base = topo.num_edges * n_edge
@@ -207,9 +205,9 @@ def _boundary_error(coef_w, topo, dofmap, problem, sel):
     for esel, tris, pts, trace, weights, h in fem.edge_quadrature(
         topo, dofmap, edges, fem.error_degree(dofmap.k)
     ):
-        u_h = np.einsum("aq,ea->eq", trace, coef_w[dofmap.w_index[tris]])
+        u_h = coef_w[dofmap.w_index[tris]] @ trace
         du = _scalar_field(problem.exact_u, pts[..., 0], pts[..., 1]) - u_h
-        beta_n = np.einsum("eqd,ed->eq", problem.beta(pts[..., 0], pts[..., 1]), normals[esel])
+        beta_n = (problem.beta(pts[..., 0], pts[..., 1]) @ normals[esel, :, None])[..., 0]
         total += np.sum(face_weight("weak", problem.epsilon, beta_n, h) * du**2 * weights * h)
     return np.sqrt(total)
 

@@ -82,25 +82,29 @@ def write_vtk(
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {V} double",
+        *_block("%.12e %.12e 0.0", mesh.vertices),
+        f"CELLS {T} {4 * T}",
+        *_block("3 %d %d %d", mesh.triangles),
+        f"CELL_TYPES {T}",
+        *["5"] * T,
+        f"POINT_DATA {V}",
+        "SCALARS u double",
+        "LOOKUP_TABLE default",
+        *_block("%.12e", np.reshape(u_at_vertices, (-1, 1))),
     ]
-    for x, y in mesh.vertices:
-        lines.append(f"{x:.12e} {y:.12e} 0.0")
-    lines.append(f"CELLS {T} {4 * T}")
-    for i, j, k in mesh.triangles:
-        lines.append(f"3 {i} {j} {k}")
-    lines.append(f"CELL_TYPES {T}")
-    lines.extend(["5"] * T)
-    lines.append(f"POINT_DATA {V}")
-    lines.append("SCALARS u double")
-    lines.append("LOOKUP_TABLE default")
-    for v in u_at_vertices:
-        lines.append(f"{v:.12e}")
     if q_at_cells is not None:
-        lines.append(f"CELL_DATA {T}")
-        lines.append("VECTORS q double")
-        for qx, qy in q_at_cells:
-            lines.append(f"{qx:.12e} {qy:.12e} 0.0")
+        lines += [f"CELL_DATA {T}", "VECTORS q double", *_block("%.12e %.12e 0.0", q_at_cells)]
     _write_text(path, lines)
+
+
+def _block(row_format: str, rows) -> list:
+    """Rows of a 2-D array formatted as lines, joined into one string (none
+    for no rows): one ``%`` operation on Python numbers, which formats them
+    as the per-value f-strings ``f"{x:.12e}"`` and ``f"{i}"`` do."""
+    rows = np.asarray(rows)
+    if not len(rows):
+        return []
+    return ["\n".join([row_format] * len(rows)) % tuple(rows.ravel().tolist())]
 
 
 def _ensure_dir(path: str) -> None:

@@ -103,7 +103,8 @@ def solve_problem(
     iterations whatever h and eps; returns (full coefficient vector, CgStats).
 
     The stats' residual is the full system's ||b - Ax|| / ||b||. A
-    ConvergenceError carries the full-length iterate.
+    ConvergenceError carries the full-length iterate, and its message names
+    the system, the preconditioner and the last residuals CG recorded.
     """
     if problem.epsilon == 0.0:
         skel = assemble_transport(problem, mesh, topo, dofmap, condense=True)
@@ -115,9 +116,11 @@ def solve_problem(
                             norm_b=skel.norm_b)
     except ConvergenceError as err:
         mode = "transport" if problem.epsilon == 0.0 else bc_mode
+        last = ", ".join(f"{r:.3e}" for r in err.stats.residual_history[-3:])
         raise ConvergenceError(
             f"{err} [eps={problem.epsilon:g}, {mode}, {skel.n_total} DOFs, "
-            f"{matrix.n} on the skeleton]",
+            f"{matrix.n} on the skeleton; preconditioner: sparse factor of the "
+            f"skeleton matrix; last residuals: {last}]",
             x=skel.expand(err.x),
             stats=err.stats,
         ) from err

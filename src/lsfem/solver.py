@@ -32,7 +32,10 @@ class NotSymmetricError(SolverError):
 
 
 class NotSPDError(SolverError):
-    """CG met a direction of non-positive curvature."""
+    """The matrix is not symmetric positive definite: ``factorize`` found a
+    pivot off the diagonal or a non-positive one, CG met a direction of
+    non-positive curvature, or an element-interior block has no Cholesky
+    factor."""
 
 
 class ConvergenceError(SolverError):
@@ -112,6 +115,12 @@ def factorize(A: SparseSym) -> Callable[[np.ndarray], np.ndarray]:
     A^T, which equals A to the symmetry tolerance of ``SparseSym``; this
     avoids a converted copy. Raises SingularMatrixError on an exactly
     singular factor.
+
+    With diagonal pivots only, P A P^T = L U with U = D L^T, so by
+    Sylvester's law of inertia A is positive definite exactly when every
+    pivot, U's diagonal, is positive. Raises NotSPDError otherwise, or when
+    SuperLU had to pivot off the diagonal; CG's curvature test alone can
+    miss an indefinite A, depending on b.
     """
     at = sp.csc_matrix((A.data, A.indices, A.indptr), shape=(A.n, A.n))
     try:
@@ -123,6 +132,17 @@ def factorize(A: SparseSym) -> Callable[[np.ndarray], np.ndarray]:
         )
     except RuntimeError as exc:  # SuperLU reports a zero pivot this way
         raise SingularMatrixError(f"sparse factorization failed: {exc}") from None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise NotSPDError("the sparse factor pivoted off the diagonal")
+    # reading U makes SciPy build CSC copies of L and U, which it caches on lu
+    # for the factor's lifetime
+    pivots = lu.U.diagonal()
+    bad = ~(pivots > 0.0)
+    if bad.any():
+        raise NotSPDError(
+            f"{np.count_nonzero(bad)} of {A.n} pivots of the sparse factor are not "
+            f"positive (least {pivots.min():.3e})"
+        )
     return lu.solve
 
 

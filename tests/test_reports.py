@@ -1,3 +1,6 @@
+import numpy as np
+import pytest
+
 from lsfem.bench import (
     convergence_study,
     sample_solution,
@@ -61,3 +64,43 @@ def test_outputs_are_byte_identical_across_runs(tmp_path):
         write_vtk(mesh, u_v, q_c, str(tmp_path / f"{name}.vtk"))
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.vtk").read_bytes() == (tmp_path / "b.vtk").read_bytes()
+
+
+def _per_line_vtk(mesh, u_at_vertices, q_at_cells, title="lsfem solution"):
+    """The VTK text written one f-string per line: the reference that
+    ``write_vtk`` must reproduce byte for byte."""
+    V, T = mesh.num_vertices, mesh.num_triangles
+    lines = ["# vtk DataFile Version 2.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID",
+             f"POINTS {V} double"]
+    for x, y in mesh.vertices:
+        lines.append(f"{x:.12e} {y:.12e} 0.0")
+    lines.append(f"CELLS {T} {4 * T}")
+    for i, j, k in mesh.triangles:
+        lines.append(f"3 {i} {j} {k}")
+    lines.append(f"CELL_TYPES {T}")
+    lines.extend(["5"] * T)
+    lines += [f"POINT_DATA {V}", "SCALARS u double", "LOOKUP_TABLE default"]
+    for v in u_at_vertices:
+        lines.append(f"{v:.12e}")
+    if q_at_cells is not None:
+        lines += [f"CELL_DATA {T}", "VECTORS q double"]
+        for qx, qy in q_at_cells:
+            lines.append(f"{qx:.12e} {qy:.12e} 0.0")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("with_q", [True, False], ids=["q", "no-q"])
+@pytest.mark.parametrize("n", [1, 3, 17])
+def test_vtk_matches_per_line_writer(tmp_path, n, with_q):
+    mesh, topo, dm = build_case(n, 1, perturb=0.2)
+    coef = interpolate_solution(get_problem("smooth", 1e-3), mesh, topo, dm)
+    u_v, q_c = sample_solution(coef, mesh, dm)
+    # signed zero, extreme exponents and a rounding carry in the last digit
+    special = [-0.0, 1e-300, -1e300, 9.9999999999995e-1]
+    u_v[: len(special)] = special
+    q_c[0] = special[:2]
+    q_c[-1] = special[2:]
+    q_c = q_c if with_q else None
+    path = tmp_path / "out.vtk"
+    write_vtk(mesh, u_v, q_c, str(path))
+    assert path.read_bytes() == _per_line_vtk(mesh, u_v, q_c)

@@ -110,6 +110,9 @@ def test_convergence_error_names_the_system():
     message = str(info.value)
     assert "eps=0.001" in message and "strong" in message
     assert f"{dm.n_total} DOFs" in message and f"{n_skel} on the skeleton" in message
+    assert "preconditioner: sparse factor" in message
+    history = info.value.stats.residual_history
+    assert f"last residuals: {history[-1]:.3e}]" in message
     assert n_skel == dm.n_q_skel + dm.n_w_skel < dm.n_total
 
 

@@ -200,6 +200,17 @@ def test_indefinite_matrix_detected_under_factor():
         cg_solve(A, b, precond=factorize(SparseSym.from_dense(np.eye(2))))
 
 
+def test_indefinite_matrix_detected_by_factor_whatever_b():
+    # with b = (2, 1), CG preconditioned by A^-1 meets p^T A p = 3 > 0 and
+    # converges in one step; only the factor's negative pivot shows A indefinite
+    A = SparseSym.from_dense(np.diag([1.0, -1.0]))
+    with pytest.raises(NotSPDError, match="pivots"):
+        cg_solve(A, np.array([2.0, 1.0]), precond=factorize(A))
+    # a zero diagonal forces a row exchange, a pivot off the diagonal
+    with pytest.raises(NotSPDError, match="off the diagonal"):
+        factorize(SparseSym.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]])))
+
+
 def test_factor_preconditioned_cg_matches_jacobi():
     S = SparseSym.from_dense(random_spd(50, seed=11, kappa=1e4))
     b = np.cos(np.arange(50.0))
