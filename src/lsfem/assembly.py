@@ -13,14 +13,16 @@ and, after the slit terms, eliminates boundary scalar DOFs symmetrically.
 The pure-transport specialization keeps only the scalar residual and the
 inflow part of the penalty.
 
-``assemble_ls`` and ``assemble_transport`` return the full system, or with
-``condense`` the same system with the element-interior DOFs (the RT interior
-moments and the Lagrange bubbles) condensed out element by element, which
-is what the solves factor.
+``assemble_ls`` and ``assemble_transport`` build every system through one
+path and return one type, ``LinearSystem``. With ``condense`` the
+element-interior DOFs (the RT interior moments and the Lagrange bubbles) are
+condensed out element by element, which is what the solves factor; the full
+system is the one whose interior set is empty.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -76,17 +78,50 @@ class ProblemSpec:
 
 @dataclass
 class LinearSystem:
-    """Sparse SPD system with optional record of eliminated scalar DOFs.
+    """Sparse SPD least-squares system on the DOFs that are not condensed out.
 
-    ``dirichlet`` lists (W-block index, value) pairs fixed by strong
-    boundary imposition; indices are offset by ``n_q`` in the matrix.
+    With the element-interior DOFs condensed out, the matrix is the Schur
+    complement on the skeleton, numbered [Q edge moments | W vertex and edge
+    nodes]: the leading ``n_q_skel`` and ``n_w_skel`` DOFs of the two blocks
+    of the full system (see ``DofMap``). The full system is the one with no
+    interiors. Either way ``n_q`` and ``n_w`` are the sizes of the two blocks
+    of the matrix, and ``dirichlet`` lists (W-block index, value) pairs fixed
+    by strong boundary imposition; indices are offset by ``n_q`` in the
+    matrix.
+
+    ``expand`` recovers the interiors element by element, so the full
+    residual b - A x of ``expand(x)`` is g - S x on the skeleton and zero on
+    the interiors; ``norm_b`` is ||b|| of the full system, against which
+    that residual is relative. Without interiors ``expand`` copies x and
+    ``norm_b`` is ||rhs||.
     """
 
     matrix: SparseSym
     rhs: np.ndarray
     n_q: int
     n_w: int
-    dirichlet: list = field(default_factory=list)
+    dirichlet: list
+    norm_b: float
+    on_skeleton: np.ndarray   # (n_total,) bool, the retained DOFs in the full numbering
+    skeleton: np.ndarray      # (T, nb) retained indices of each element's retained DOFs
+    interior: np.ndarray      # (T, ni) full indices of each element's interior DOFs
+    chol: np.ndarray          # (T, ni, ni) Cholesky factors L of the interior blocks A_II
+    coupling: np.ndarray      # (T, ni, nb) L^-1 A_IB
+    interior_rhs: np.ndarray  # (T, ni) L^-1 b_I
+
+    @property
+    def n_total(self) -> int:
+        return len(self.on_skeleton)
+
+    def expand(self, x: np.ndarray) -> np.ndarray:
+        """Full coefficient vector of the skeleton vector x, with the
+        interiors x_I = A_II^-1 (b_I - A_IB x_B) of every element."""
+        full = np.empty(self.n_total)
+        full[self.on_skeleton] = x
+        if self.interior.size:
+            z = self.interior_rhs - np.einsum("tib,tb->ti", self.coupling, x[self.skeleton])
+            full[self.interior] = np.linalg.solve(self.chol.swapaxes(1, 2), z[..., None])[..., 0]
+        return full
 
 
 def _scalar_field(fn, x, y) -> np.ndarray:
@@ -116,7 +151,7 @@ def assemble_ls(
     condense: bool = False,
 ) -> LinearSystem:
     """Assemble the least-squares system for the diffusive problem; with
-    ``condense``, its ``SkeletonSystem``."""
+    ``condense``, its element interiors condensed out."""
     if problem.epsilon <= 0.0:
         raise ValueError("epsilon must be positive; use assemble_transport for epsilon == 0")
     return _assemble(problem, mesh, topo, dofmap, bc_mode, condense)
@@ -130,85 +165,52 @@ def assemble_transport(
     condense: bool = False,
 ) -> LinearSystem:
     """Assemble the scalar-only transport-reaction system on W_h; with
-    ``condense``, its ``SkeletonSystem``, which is the full system unless
-    the W space has bubbles (P3)."""
+    ``condense``, its element interiors condensed out, which leaves the full
+    system unless the W space has bubbles (P3)."""
     if problem.epsilon != 0.0:
         raise ValueError("transport assembly requires epsilon == 0")
     return _assemble(problem, mesh, topo, dofmap, "weak", condense)
 
 
-@dataclass(kw_only=True)
-class SkeletonSystem(LinearSystem):
-    """A least-squares system with the element-interior DOFs condensed out.
-
-    The matrix is the Schur complement on the skeleton, numbered
-    [Q edge moments | W vertex and edge nodes]: the leading ``n_q_skel`` and
-    ``n_w_skel`` DOFs of the two blocks of the full system (see ``DofMap``),
-    so ``n_q``, ``n_w`` and ``dirichlet`` keep their meaning on it.
-    ``expand`` recovers the interiors element by element, so the full
-    residual b - A x of ``expand(x)`` is g - S x on the skeleton and zero on
-    the interiors; ``norm_b`` is ||b|| of the full system, against which
-    that residual is relative.
-    """
-
-    norm_b: float
-    on_skeleton: np.ndarray   # (n_total,) bool, the skeleton DOFs in the full numbering
-    skeleton: np.ndarray      # (T, nb) skeleton indices of each element's boundary DOFs
-    interior: np.ndarray      # (T, ni) full indices of each element's interior DOFs
-    chol: np.ndarray          # (T, ni, ni) Cholesky factors L of the interior blocks A_II
-    coupling: np.ndarray      # (T, ni, nb) L^-1 A_IB
-    interior_rhs: np.ndarray  # (T, ni) L^-1 b_I
-
-    @property
-    def n_total(self) -> int:
-        return len(self.on_skeleton)
-
-    def expand(self, x: np.ndarray) -> np.ndarray:
-        """Full coefficient vector of the skeleton vector x, with the
-        interiors x_I = A_II^-1 (b_I - A_IB x_B) of every element."""
-        full = np.empty(self.n_total)
-        full[self.on_skeleton] = x
-        if self.interior.size:
-            z = self.interior_rhs - np.einsum("tib,tb->ti", self.coupling, x[self.skeleton])
-            full[self.interior] = np.linalg.solve(self.chol.swapaxes(1, 2), z[..., None])[..., 0]
-        return full
-
-
 def _assemble(problem, mesh, topo, dofmap, bc_mode, condense):
-    """The full system, or with ``condense`` its skeleton system: every
-    element's interior DOFs eliminated through a batched Cholesky factor of
-    its interior block (eps == 0 has no Q block, and bc_mode is not read).
+    """The system, with ``condense`` every element's interior DOFs eliminated
+    through a batched Cholesky factor of its interior block; without, the
+    interior set is empty and the blocks pass through unchanged. eps == 0
+    has no Q block, and bc_mode is not read.
 
     Interior DOFs couple only inside their element, and face, slit and
     strong-BC terms touch only W traces, so those go straight onto the
     skeleton.
     """
+    if problem.epsilon == 0.0:  # transport: the W block alone
+        dofmap = dataclasses.replace(dofmap, n_q=0, q_index=dofmap.q_index[:, :0],
+                                     q_sign=dofmap.q_sign[:, :0], nloc_q_skel=0)
     blocks, n, fixed = _system_blocks(problem, mesh, topo, dofmap, bc_mode)
-    transport = problem.epsilon == 0.0
-    n_q = 0 if transport else dofmap.n_q
-    if not condense:
-        return _linear_system(blocks, n, n_q, dofmap.n_w, fixed)
-    nq_loc, nq_skel = (0, 0) if transport else (dofmap.nloc_q, dofmap.nloc_q_skel)
-    n_q_skel = 0 if transport else dofmap.n_q_skel
-    norm_b = float(np.linalg.norm(_rhs(blocks, n, _offset(fixed, n_q))))
+    norm_b = float(np.linalg.norm(_rhs(blocks, n, _offset(fixed, dofmap.n_q))))
     (a_loc, b_loc, gidx), faces = blocks[0], blocks[1:]
-    keep = np.concatenate([np.arange(nq_skel), nq_loc + np.arange(dofmap.nloc_w_skel)])
-    drop = np.setdiff1d(np.arange(gidx.shape[1]), keep)
-    on_skeleton = np.zeros(n, dtype=bool)
-    on_skeleton[:n_q_skel] = True
-    on_skeleton[n_q:n_q + dofmap.n_w_skel] = True
+    local = np.arange(gidx.shape[1])
+    keep = local
+    if condense:  # the skeleton is a prefix of each block's local DOFs (see DofMap)
+        keep = np.concatenate([local[:dofmap.nloc_q_skel],
+                               local[dofmap.nloc_q:dofmap.nloc_q + dofmap.nloc_w_skel]])
+    drop = np.setdiff1d(local, keep)
+    on_skeleton = np.ones(n, dtype=bool)
+    on_skeleton[gidx[:, drop]] = False
     renumber = np.cumsum(on_skeleton) - 1  # skeleton index of each skeleton DOF
+    n_skel = int(np.count_nonzero(on_skeleton))
+    n_q_skel = int(np.count_nonzero(on_skeleton[:dofmap.n_q]))
 
     s_loc, g_loc, (chol, coupling, interior_rhs) = _condense(a_loc, b_loc, keep, drop)
     del a_loc, blocks  # the full local matrices are not needed for the scatter
     skeleton = renumber[gidx[:, keep]]
     skel_blocks = [(s_loc, g_loc, skeleton)] + [(a, b, renumber[idx]) for a, b, idx in faces]
     # the fixed W-block indices are boundary nodes, so skeleton W-block indices too
-    system = _linear_system(skel_blocks, n_q_skel + dofmap.n_w_skel, n_q_skel,
-                            dofmap.n_w_skel, fixed)
-    return SkeletonSystem(
-        **vars(system), norm_b=norm_b, on_skeleton=on_skeleton, skeleton=skeleton,
-        interior=gidx[:, drop], chol=chol, coupling=coupling, interior_rhs=interior_rhs,
+    mat, rhs = _scatter(skel_blocks, n_skel, _offset(fixed, n_q_skel))
+    dirichlet = [] if fixed is None else list(zip(fixed[0].tolist(), fixed[1].tolist()))
+    return LinearSystem(
+        SparseSym.from_csr(mat), rhs, n_q_skel, n_skel - n_q_skel, dirichlet,
+        norm_b=norm_b, on_skeleton=on_skeleton, skeleton=skeleton, interior=gidx[:, drop],
+        chol=chol, coupling=coupling, interior_rhs=interior_rhs,
     )
 
 
@@ -318,23 +320,18 @@ def _system_blocks(problem, mesh, topo, dofmap, bc_mode):
     boundary and slit face blocks. Returns them with the system size and the
     strongly fixed (W-block indices, values), or None. In strong mode the
     blocks are already eliminated: every b holds b - A x_fixed, and every a
-    is zero in the rows and columns of fixed DOFs. Transport (eps == 0) has
-    the W block alone and the inflow penalty, whatever bc_mode.
+    is zero in the rows and columns of fixed DOFs. Transport (eps == 0) takes
+    a DOF map without the Q block and has the inflow penalty, whatever bc_mode.
     """
     if dofmap.q_index.shape[0] != mesh.num_triangles:
         raise ValueError("dofmap was built for a different mesh")
-    if problem.epsilon < 0.0:
-        raise ValueError("epsilon must be positive, or zero for transport")
-    transport = problem.epsilon == 0.0
-    if transport:
+    if problem.epsilon == 0.0:
         bc_mode = "weak"  # with eps == 0 the weak boundary weight is the inflow weight alone
     elif bc_mode not in BC_MODES:
         raise ValueError(f"bc_mode must be one of {BC_MODES}, got {bc_mode!r}")
-    n_q = 0 if transport else dofmap.n_q
+    n_q = dofmap.n_q
     a_loc, b_loc = _local_systems(problem, dofmap)
-    gidx = n_q + dofmap.w_index
-    if not transport:
-        gidx = np.concatenate([dofmap.q_index, gidx], axis=1)
+    gidx = np.concatenate([dofmap.q_index, n_q + dofmap.w_index], axis=1)
     blocks = [(a_loc, b_loc, gidx)]
     if bc_mode != "strong":
         blocks.append(_face_terms(problem, topo, dofmap, bc_mode, n_q))
@@ -360,14 +357,6 @@ def _system_blocks(problem, mesh, topo, dofmap, bc_mode):
 def _offset(fixed, n_q):
     """Strongly fixed (W-block indices, values) as (system indices, values)."""
     return None if fixed is None else (n_q + fixed[0], fixed[1])
-
-
-def _linear_system(blocks, n, n_q, n_w, fixed):
-    """The validated n x n LinearSystem of local blocks whose W block starts
-    at n_q, with the strongly fixed (W-block indices, values) eliminated."""
-    mat, rhs = _scatter(blocks, n, _offset(fixed, n_q))
-    dirichlet = [] if fixed is None else list(zip(fixed[0].tolist(), fixed[1].tolist()))
-    return LinearSystem(SparseSym.from_csr(mat), rhs, n_q, n_w, dirichlet)
 
 
 def _rhs(blocks, n, fixed):

@@ -11,14 +11,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .. import fem
 from ..assembly import ProblemSpec, assemble_ls, assemble_transport, mass_diagonal
 from ..mesh import Mesh, build_topology, generate_structured
 from ..solver import (
     ConvergenceError,
-    SparseSym,
     SpectralEstimate,
     cg_solve,
     estimate_extremes,
@@ -30,17 +28,10 @@ from .problems import get_problem
 DEFAULT_PERTURB = 0.15
 
 
-def nearest_generated_n(elements: int, even: bool = False) -> int:
-    """Cells-per-side n whose crisscross mesh size 2 n^2 is closest.
-
-    ``even`` restricts to even n, needed when a slit along a half-integer
-    gridline must be resolved by the mesh.
-    """
+def nearest_generated_n(elements: int) -> int:
+    """Cells-per-side n whose crisscross mesh size 2 n^2 is closest."""
     n = max(1, round(math.sqrt(elements / 2.0)))
-    candidates = range(max(1, n - 2), n + 3)
-    if even:
-        candidates = [m for m in candidates if m % 2 == 0]
-    return min((abs(2 * m * m - elements), m) for m in candidates)[1]
+    return min((abs(2 * m * m - elements), m) for m in range(max(1, n - 2), n + 3))[1]
 
 
 @dataclass
@@ -175,9 +166,7 @@ def condition_study(
         for eps in epsilons:
             problem = get_problem(problem_name, eps)
             system = assemble_ls(problem, mesh, topo, dofmap, bc_mode)
-            mat = system.matrix.to_scipy()
-            d = sp.diags(scale)
-            est = estimate_extremes(SparseSym.from_csr((d @ mat @ d).tocsr()))
+            est = estimate_extremes(system.matrix.scaled(scale))
             row = ConditionRow(
                 level=level,
                 n=n,

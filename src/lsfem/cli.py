@@ -49,25 +49,28 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--problem", required=True, choices=bench.PROBLEM_NAMES)
-    common.add_argument("--k", type=int, default=0, choices=(0, 1, 2),
-                        help="method index; polynomial degree is k+1 (P1..P3)")
-    common.add_argument("--bc", default="weak", choices=("weak", "strong", "alt-weak"))
-    common.add_argument("--perturb", type=float, default=DEFAULT_PERTURB,
+    # shared options, each declared only by the commands that read it
+    case = argparse.ArgumentParser(add_help=False)
+    case.add_argument("--problem", required=True, choices=bench.PROBLEM_NAMES)
+    case.add_argument("--k", type=int, default=0, choices=(0, 1, 2),
+                      help="method index; polynomial degree is k+1 (P1..P3)")
+    bc = argparse.ArgumentParser(add_help=False)
+    bc.add_argument("--bc", default="weak", choices=("weak", "strong", "alt-weak"))
+    solves = argparse.ArgumentParser(add_help=False)
+    solves.add_argument("--perturb", type=float, default=DEFAULT_PERTURB,
                         help="vertex jitter fraction of the cell size")
-    common.add_argument("--tol", type=_bounded(float, 0.0, strict=True), default=1e-10,
+    solves.add_argument("--tol", type=_bounded(float, 0.0, strict=True), default=1e-10,
                         help="CG relative residual")
-    common.add_argument("--maxit", type=_bounded(int, 0), default=None, help="CG iteration cap")
 
-    p = sub.add_parser("solve", parents=[common], help="single solve, VTK output")
+    p = sub.add_parser("solve", parents=[case, bc, solves], help="single solve, VTK output")
+    p.add_argument("--maxit", type=_bounded(int, 0), default=None, help="CG iteration cap")
     p.add_argument("--eps", type=float, default=None, help="diffusion coefficient")
     p.add_argument("--mesh-n", type=int, default=16, help="cells per side")
     p.add_argument("--mesh-file", default=None, help="load mesh instead of generating")
     p.add_argument("--mesh-format", default="native", choices=("native", "triangle"))
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("convergence", parents=[common], help="EOC study, CSV output")
+    p = sub.add_parser("convergence", parents=[case, bc, solves], help="EOC study, CSV output")
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--levels", type=_bounded(int, 1), default=4,
                    help="number of refinement levels")
@@ -76,14 +79,14 @@ def _build_parser() -> _Parser:
                    help="xmin,xmax,ymin,ymax subdomain filter")
     p.set_defaults(func=_cmd_convergence)
 
-    p = sub.add_parser("condition", parents=[common], help="kappa study, CSV output")
+    p = sub.add_parser("condition", parents=[case, bc], help="kappa study, CSV output")
     p.add_argument("--eps-list", default="1,1e-3,1e-9",
                    help="comma-separated diffusion coefficients")
     p.add_argument("--levels", type=_bounded(int, 1), default=2)
     p.add_argument("--base-n", type=int, default=4)
     p.set_defaults(func=_cmd_condition)
 
-    p = sub.add_parser("compare", parents=[common],
+    p = sub.add_parser("compare", parents=[case, solves],
                        help="weak vs strong imposition on one mesh")
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--mesh-n", type=int, default=None,

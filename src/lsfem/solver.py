@@ -73,9 +73,11 @@ class SparseSym:
             )
         return cls(mat.shape[0], mat.indptr, mat.indices, mat.data)
 
-    @classmethod
-    def from_dense(cls, arr: np.ndarray) -> "SparseSym":
-        return cls.from_csr(sp.csr_matrix(np.asarray(arr, dtype=float)))
+    def scaled(self, s: np.ndarray) -> "SparseSym":
+        """diag(s) A diag(s), entry by entry in the order d @ A @ d takes;
+        symmetric because A is, so it is not validated again."""
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        return SparseSym(self.n, self.indptr, self.indices, self.data * s[rows] * s[self.indices])
 
     def to_scipy(self) -> sp.csr_matrix:
         return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
@@ -257,20 +259,6 @@ def cg_solve(
         x=x,
         stats=stats,
     )
-
-
-def dense_oracle_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Direct factorization solve used to cross-check CG on small systems."""
-    A = np.asarray(A, dtype=float)
-    if A.shape[0] > DENSE_CUTOFF:
-        raise ValueError(f"dense oracle limited to n <= {DENSE_CUTOFF}")
-    try:
-        x = np.linalg.solve(A, np.asarray(b, dtype=float))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(str(exc)) from None
-    if not np.isfinite(x).all():
-        raise SingularMatrixError("factorization produced non-finite entries")
-    return x
 
 
 def estimate_extremes(A: SparseSym, dense_cutoff: int = DENSE_CUTOFF) -> SpectralEstimate:

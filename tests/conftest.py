@@ -1,10 +1,12 @@
 """Shared fixtures and evaluation helpers for the test suite."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from lsfem import fem
 from lsfem.assembly import ProblemSpec
 from lsfem.mesh import MeshError, Topology, build_topology, generate_structured
+from lsfem.solver import DENSE_CUTOFF, SingularMatrixError, SparseSym
 
 
 @pytest.fixture(scope="session")
@@ -12,6 +14,25 @@ def two_triangle():
     mesh = generate_structured(1, 0.0)
     topo = build_topology(mesh)
     return mesh, topo
+
+
+def from_dense(arr):
+    """SparseSym of a dense array, validated as ``SparseSym.from_csr`` validates."""
+    return SparseSym.from_csr(sp.csr_matrix(np.asarray(arr, dtype=float)))
+
+
+def dense_oracle_solve(A, b):
+    """Direct factorization solve used to cross-check CG on small systems."""
+    A = np.asarray(A, dtype=float)
+    if A.shape[0] > DENSE_CUTOFF:
+        raise ValueError(f"dense oracle limited to n <= {DENSE_CUTOFF}")
+    try:
+        x = np.linalg.solve(A, np.asarray(b, dtype=float))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(str(exc)) from None
+    if not np.isfinite(x).all():
+        raise SingularMatrixError("factorization produced non-finite entries")
+    return x
 
 
 def make_case(n, k, perturb=0.0, slit=None):

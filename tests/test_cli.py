@@ -52,6 +52,28 @@ def test_out_of_range_option_is_usage_error(tmp_path, capsys, argv):
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "command,option,value",
+    [
+        ("condition", "--perturb", "0.1"),
+        ("condition", "--tol", "1e-8"),
+        ("condition", "--maxit", "10"),
+        ("convergence", "--maxit", "10"),
+        ("compare", "--bc", "strong"),
+        ("compare", "--maxit", "10"),
+    ],
+)
+def test_option_the_command_does_not_read_is_usage_error(tmp_path, capsys, command, option,
+                                                         value):
+    # each command declares only the options it reads; any other is rejected
+    with pytest.raises(SystemExit) as exc:
+        main(["--out-dir", str(tmp_path), command, "--problem", "boundary-layer",
+              option, value])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 def test_numerical_failure_exits_two(tmp_path, capsys):
     # a cap of zero iterations forces CG to give up; with the factor it
     # converges in one iteration

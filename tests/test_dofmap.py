@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import edge_traces, edge_w_values, make_case
 from lsfem import fem
 from lsfem.fem import basis
+from lsfem.mesh import Mesh, build_topology, generate_structured, refine_uniform
 
 
 def test_single_triangle_counts_k0():
-    from lsfem.mesh import Mesh, build_topology
-
     mesh = Mesh(
         np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]),
         np.array([[0, 1, 2]]),
@@ -53,10 +54,29 @@ def test_shared_edge_dofs_have_identical_indices(k):
         assert np.array_equal(g0, g1)
 
 
+@st.composite
+def jittered_relabelled_meshes(draw):
+    """A crisscross mesh whose interior vertices move by a drawn jitter of at
+    most 0.25 / n per coordinate, with its vertices relabelled. Relabelling
+    reverses edge orientations, so it changes the signs in q_sign."""
+    n = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amplitude = draw(st.floats(0.0, 0.25))
+    mesh = generate_structured(n)
+    inside = ((mesh.vertices > 0.0) & (mesh.vertices < 1.0)).all(axis=1)
+    shift = rng.uniform(-amplitude / n, amplitude / n, mesh.vertices.shape)
+    vertices = mesh.vertices + inside[:, None] * shift
+    vperm = rng.permutation(mesh.num_vertices)  # vertex i becomes vertex vperm[i]
+    return Mesh(vertices[np.argsort(vperm)], vperm[mesh.triangles], mesh.region_id)
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
-def test_hdiv_normal_trace_continuity(k, perturb=0.2):
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(mesh=jittered_relabelled_meshes())
+def test_hdiv_normal_trace_continuity(k, mesh):
     # evaluated from both incident elements at shared physical points
-    mesh, topo, dm = make_case(3, k, perturb=perturb)
+    topo = build_topology(mesh)
+    dm = fem.build_dofmap(mesh, topo, k)
     t = fem.edge_rule(2 * (k + 1) + 2).points[:, 0]
     worst = 0.0
     for e in np.flatnonzero(~topo.is_boundary):
@@ -111,8 +131,6 @@ def test_piola_divergence_identity(k):
 def test_inverse_inequality_constants_stable_under_refinement(k):
     # the trace and divergence inverse constants are mesh-level quantities;
     # congruent refinement must keep them within 10%
-    from lsfem.mesh import build_topology, generate_structured, refine_uniform
-
     mesh = generate_structured(2, 0.2)
     values = []
     for level in range(2):

@@ -6,12 +6,12 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_oracle_solve
 from lsfem import fem
 from lsfem.assembly import assemble_ls
 from lsfem.bench import error_norms, get_problem, sample_solution
 from lsfem.bench.studies import DEFAULT_PERTURB
 from lsfem.mesh import Mesh, build_topology, generate_structured
-from lsfem.solver import dense_oracle_solve
 
 
 def _solve(mesh, k, mode, problem):

@@ -7,11 +7,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import make_case
+from conftest import dense_oracle_solve, make_case
 from lsfem.assembly import assemble_ls, assemble_transport
 from lsfem.bench import get_problem, solve_problem
 from lsfem.bench.studies import build_case
-from lsfem.solver import ConvergenceError, dense_oracle_solve
+from lsfem.solver import ConvergenceError
 
 SLIT = ((0.5, 0.0), (0.5, 0.5))
 MODES = ("weak", "alt-weak", "strong")
@@ -61,6 +61,9 @@ def test_skeleton_is_schur_complement_and_solve_matches_oracle(kind, k):
     problem, mesh, topo, dm, mode = case(kind, k)
     full = full_system(problem, mesh, topo, dm, mode)
     A, b = full.matrix.toarray(), full.rhs
+    # the full system is the one with no interiors
+    assert full.on_skeleton.all() and full.interior.size == 0
+    assert full.norm_b == np.linalg.norm(b)
     skel = full_system(problem, mesh, topo, dm, mode, condense=True)
     s, i = skel.on_skeleton, ~skel.on_skeleton
     schur = A[np.ix_(s, s)] - A[np.ix_(s, i)] @ np.linalg.solve(A[np.ix_(i, i)], A[np.ix_(i, s)])
@@ -73,6 +76,7 @@ def test_skeleton_is_schur_complement_and_solve_matches_oracle(kind, k):
     ref = dense_oracle_solve(A, b)
     assert stats.converged
     assert np.abs(x - ref).max() <= 1e-9 * np.abs(ref).max()
+    assert np.array_equal(full.expand(x), x)
 
 
 @pytest.mark.parametrize("k", [0, 1], ids=["P1", "P2"])

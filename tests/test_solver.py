@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import dense_oracle_solve, from_dense
 from lsfem import solver
 from lsfem.solver import (
     ConvergenceError,
@@ -12,7 +13,6 @@ from lsfem.solver import (
     SparseSym,
     SpectralEstimate,
     cg_solve,
-    dense_oracle_solve,
     estimate_extremes,
     factorize,
 )
@@ -32,7 +32,7 @@ def test_sparse_sym_rejects_asymmetric():
 
 
 def test_identity_converges_in_one_iteration():
-    A = SparseSym.from_dense(np.eye(5))
+    A = from_dense(np.eye(5))
     b = np.arange(1.0, 6.0)
     x, stats = cg_solve(A, b)
     assert stats.iterations <= 1
@@ -40,7 +40,7 @@ def test_identity_converges_in_one_iteration():
 
 
 def test_hand_solved_2x2():
-    A = SparseSym.from_dense(np.array([[4.0, 1.0], [1.0, 3.0]]))
+    A = from_dense(np.array([[4.0, 1.0], [1.0, 3.0]]))
     b = np.array([1.0, 2.0])
     x, _ = cg_solve(A, b, tol=1e-14)
     assert np.abs(x - [1.0 / 11.0, 7.0 / 11.0]).max() < 1e-12
@@ -49,7 +49,7 @@ def test_hand_solved_2x2():
 
 
 def test_indefinite_matrix_detected():
-    A = SparseSym.from_dense(np.diag([1.0, -1.0]))
+    A = from_dense(np.diag([1.0, -1.0]))
     with pytest.raises(NotSPDError):
         cg_solve(A, np.array([1.0, 1.0]))
 
@@ -60,7 +60,7 @@ def test_indefinite_matrix_detected():
 def test_reported_residual_is_true_residual(kappa, seed):
     # on ill-conditioned systems the recursive residual can reach tol while
     # b - Ax is still above it
-    A = SparseSym.from_dense(random_spd(40, seed, kappa))
+    A = from_dense(random_spd(40, seed, kappa))
     b = np.random.default_rng(seed + 7).standard_normal(40)
     x, stats = cg_solve(A, b, tol=1e-10)
     true = np.linalg.norm(b - A.to_scipy() @ x) / np.linalg.norm(b)
@@ -70,7 +70,7 @@ def test_reported_residual_is_true_residual(kappa, seed):
 
 def test_residual_relative_to_given_norm():
     # a condensed system measures its residual against the full rhs norm
-    A = SparseSym.from_dense(random_spd(40, 5, 1e4))
+    A = from_dense(random_spd(40, 5, 1e4))
     b = np.random.default_rng(12).standard_normal(40)
     norm_b = 1e3 * np.linalg.norm(b)
     x, stats = cg_solve(A, b, tol=1e-12, norm_b=norm_b)
@@ -83,20 +83,20 @@ def test_residual_relative_to_given_norm():
 
 def test_zero_diagonal_rejected():
     # symmetric but indefinite; the Jacobi preconditioner needs 1 / diag(A)
-    A = SparseSym.from_dense(np.array([[0.0, 1.0], [1.0, 2.0]]))
+    A = from_dense(np.array([[0.0, 1.0], [1.0, 2.0]]))
     with pytest.raises(SolverError, match="zero diagonal"):
         cg_solve(A, np.ones(2))
 
 
 def test_zero_rhs_short_circuits():
-    A = SparseSym.from_dense(np.eye(3))
+    A = from_dense(np.eye(3))
     x, stats = cg_solve(A, np.zeros(3))
     assert stats.iterations == 0 and stats.converged
     assert np.array_equal(x, np.zeros(3))
 
 
 def test_maxit_reports_best_residual():
-    A = SparseSym.from_dense(random_spd(40, seed=3, kappa=1e6))
+    A = from_dense(random_spd(40, seed=3, kappa=1e6))
     b = np.ones(40)
     with pytest.raises(ConvergenceError) as err:
         cg_solve(A, b, tol=1e-14, maxit=3)
@@ -108,7 +108,7 @@ def test_maxit_reports_best_residual():
 def test_cg_matches_dense_oracle_on_random_spd():
     A = random_spd(50, seed=11)
     b = np.cos(np.arange(50.0))
-    x_cg, _ = cg_solve(SparseSym.from_dense(A), b, tol=1e-12)
+    x_cg, _ = cg_solve(from_dense(A), b, tol=1e-12)
     x_dense = dense_oracle_solve(A, b)
     assert np.linalg.norm(x_cg - x_dense) / np.linalg.norm(x_dense) <= 1e-9
 
@@ -125,7 +125,7 @@ def test_cg_error_monotone_in_a_norm():
     A = random_spd(50, seed=5, kappa=1e4)
     b = np.sin(np.arange(50.0))
     x_star = dense_oracle_solve(A, b)
-    S = SparseSym.from_dense(A)
+    S = from_dense(A)
     _, stats = cg_solve(S, b, tol=1e-12)
     iterates = [_cg_iterate(S, b, k, 1e-12) for k in range(stats.iterations + 1)]
     energy = [float((xk - x_star) @ A @ (xk - x_star)) for xk in iterates]
@@ -144,7 +144,7 @@ def test_dense_oracle_size_guard():
 
 
 def test_estimate_extremes_diagonal():
-    est = estimate_extremes(SparseSym.from_dense(np.diag([1.0, 100.0])))
+    est = estimate_extremes(from_dense(np.diag([1.0, 100.0])))
     assert est.method == "dense"
     assert est.kappa == pytest.approx(100.0, abs=1e-12)
     assert est.lambda_min == pytest.approx(1.0)
@@ -158,7 +158,7 @@ def test_estimate_ordering_validated():
 def test_iterative_path_matches_dense_within_two_percent():
     # same matrix through both paths near the crossover
     A = random_spd(300, seed=21, kappa=1e5)
-    S = SparseSym.from_dense(A)
+    S = from_dense(A)
     dense = estimate_extremes(S)
     iterative = estimate_extremes(S, dense_cutoff=100)
     assert dense.method == "dense" and iterative.method == "iterative"
@@ -168,7 +168,7 @@ def test_iterative_path_matches_dense_within_two_percent():
 
 
 def test_deterministic_results():
-    A = SparseSym.from_dense(random_spd(80, seed=2))
+    A = from_dense(random_spd(80, seed=2))
     b = np.ones(80)
     x1, _ = cg_solve(A, b)
     x2, _ = cg_solve(A, b)
@@ -181,38 +181,38 @@ def test_deterministic_results():
 def test_factorize_inverts_spd():
     A = random_spd(60, seed=4, kappa=1e6)
     b = np.sin(np.arange(60.0))
-    x = factorize(SparseSym.from_dense(A))(b)
+    x = factorize(from_dense(A))(b)
     assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-10
 
 
 def test_factorize_rejects_singular():
     with pytest.raises(SingularMatrixError):
-        factorize(SparseSym.from_dense(np.array([[1.0, 1.0], [1.0, 1.0]])))
+        factorize(from_dense(np.array([[1.0, 1.0], [1.0, 1.0]])))
 
 
 def test_indefinite_matrix_detected_under_factor():
-    A = SparseSym.from_dense(np.diag([1.0, -1.0]))
+    A = from_dense(np.diag([1.0, -1.0]))
     b = np.array([1.0, 1.0])
     with pytest.raises(NotSPDError):
         cg_solve(A, b, precond=factorize(A))
     # an SPD preconditioner does not hide the curvature of A either
     with pytest.raises(NotSPDError):
-        cg_solve(A, b, precond=factorize(SparseSym.from_dense(np.eye(2))))
+        cg_solve(A, b, precond=factorize(from_dense(np.eye(2))))
 
 
 def test_indefinite_matrix_detected_by_factor_whatever_b():
     # with b = (2, 1), CG preconditioned by A^-1 meets p^T A p = 3 > 0 and
     # converges in one step; only the factor's negative pivot shows A indefinite
-    A = SparseSym.from_dense(np.diag([1.0, -1.0]))
+    A = from_dense(np.diag([1.0, -1.0]))
     with pytest.raises(NotSPDError, match="pivots"):
         cg_solve(A, np.array([2.0, 1.0]), precond=factorize(A))
     # a zero diagonal forces a row exchange, a pivot off the diagonal
     with pytest.raises(NotSPDError, match="off the diagonal"):
-        factorize(SparseSym.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        factorize(from_dense(np.array([[0.0, 1.0], [1.0, 0.0]])))
 
 
 def test_factor_preconditioned_cg_matches_jacobi():
-    S = SparseSym.from_dense(random_spd(50, seed=11, kappa=1e4))
+    S = from_dense(random_spd(50, seed=11, kappa=1e4))
     b = np.cos(np.arange(50.0))
     x_j, stats_j = cg_solve(S, b, tol=1e-12)
     x_f, stats_f = cg_solve(S, b, tol=1e-12, precond=factorize(S))
@@ -223,7 +223,7 @@ def test_factor_preconditioned_cg_matches_jacobi():
 @pytest.mark.parametrize("factor", [False, True], ids=["jacobi", "factor"])
 def test_stagnation_below_rounding_floor_is_bounded(factor):
     # no iterate of b - Ax in double precision reaches 1e-20
-    A, b = SparseSym.from_dense(random_spd(40, seed=3, kappa=1e6)), np.ones(40)
+    A, b = from_dense(random_spd(40, seed=3, kappa=1e6)), np.ones(40)
     precond = factorize(A) if factor else None
     maxit = 20 * A.n
     with pytest.raises(ConvergenceError, match="stagnated") as err:
@@ -238,7 +238,7 @@ def test_stagnation_below_rounding_floor_is_bounded(factor):
 
 
 def test_repeated_factor_solves_identical():
-    S = SparseSym.from_dense(random_spd(80, seed=2))
+    S = from_dense(random_spd(80, seed=2))
     b = np.ones(80)
     x1, _ = cg_solve(S, b, precond=factorize(S))
     x2, _ = cg_solve(S, b, precond=factorize(S))

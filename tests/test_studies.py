@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from conftest import dense_oracle_solve
 from lsfem.assembly import assemble_ls, mass_diagonal
 from lsfem.bench import (
     compare_bc_modes,
@@ -13,7 +14,7 @@ from lsfem.bench import (
     solve_problem,
 )
 from lsfem.bench.studies import build_case
-from lsfem.solver import SparseSym, cg_solve, dense_oracle_solve, estimate_extremes
+from lsfem.solver import SparseSym, cg_solve, estimate_extremes
 
 
 def test_nearest_generated_sizes():
@@ -25,7 +26,6 @@ def test_nearest_generated_sizes():
     assert nearest_generated_n(2816) == 38    # 2888
     assert nearest_generated_n(11264) == 75   # 11250
     assert nearest_generated_n(2) == 1
-    assert nearest_generated_n(592, even=True) == 18  # x=1/2 slit resolvable
 
 
 def test_convergence_study_fills_eoc():
@@ -67,6 +67,20 @@ def test_condition_two_triangle_matches_direct_eigensolve():
     assert est.lambda_max == pytest.approx(eigs[-1], rel=1e-12)
     rows = condition_study("smooth", 0, "weak", levels=(1,), epsilons=(1e-3,))
     assert rows[0].estimate.kappa == pytest.approx(est.kappa, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2], ids=["P1", "P2", "P3"])
+def test_scaled_matrix_is_the_diagonal_product(k):
+    # diag(s) A diag(s) entry by entry, bit for bit, on A's own pattern
+    mesh, topo, dm = build_case(3, k)
+    system = assemble_ls(get_problem("boundary-layer", 1e-3), mesh, topo, dm, "strong")
+    s = 1.0 / np.sqrt(mass_diagonal(mesh, dm))
+    scaled = system.matrix.scaled(s)
+    d = sp.diags(s)
+    ref = (d @ system.matrix.to_scipy() @ d).toarray()
+    assert np.array_equal(scaled.toarray(), ref)
+    assert scaled.indptr is system.matrix.indptr and scaled.indices is system.matrix.indices
+    assert np.array_equal(SparseSym.from_csr(scaled.to_scipy()).data, scaled.data)
 
 
 def test_spectral_paths_agree_near_crossover():
