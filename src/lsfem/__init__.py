@@ -4,8 +4,10 @@ a pure-transport specialization, and a verification harness for
 convergence rates and condition-number scaling.
 """
 
-from . import assembly, bench, cli, fem, mesh, solver
+# the command line, lsfem.cli, is left out, so that `python -m lsfem.cli`
+# runs it as a fresh module
+from . import assembly, bench, fem, mesh, solver
 
 __version__ = "0.1.0"
 
-__all__ = ["assembly", "bench", "cli", "fem", "mesh", "solver", "__version__"]
+__all__ = ["assembly", "bench", "fem", "mesh", "solver", "__version__"]

@@ -26,6 +26,11 @@ from .errors import ErrorReport, error_norms
 from .problems import get_problem
 
 DEFAULT_PERTURB = 0.15
+# CG iterations a factor-preconditioned solve may take when no maxit is given.
+# It converges in one or two, whatever n; the cap sits above 3 * STALL_ITERS,
+# so a stagnating run meets its failed checks, at most STALL_ITERS apart,
+# before the cap
+FACTOR_CG_MAXIT = 50
 
 
 def nearest_generated_n(elements: int) -> int:
@@ -89,9 +94,11 @@ def solve_problem(
     tol: float = 1e-10,
     maxit: Optional[int] = None,
 ):
-    """Condense the element interiors, factor the skeleton system and solve
-    it by CG preconditioned with the factor, which converges in one or two
-    iterations whatever h and eps; returns (full coefficient vector, CgStats).
+    """Condense the element interiors, factor the skeleton system in its
+    nested-dissection order and solve it by CG preconditioned with the
+    factor, which converges in one or two iterations whatever h and eps, so
+    ``maxit`` defaults to FACTOR_CG_MAXIT; returns (full coefficient vector,
+    CgStats).
 
     The stats' residual is the full system's ||b - Ax|| / ||b||. A
     ConvergenceError carries the full-length iterate, and its message names
@@ -102,9 +109,11 @@ def solve_problem(
     else:
         skel = assemble_ls(problem, mesh, topo, dofmap, bc_mode, condense=True)
     matrix = skel.matrix
+    if maxit is None:
+        maxit = FACTOR_CG_MAXIT
     try:
-        x, stats = cg_solve(matrix, skel.rhs, tol=tol, maxit=maxit, precond=factorize(matrix),
-                            norm_b=skel.norm_b)
+        x, stats = cg_solve(matrix, skel.rhs, tol=tol, maxit=maxit,
+                            precond=factorize(matrix, skel.order), norm_b=skel.norm_b)
     except ConvergenceError as err:
         mode = "transport" if problem.epsilon == 0.0 else bc_mode
         last = ", ".join(f"{r:.3e}" for r in err.stats.residual_history[-3:])
@@ -166,7 +175,7 @@ def condition_study(
         for eps in epsilons:
             problem = get_problem(problem_name, eps)
             system = assemble_ls(problem, mesh, topo, dofmap, bc_mode)
-            est = estimate_extremes(system.matrix.scaled(scale))
+            est = estimate_extremes(system.matrix.scaled(scale), order=system.order)
             row = ConditionRow(
                 level=level,
                 n=n,

@@ -108,15 +108,22 @@ class SpectralEstimate:
             raise ValueError("lambda_min exceeds lambda_max")
 
 
-def factorize(A: SparseSym) -> Callable[[np.ndarray], np.ndarray]:
+def factorize(
+    A: SparseSym, order: Optional[np.ndarray] = None
+) -> Callable[[np.ndarray], np.ndarray]:
     """Sparse factor of A; returns the map r -> A^-1 r.
 
     SuperLU with a minimum-degree ordering of A^T + A, symmetric mode and no
     pivoting, which on an SPD matrix is a Cholesky-like LU whose fill does
-    not depend on the values. The CSR arrays are read as CSC, that is as
-    A^T, which equals A to the symmetry tolerance of ``SparseSym``; this
-    avoids a converted copy. Raises SingularMatrixError on an exactly
+    not depend on the values. Raises SingularMatrixError on an exactly
     singular factor.
+
+    With ``order``, a permutation of the indices, SuperLU factors P A P^T,
+    row i of which is row order[i] of A: minimum degree breaks its ties by
+    index, so a nested-dissection pre-order (``LinearSystem.order``) decides
+    them. Without, A is factored as given: its CSR arrays are read as CSC,
+    that is as A^T, which equals A to the symmetry tolerance of
+    ``SparseSym``; this avoids a converted copy.
 
     With diagonal pivots only, P A P^T = L U with U = D L^T, so by
     Sylvester's law of inertia A is positive definite exactly when every
@@ -124,7 +131,10 @@ def factorize(A: SparseSym) -> Callable[[np.ndarray], np.ndarray]:
     SuperLU had to pivot off the diagonal; CG's curvature test alone can
     miss an indefinite A, depending on b.
     """
-    at = sp.csc_matrix((A.data, A.indices, A.indptr), shape=(A.n, A.n))
+    if order is None:
+        at = sp.csc_matrix((A.data, A.indices, A.indptr), shape=(A.n, A.n))
+    else:  # rows gathered, transposed to CSC and columns gathered: sorted indices, no sort
+        at = A.to_scipy()[order].tocsc()[:, order]
     try:
         lu = spla.splu(
             at,
@@ -134,6 +144,7 @@ def factorize(A: SparseSym) -> Callable[[np.ndarray], np.ndarray]:
         )
     except RuntimeError as exc:  # SuperLU reports a zero pivot this way
         raise SingularMatrixError(f"sparse factorization failed: {exc}") from None
+    del at  # the permuted copy, before the pivots add L and U copies to the peak
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise NotSPDError("the sparse factor pivoted off the diagonal")
     # reading U makes SciPy build CSC copies of L and U, which it caches on lu
@@ -145,7 +156,11 @@ def factorize(A: SparseSym) -> Callable[[np.ndarray], np.ndarray]:
             f"{np.count_nonzero(bad)} of {A.n} pivots of the sparse factor are not "
             f"positive (least {pivots.min():.3e})"
         )
-    return lu.solve
+    if order is None:
+        return lu.solve
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(A.n)
+    return lambda r: lu.solve(r[order])[inverse]
 
 
 def cg_solve(
@@ -261,13 +276,16 @@ def cg_solve(
     )
 
 
-def estimate_extremes(A: SparseSym, dense_cutoff: int = DENSE_CUTOFF) -> SpectralEstimate:
+def estimate_extremes(
+    A: SparseSym, dense_cutoff: int = DENSE_CUTOFF, order: Optional[np.ndarray] = None
+) -> SpectralEstimate:
     """Extreme eigenvalues and condition number of an SPD matrix.
 
     Below the cutoff: dense symmetric eigensolve. Above it: Lanczos for the
     largest eigenvalue, and Krylov-accelerated inverse iteration (Lanczos on
-    the inverse, applied through one ``factorize`` of A) for the smallest;
-    plain inverse power iteration stalls when the small eigenvalues cluster.
+    the inverse, applied through one ``factorize`` of A in ``order``) for the
+    smallest; plain inverse power iteration stalls when the small eigenvalues
+    cluster.
     """
     if A.n <= dense_cutoff:
         eigs = scipy.linalg.eigvalsh(A.toarray())
@@ -275,7 +293,7 @@ def estimate_extremes(A: SparseSym, dense_cutoff: int = DENSE_CUTOFF) -> Spectra
         return SpectralEstimate(lam_min, lam_max, lam_max / lam_min, "dense")
     mat = A.to_scipy()
     lam_max, tol_max = _lanczos_extreme(lambda v: mat @ v, A.n, seed=1234)
-    inv_top, tol_min = _lanczos_extreme(factorize(A), A.n, seed=4321)
+    inv_top, tol_min = _lanczos_extreme(factorize(A, order), A.n, seed=4321)
     lam_min = 1.0 / inv_top
     return SpectralEstimate(
         lam_min, lam_max, lam_max / lam_min, "iterative", tol_min=tol_min, tol_max=tol_max

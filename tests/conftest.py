@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import strategies as st
 
 from lsfem import fem
 from lsfem.assembly import ProblemSpec
-from lsfem.mesh import MeshError, Topology, build_topology, generate_structured
+from lsfem.mesh import Mesh, MeshError, Topology, build_topology, generate_structured
 from lsfem.solver import DENSE_CUTOFF, SingularMatrixError, SparseSym
 
 
@@ -33,6 +34,26 @@ def dense_oracle_solve(A, b):
     if not np.isfinite(x).all():
         raise SingularMatrixError("factorization produced non-finite entries")
     return x
+
+
+@st.composite
+def jittered_relabelled_meshes(draw, sizes=st.integers(2, 3), fixed_x=None):
+    """A crisscross mesh of n drawn from ``sizes`` whose interior vertices
+    move by a drawn jitter of at most 0.25 / n per coordinate, with its
+    vertices relabelled. Relabelling reverses edge orientations, so it
+    changes the signs in q_sign. Vertices on the line x = ``fixed_x`` stay
+    put, so a slit along it stays resolved."""
+    n = draw(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amplitude = draw(st.floats(0.0, 0.25))
+    mesh = generate_structured(n)
+    inside = ((mesh.vertices > 0.0) & (mesh.vertices < 1.0)).all(axis=1)
+    if fixed_x is not None:
+        inside &= mesh.vertices[:, 0] != fixed_x
+    shift = rng.uniform(-amplitude / n, amplitude / n, mesh.vertices.shape)
+    vertices = mesh.vertices + inside[:, None] * shift
+    vperm = rng.permutation(mesh.num_vertices)  # vertex i becomes vertex vperm[i]
+    return Mesh(vertices[np.argsort(vperm)], vperm[mesh.triangles], mesh.region_id)
 
 
 def make_case(n, k, perturb=0.0, slit=None):

@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import lsfem
 from lsfem.cli import main
 
 
@@ -18,6 +21,18 @@ def test_help_exits_zero(capsys):
     out = capsys.readouterr().out
     for flag in ("solve", "convergence", "condition", "compare", "list-problems"):
         assert flag in out
+
+
+def test_run_as_module_without_warning():
+    # runpy warns when the package has imported the module it is asked to run
+    src = os.path.dirname(os.path.dirname(lsfem.__file__))
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-m", "lsfem.cli", "list-problems"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert "smooth" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_usage_error_exits_one(capsys):

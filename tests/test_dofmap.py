@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import edge_traces, edge_w_values, make_case
+from conftest import edge_traces, edge_w_values, jittered_relabelled_meshes, make_case
 from lsfem import fem
 from lsfem.fem import basis
 from lsfem.mesh import Mesh, build_topology, generate_structured, refine_uniform
@@ -52,22 +51,6 @@ def test_shared_edge_dofs_have_identical_indices(k):
         g0 = dm.q_index[t0, le0 * n_edge: (le0 + 1) * n_edge]
         g1 = dm.q_index[t1, le1 * n_edge: (le1 + 1) * n_edge]
         assert np.array_equal(g0, g1)
-
-
-@st.composite
-def jittered_relabelled_meshes(draw):
-    """A crisscross mesh whose interior vertices move by a drawn jitter of at
-    most 0.25 / n per coordinate, with its vertices relabelled. Relabelling
-    reverses edge orientations, so it changes the signs in q_sign."""
-    n = draw(st.integers(2, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    amplitude = draw(st.floats(0.0, 0.25))
-    mesh = generate_structured(n)
-    inside = ((mesh.vertices > 0.0) & (mesh.vertices < 1.0)).all(axis=1)
-    shift = rng.uniform(-amplitude / n, amplitude / n, mesh.vertices.shape)
-    vertices = mesh.vertices + inside[:, None] * shift
-    vperm = rng.permutation(mesh.num_vertices)  # vertex i becomes vertex vperm[i]
-    return Mesh(vertices[np.argsort(vperm)], vperm[mesh.triangles], mesh.region_id)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])

@@ -9,9 +9,9 @@ import pytest
 
 from conftest import dense_oracle_solve, make_case
 from lsfem.assembly import assemble_ls, assemble_transport
-from lsfem.bench import get_problem, solve_problem
+from lsfem.bench import get_problem, solve_problem, studies
 from lsfem.bench.studies import build_case
-from lsfem.solver import ConvergenceError
+from lsfem.solver import STALL_ITERS, ConvergenceError
 
 SLIT = ((0.5, 0.0), (0.5, 0.5))
 MODES = ("weak", "alt-weak", "strong")
@@ -118,6 +118,17 @@ def test_convergence_error_names_the_system():
     history = info.value.stats.residual_history
     assert f"last residuals: {history[-1]:.3e}]" in message
     assert n_skel == dm.n_q_skel + dm.n_w_skel < dm.n_total
+
+
+def test_factor_preconditioned_solve_has_a_fixed_budget(monkeypatch):
+    # without the factor CG would need far more than the budget, which does
+    # not grow with n and sits above the iterations stagnation takes
+    assert studies.FACTOR_CG_MAXIT > 3 * STALL_ITERS
+    monkeypatch.setattr(studies, "factorize", lambda A, order=None: lambda r: r)
+    problem = get_problem("smooth", 1e-3)
+    with pytest.raises(ConvergenceError, match="did not reach tol") as info:
+        solve_problem(problem, *build_case(8, 0))
+    assert info.value.stats.iterations == studies.FACTOR_CG_MAXIT
 
 
 def test_negative_epsilon_rejected():

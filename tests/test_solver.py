@@ -211,6 +211,21 @@ def test_indefinite_matrix_detected_by_factor_whatever_b():
         factorize(from_dense(np.array([[0.0, 1.0], [1.0, 0.0]])))
 
 
+def test_factor_checks_hold_in_any_order():
+    # the inertia of P A P^T is A's, so a pre-order changes no verdict
+    reverse = np.array([1, 0])
+    with pytest.raises(SingularMatrixError):
+        factorize(from_dense(np.array([[1.0, 1.0], [1.0, 1.0]])), reverse)
+    with pytest.raises(NotSPDError, match="pivots"):
+        factorize(from_dense(np.diag([1.0, -1.0])), reverse)
+    with pytest.raises(NotSPDError, match="off the diagonal"):
+        factorize(from_dense(np.array([[0.0, 1.0], [1.0, 0.0]])), reverse)
+    A = random_spd(60, seed=4, kappa=1e6)
+    b = np.sin(np.arange(60.0))
+    x = factorize(from_dense(A), np.arange(60)[::-1].copy())(b)
+    assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-10
+
+
 def test_factor_preconditioned_cg_matches_jacobi():
     S = from_dense(random_spd(50, seed=11, kappa=1e4))
     b = np.cos(np.arange(50.0))
