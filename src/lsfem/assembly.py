@@ -84,10 +84,9 @@ class LinearSystem:
     complement on the skeleton, numbered [Q edge moments | W vertex and edge
     nodes]: the leading ``n_q_skel`` and ``n_w_skel`` DOFs of the two blocks
     of the full system (see ``DofMap``). The full system is the one with no
-    interiors. Either way ``n_q`` and ``n_w`` are the sizes of the two blocks
-    of the matrix, and ``dirichlet`` lists (W-block index, value) pairs fixed
-    by strong boundary imposition; indices are offset by ``n_q`` in the
-    matrix.
+    interiors. Either way ``dirichlet`` lists (W-block index, value) pairs
+    fixed by strong boundary imposition; in the matrix, indices are offset
+    by the size of its Q block.
 
     ``expand`` recovers the interiors element by element, so the full
     residual b - A x of ``expand(x)`` is g - S x on the skeleton and zero on
@@ -101,8 +100,6 @@ class LinearSystem:
 
     matrix: SparseSym
     rhs: np.ndarray
-    n_q: int
-    n_w: int
     dirichlet: list
     norm_b: float
     on_skeleton: np.ndarray   # (n_total,) bool, the retained DOFs in the full numbering
@@ -212,7 +209,7 @@ def _assemble(problem, mesh, topo, dofmap, bc_mode, condense):
     mat, rhs = _scatter(skel_blocks, n_skel, _offset(fixed, n_q_skel))
     dirichlet = [] if fixed is None else list(zip(fixed[0].tolist(), fixed[1].tolist()))
     return LinearSystem(
-        SparseSym.from_csr(mat), rhs, n_q_skel, n_skel - n_q_skel, dirichlet,
+        SparseSym.from_csr(mat), rhs, dirichlet,
         norm_b=norm_b, on_skeleton=on_skeleton, skeleton=skeleton, interior=gidx[:, drop],
         chol=chol, coupling=coupling, interior_rhs=interior_rhs,
         order=_dissection_order(dofmap.geo, skeleton, n_skel),

@@ -1,7 +1,7 @@
 """Sparse symmetric linear algebra: CSR storage with symmetry validation,
 a sparse factorization, preconditioned conjugate gradients, and
-extreme-eigenvalue estimation (dense below a size cutoff, Lanczos plus
-inverse iteration through one factor above it).
+extreme-eigenvalue estimation (dense below a size cutoff, ARPACK on the
+matrix and on its inverse through one factor above it).
 """
 from __future__ import annotations
 
@@ -21,6 +21,10 @@ SYMMETRY_RTOL = 1e-12
 STALL_CHECKS = 2
 STALL_ITERS = 10
 STALL_GROWTH = 100.0
+# restarts of ARPACK's Lanczos (eigsh maxiter) per extreme eigenvalue: 20
+# operator applications and about 10 more per restart. lambda_max of P2 with
+# strong BCs at eps=1 takes about 56 at n=64, and 111 at n=128, which fails
+ARPACK_RESTARTS = 100
 
 
 class SolverError(RuntimeError):
@@ -100,8 +104,8 @@ class SpectralEstimate:
     lambda_max: float
     kappa: float
     method: str                # "dense" or "iterative"
-    tol_min: float = 0.0       # relative tolerances achieved
-    tol_max: float = 0.0
+    tol_min: float = 0.0       # residual bounds ||Bv - theta v|| / theta on the relative
+    tol_max: float = 0.0       # error, B = A^-1 and A (iterative path; 0 when dense)
 
     def __post_init__(self):
         if self.lambda_min > self.lambda_max:
@@ -281,57 +285,38 @@ def estimate_extremes(
 ) -> SpectralEstimate:
     """Extreme eigenvalues and condition number of an SPD matrix.
 
-    Below the cutoff: dense symmetric eigensolve. Above it: Lanczos for the
-    largest eigenvalue, and Krylov-accelerated inverse iteration (Lanczos on
-    the inverse, applied through one ``factorize`` of A in ``order``) for the
-    smallest; plain inverse power iteration stalls when the small eigenvalues
-    cluster.
+    Below the cutoff: dense symmetric eigensolve. Above it: ARPACK's
+    implicitly restarted Lanczos (``eigsh``) on A for lambda_max, and on
+    A^-1, applied through one ``factorize`` of A in ``order``, for
+    1/lambda_min; plain inverse power iteration stalls when the small
+    eigenvalues cluster. Each end reports its residual bound (see
+    ``SpectralEstimate``). Raises ConvergenceError when ARPACK does not
+    converge within ``ARPACK_RESTARTS`` restarts.
     """
     if A.n <= dense_cutoff:
         eigs = scipy.linalg.eigvalsh(A.toarray())
         lam_min, lam_max = float(eigs[0]), float(eigs[-1])
         return SpectralEstimate(lam_min, lam_max, lam_max / lam_min, "dense")
-    mat = A.to_scipy()
-    lam_max, tol_max = _lanczos_extreme(lambda v: mat @ v, A.n, seed=1234)
-    inv_top, tol_min = _lanczos_extreme(factorize(A, order), A.n, seed=4321)
+    lam_max, tol_max = _largest_eigenvalue(A.to_scipy().dot, A.n, 1234, "lambda_max")
+    inv_top, tol_min = _largest_eigenvalue(factorize(A, order), A.n, 4321, "1/lambda_min")
     lam_min = 1.0 / inv_top
     return SpectralEstimate(
         lam_min, lam_max, lam_max / lam_min, "iterative", tol_min=tol_min, tol_max=tol_max
     )
 
 
-def _lanczos_extreme(matvec, n: int, seed: int, maxit: int = 200, rtol: float = 1e-5):
-    """Largest eigenvalue of an SPD operator by Lanczos with full
-    reorthogonalization and a deterministic start vector."""
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    maxit = min(maxit, n)
-    Q = np.empty((maxit + 1, n))
-    Q[0] = q
-    alpha = np.zeros(maxit)
-    beta = np.zeros(maxit)
-    theta = None
-    for k in range(maxit):
-        w = matvec(Q[k])
-        alpha[k] = Q[k] @ w
-        w -= alpha[k] * Q[k]
-        if k > 0:
-            w -= beta[k - 1] * Q[k - 1]
-        w -= Q[: k + 1].T @ (Q[: k + 1] @ w)
-        w -= Q[: k + 1].T @ (Q[: k + 1] @ w)
-        beta[k] = np.linalg.norm(w)
-        theta_old = theta
-        vals, vecs = scipy.linalg.eigh_tridiagonal(alpha[: k + 1], beta[:k])
-        theta = vals[-1]
-        resid = beta[k] * abs(vecs[-1, -1])
-        if beta[k] <= 1e-14 * max(abs(theta), 1.0):
-            return float(theta), 0.0  # exact invariant subspace
-        if theta_old is not None and resid <= rtol * abs(theta):
-            change = abs(theta - theta_old) / abs(theta)
-            if change <= rtol:
-                return float(theta), float(max(resid / abs(theta), change))
-        Q[k + 1] = w / beta[k]
-    raise ConvergenceError(
-        f"Lanczos did not converge in {maxit} iterations (last estimate {theta:.6e})"
-    )
+def _largest_eigenvalue(apply, n: int, seed: int, name: str):
+    """Largest eigenvalue theta of the SPD operator ``apply`` from a seeded
+    start vector, and ||apply(v) - theta v|| / theta for its unit Ritz
+    vector v, which bounds the relative distance from theta to the nearest
+    eigenvalue (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998)."""
+    op = spla.LinearOperator((n, n), matvec=apply, dtype=float)
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    try:
+        vals, vecs = spla.eigsh(op, k=1, which="LA", v0=v0, tol=1e-5, maxiter=ARPACK_RESTARTS)
+    except spla.ArpackNoConvergence:
+        raise ConvergenceError(
+            f"ARPACK did not converge to {name} within ARPACK_RESTARTS = {ARPACK_RESTARTS} restarts"
+        ) from None
+    theta, v = float(vals[0]), vecs[:, 0]
+    return theta, float(np.linalg.norm(apply(v) - theta * v) / theta)

@@ -14,7 +14,8 @@ from lsfem.bench import (
     solve_problem,
 )
 from lsfem.bench.studies import build_case
-from lsfem.solver import SparseSym, cg_solve, estimate_extremes
+from lsfem import solver
+from lsfem.solver import ConvergenceError, SparseSym, cg_solve, estimate_extremes
 
 
 def test_nearest_generated_sizes():
@@ -84,17 +85,34 @@ def test_scaled_matrix_is_the_diagonal_product(k):
 
 
 def test_spectral_paths_agree_near_crossover():
-    # assembled system just under the dense cutoff, pushed through both paths
+    # assembled P1 and P2 systems just under the dense cutoff, pushed through both paths
+    for k, n in ((0, 13), (1, 8)):
+        mesh, topo, dm = build_case(n, k, perturb=0.0)
+        problem = get_problem("smooth", 1e-3)
+        system = assemble_ls(problem, mesh, topo, dm, "weak")
+        assert dm.n_total <= 2000
+        scale = sp.diags(1.0 / np.sqrt(mass_diagonal(mesh, dm)))
+        scaled = SparseSym.from_csr((scale @ system.matrix.to_scipy() @ scale).tocsr())
+        dense = estimate_extremes(scaled)
+        iterative = estimate_extremes(scaled, dense_cutoff=500)
+        assert dense.method == "dense" and iterative.method == "iterative"
+        assert abs(iterative.kappa - dense.kappa) <= 0.02 * dense.kappa
+        # the reported residual bounds hold at both ends
+        ends = ((iterative.lambda_min, dense.lambda_min, iterative.tol_min),
+                (iterative.lambda_max, dense.lambda_max, iterative.tol_max))
+        for got, ref, tol in ends:
+            assert 0.0 < tol and abs(got - ref) <= tol * got, (k, got, ref, tol)
+
+
+def test_spectral_estimate_has_a_fixed_budget(monkeypatch):
+    # one restart of 20 Lanczos vectors does not reach 1/lambda_min of this
+    # system, which converges with the default budget (test above)
     mesh, topo, dm = build_case(13, 0, perturb=0.0)
-    problem = get_problem("smooth", 1e-3)
-    system = assemble_ls(problem, mesh, topo, dm, "weak")
-    assert dm.n_total <= 2000
-    scale = sp.diags(1.0 / np.sqrt(mass_diagonal(mesh, dm)))
-    scaled = SparseSym.from_csr((scale @ system.matrix.to_scipy() @ scale).tocsr())
-    dense = estimate_extremes(scaled)
-    iterative = estimate_extremes(scaled, dense_cutoff=500)
-    assert dense.method == "dense" and iterative.method == "iterative"
-    assert abs(iterative.kappa - dense.kappa) <= 0.02 * dense.kappa
+    system = assemble_ls(get_problem("smooth", 1e-3), mesh, topo, dm, "weak")
+    scaled = system.matrix.scaled(1.0 / np.sqrt(mass_diagonal(mesh, dm)))
+    monkeypatch.setattr(solver, "ARPACK_RESTARTS", 1)
+    with pytest.raises(ConvergenceError, match="ARPACK_RESTARTS = 1 restarts"):
+        estimate_extremes(scaled, dense_cutoff=500, order=system.order)
 
 
 def test_compare_modes_boundary_layer_no_layer_regime():
