@@ -13,6 +13,12 @@ and, after the slit terms, eliminates boundary scalar DOFs symmetrically.
 The pure-transport specialization keeps only the scalar residual and the
 inflow part of the penalty.
 
+The local matrices (``_local_systems``) tabulate the scalar residual for the
+W basis alone; every Q term is a reference Gram matrix times an element
+factor, or one product of the reference divergences with the W rows. The
+element interiors are eliminated by a Cholesky factorization vectorized over
+the elements, with a loop over the interior DOFs (``_condense``).
+
 ``assemble_ls`` and ``assemble_transport`` build every system through one
 path and return one type, ``LinearSystem``. With ``condense`` the
 element-interior DOFs (the RT interior moments and the Lagrange bubbles) are
@@ -121,7 +127,11 @@ class LinearSystem:
         full[self.on_skeleton] = x
         if self.interior.size:
             z = self.interior_rhs - np.einsum("tib,tb->ti", self.coupling, x[self.skeleton])
-            full[self.interior] = np.linalg.solve(self.chol.swapaxes(1, 2), z[..., None])[..., 0]
+            # back substitution L^T x_I = z, vectorized over elements
+            for j in reversed(range(z.shape[1])):
+                z[:, j] -= np.einsum("ti,ti->t", self.chol[:, j + 1:, j], z[:, j + 1:])
+                z[:, j] /= self.chol[:, j, j]
+            full[self.interior] = z
         return full
 
 
@@ -207,6 +217,7 @@ def _assemble(problem, mesh, topo, dofmap, bc_mode, condense):
     skel_blocks = [(s_loc, g_loc, skeleton)] + [(a, b, renumber[idx]) for a, b, idx in faces]
     # the fixed W-block indices are boundary nodes, so skeleton W-block indices too
     mat, rhs = _scatter(skel_blocks, n_skel, _offset(fixed, n_q_skel))
+    del s_loc, skel_blocks  # summed into mat; without interiors s_loc is a_loc
     dirichlet = [] if fixed is None else list(zip(fixed[0].tolist(), fixed[1].tolist()))
     return LinearSystem(
         SparseSym.from_csr(mat), rhs, dirichlet,
@@ -252,9 +263,10 @@ def _dissection_order(geo, skeleton, n):
 def apply_slit(problem: ProblemSpec, topo: Topology, dofmap: fem.DofMap):
     """Interior-face penalty enforcing ``problem.slit_g`` on the flagged slit
     edges, for the least-squares system numbered by ``dofmap``; returns
-    (CSR matrix, rhs). The assemblies do not call it: ``_system_blocks``
-    adds the same blocks. It stays while ``perfbench/tracing.py`` names it
-    (ROADMAP item 6).
+    (CSR matrix, rhs). Nothing in the package or its tests calls it:
+    ``_system_blocks`` adds the same blocks. It stays only because
+    ``perfbench/tracing.py`` names it, and goes with the benchmark change of
+    ROADMAP item 1.
 
     The weight is (eps + |beta . n_F|) / h_F with n_F the stored oriented
     normal; the absolute value keeps the term symmetric and side-agnostic.
@@ -296,47 +308,85 @@ def _local_systems(problem, dofmap):
     """Local matrices (T, nloc, nloc) and vectors (T, nloc) of the
     least-squares form, [Q | W] for eps > 0 and W alone for transport.
 
-    R (T, nloc, nq) is the scalar residual sqrt(eps) div q + beta.grad w + c w
-    of every local basis function times sqrt(w det J); its part is R R^T and
-    the local vector pairs R with f. The vector residual q + sqrt(eps) grad w
-    is affine in the element map: its blocks are ``_affine_block``s.
+    The scalar residual sqrt(eps) div q + beta.grad w + c w is tabulated
+    for the W basis only: its values times sqrt(w det J) at the npts
+    quadrature points are W (T, nloc_w, npts), one more row holds
+    f sqrt(w det J), and the W-W part and b_W come from one product of that
+    array with itself. The Q rows would be sqrt(eps) s_i (reference div q_i)
+    sqrt(w) / sqrt(det J), with s the orientation signs, so the Q-Q div-div
+    part is (eps / det J) times a reference Gram matrix, and the Q-W part
+    and b_Q are one product of the sqrt(w)-weighted reference divergences
+    with the rows of all elements. The vector residual q + sqrt(eps) grad w
+    is affine in the element map: its blocks are reference Gram matrices
+    times 2x2 element factors (``_affine_block``).
+
+    The signs are applied once per block. The diagonal blocks are averaged
+    with their transposes and the W-Q block is the transpose of the Q-W
+    block, so a_loc is exactly symmetric whatever order the products sum
+    in. Each intermediate is dropped once used, which keeps the traced peak
+    within 2.5 times the bytes returned.
     """
     eps, se = problem.epsilon, np.sqrt(problem.epsilon)
     geo, sign = dofmap.geo, dofmap.q_sign
     tab = fem.reference_tables(dofmap.k, fem.assembly_degree(dofmap.k))
-    X = geo.map_points(tab.xy)
-    sqw = np.sqrt(tab.weights[None, :] * geo.det[:, None])          # (T, nq)
-    # beta.grad w + c w = (J^{-1} beta, c) . (reference grad w, w)
-    beta_ref = problem.beta(X[..., 0], X[..., 1]) @ geo.inv_t
-    cval = _scalar_field(problem.c, X[..., 0], X[..., 1])
-    coef = np.concatenate([beta_ref, cval[..., None]], axis=2) * sqw[..., None]
-    w_tab = np.concatenate([tab.w_grads, tab.w_vals[..., None]], axis=2)
-
     nq = dofmap.nloc_q if eps > 0.0 else 0
-    R = np.empty((len(geo.det), nq + dofmap.nloc_w, len(tab.weights)))
-    # W rows: the sum over the three components (reference grad w, w), unrolled
-    w_rows = R[:, nq:]
-    np.multiply(coef[:, None, :, 0], w_tab[:, :, 0], out=w_rows)
-    w_rows += coef[:, None, :, 1] * w_tab[:, :, 1]
-    w_rows += coef[:, None, :, 2] * w_tab[:, :, 2]
-    # Q rows sqrt(eps) div q = sqrt(eps) (sign) (reference div) / det J; none for transport
-    np.einsum("tq,ti,iq->tiq", (se / geo.det)[:, None] * sqw, sign[:, :nq], tab.q_divs[:nq],
-              out=R[:, :nq])
-    a_loc = np.matmul(R, R.swapaxes(1, 2))
-    b_loc = (R @ (_scalar_field(problem.f, X[..., 0], X[..., 1]) * sqw)[..., None])[..., 0]
+    nw = dofmap.nloc_w
+    t = len(geo.det)
+    a_loc = np.empty((t, nq + nw, nq + nw))
+    b_loc = np.empty((t, nq + nw))
+
+    X = geo.map_points(tab.xy)
+    sqw = np.sqrt(tab.weights[None, :] * geo.det[:, None])          # (T, npts)
+    # beta.grad w + c w = (J^{-1} beta, c) . (reference grad w, w)
+    coef = np.empty(X.shape[:2] + (3,))
+    np.matmul(problem.beta(X[..., 0], X[..., 1]), geo.inv_t, out=coef[..., :2])
+    coef[..., 2] = _scalar_field(problem.c, X[..., 0], X[..., 1])
+    coef *= sqw[..., None]
+    w_rows = np.empty((t, nw + 1, len(tab.weights)))  # W, then f sqrt(w det J)
+    np.multiply(_scalar_field(problem.f, X[..., 0], X[..., 1]), sqw, out=w_rows[:, nw])
+    del X
+    # the sum over the three components (reference grad w, w): one matrix
+    # product per quadrature point, over all elements
+    w_tab = np.concatenate([tab.w_grads, tab.w_vals[..., None]], axis=2)
+    w = w_rows[:, :nw]
+    w[...] = np.matmul(coef.transpose(1, 0, 2), w_tab.transpose(1, 2, 0)).transpose(1, 2, 0)
+    del coef
+    gram = np.matmul(w, w_rows.swapaxes(1, 2))                    # W (W | f)^T
+    b_loc[:, nq:] = gram[:, :, nw]
+    ww = gram[:, :, :nw]
     if nq:
-        q_mass = _affine_block(geo.jac, 1.0 / geo.det, tab.q_vals, tab.weights)
-        a_loc[:, :nq, :nq] += q_mass * (sign[:, :, None] * sign[:, None, :])
-        a_loc[:, nq:, nq:] += _affine_block(geo.inv_t, eps * geo.det, tab.w_grads, tab.weights)
-        # q_i . sqrt(eps) grad w_j does not depend on the map: J and J^{-T} cancel
-        cross = np.einsum("iqd,jqd,q->ij", tab.q_vals, tab.w_grads, tab.weights)
-        cross = se * sign[:, :, None] * cross[None]
-        a_loc[:, :nq, nq:] += cross
-        a_loc[:, nq:, :nq] += cross.swapaxes(1, 2)
-    # the matrix products may sum the terms of (i, j) and (j, i) in different
-    # orders, as the 2x2 contractions do; averaging makes a_loc exactly symmetric
-    a_loc += a_loc.swapaxes(1, 2)
-    a_loc *= 0.5
+        ww += _affine_block(geo.inv_t, eps * geo.det, tab.w_grads, tab.weights)
+    ww *= 0.5
+    np.add(ww, ww.swapaxes(1, 2), out=a_loc[:, nq:, nq:])
+    del gram, ww
+    if not nq:
+        return a_loc, b_loc
+
+    sqw_divs = tab.q_divs * np.sqrt(tab.weights)                    # (nloc_q, npts)
+    # (W | f) rows against the divergences: the W-Q block and b_Q, before
+    # the factor sqrt(eps) s / sqrt(det J)
+    wq = (w_rows.reshape(-1, len(tab.weights)) @ sqw_divs.T).reshape(t, nw + 1, nq)
+    del w_rows, w
+    wq /= np.sqrt(geo.det)[:, None, None]
+    # q_i . sqrt(eps) grad w_j does not depend on the map: J and J^{-T} cancel
+    wq[:, :nw] += np.einsum("iqd,jqd,q->ji", tab.q_vals, tab.w_grads, tab.weights)
+    wq *= se * sign[:, None, :]
+    a_loc[:, nq:, :nq] = wq[:, :nw]
+    a_loc[:, :nq, nq:] = wq[:, :nw].swapaxes(1, 2)
+    b_loc[:, :nq] = wq[:, nw]
+    del wq
+    # Q mass J^T J / det J and div-div eps / det J, one product over elements
+    factor = np.empty((t, 5))
+    factor[:, :4] = np.einsum("tda,tdb->tab", geo.jac, geo.jac).reshape(t, 4)
+    factor[:, 4] = eps
+    factor /= 2.0 * geo.det[:, None]  # halved for the average with the transpose
+    grams = np.concatenate([
+        np.einsum("iqa,jqb,q->abij", tab.q_vals, tab.q_vals, tab.weights).reshape(4, -1),
+        (sqw_divs @ sqw_divs.T).reshape(1, -1)])
+    qq = (factor @ grams).reshape(t, nq, nq)
+    qq *= sign[:, :, None]
+    qq *= sign[:, None, :]
+    np.add(qq, qq.swapaxes(1, 2), out=a_loc[:, :nq, :nq])
     return a_loc, b_loc
 
 
@@ -413,7 +463,8 @@ def _scatter(blocks, n, fixed=None):
     and their rows become identity rows with the values as rhs.
     """
     size = sum(a.size for a, _, _ in blocks)
-    rows, cols = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    rows, cols = np.empty(size, dtype=index), np.empty(size, dtype=index)
     vals = np.empty(size)
     start = 0
     for a, _, idx in blocks:
@@ -427,8 +478,8 @@ def _scatter(blocks, n, fixed=None):
         free = np.ones(n, dtype=bool)
         free[fixed[0]] = False
         kept = free[rows] & free[cols]
-        rows = np.concatenate([rows[kept], fixed[0]])
-        cols = np.concatenate([cols[kept], fixed[0]])
+        rows = np.concatenate([rows[kept], fixed[0].astype(index)])
+        cols = np.concatenate([cols[kept], fixed[0].astype(index)])
         vals = np.concatenate([vals[kept], np.ones(len(fixed[0]))])
     mat = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     return mat, _rhs(blocks, n, fixed)
@@ -437,22 +488,40 @@ def _scatter(blocks, n, fixed=None):
 def _condense(a, b, keep, drop):
     """Schur complements S = A_BB - A_BI A_II^-1 A_IB and g = b_B - A_BI A_II^-1 b_I
     of local systems a (T, n, n), b (T, n) on the local positions ``keep``,
-    eliminating ``drop`` through a batched Cholesky factor L L^T = A_II.
-    Returns S, g and (L, L^-1 A_IB, L^-1 b_I)."""
+    eliminating ``drop`` through a Cholesky factor L L^T = A_II.
+    Returns S, g and (L, L^-1 A_IB, L^-1 b_I).
+
+    The factor is row-oriented Cholesky on the interior rows of [A | b],
+    vectorized over elements with a loop over the interior DOFs: row j
+    becomes row j of [L^T | L^-1 A_IB | L^-1 b_I] once the rows above it
+    are subtracted and it is divided by the square root of its pivot. A
+    pivot that is not positive raises NotSPDError.
+    """
     if not drop.size:
         t = len(a)
         return a, b, (np.empty((t, 0, 0)), np.empty((t, 0, len(keep))), np.empty((t, 0)))
-    try:
-        chol = np.linalg.cholesky(a[:, drop[:, None], drop])
-    except np.linalg.LinAlgError:
-        raise NotSPDError("an element-interior block is not positive definite") from None
-    y = np.linalg.solve(chol, np.concatenate([a[:, drop[:, None], keep], b[:, drop, None]], axis=2))
-    coupling, interior_rhs = y[..., :-1], y[..., -1]
-    s = a[:, keep[:, None], keep] - np.matmul(coupling.swapaxes(1, 2), coupling)
+    ni = len(drop)
+    u = np.concatenate([_gather(a, drop, np.concatenate([drop, keep])), b[:, drop, None]], axis=2)
+    for j in range(ni):
+        u[:, j, :j] = 0.0
+        u[:, j, j:] -= (u[:, None, :j, j] @ u[:, :j, j:])[:, 0]
+        if not (u[:, j, j] > 0.0).all():
+            raise NotSPDError("an element-interior block is not positive definite")
+        u[:, j, j:] /= np.sqrt(u[:, j, j])[:, None]
+    chol, coupling, interior_rhs = u[:, :, :ni].swapaxes(1, 2), u[:, :, ni:-1], u[:, :, -1]
+    s = _gather(a, keep, keep)
+    s -= np.matmul(coupling.swapaxes(1, 2), coupling)
     s += s.swapaxes(1, 2)  # exactly symmetric, as the local matrices are
     s *= 0.5
-    g = b[:, keep] - np.einsum("tib,ti->tb", coupling, interior_rhs)
+    g = b[:, keep] - (coupling.swapaxes(1, 2) @ interior_rhs[..., None])[..., 0]
     return s, g, (chol, coupling, interior_rhs)
+
+
+def _gather(a, rows, cols):
+    """a[:, rows[:, None], cols] of a (T, n, n) as a C-contiguous array, which
+    that indexing does not return: its element axis would vary fastest."""
+    flat = (rows[:, None] * a.shape[2] + cols).ravel()
+    return np.take(a.reshape(len(a), -1), flat, axis=1).reshape(len(a), len(rows), len(cols))
 
 
 def _face_terms(problem, topo, dofmap, mode, offset):

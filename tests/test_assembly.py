@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import make_case, polynomial_problem
-from lsfem import fem
+from lsfem import assembly, fem
 from lsfem.assembly import (
     assemble_ls,
     assemble_transport,
@@ -12,6 +14,7 @@ from lsfem.assembly import (
 )
 from lsfem.bench import get_problem
 from lsfem.bench.errors import error_norms
+from lsfem.bench.studies import build_case
 from lsfem.solver import cg_solve
 import scipy.linalg
 
@@ -443,7 +446,6 @@ def test_reference_contraction_matches_physical_tables(k):
     # local matrices from reference Gram matrices and 2x2 element factors,
     # and quantities contracted on the reference element before mapping,
     # agree with the same quantities formed from the physical tables
-    from lsfem import assembly
     from lsfem.bench.errors import sample_solution
     from lsfem.cli import SLITS
 
@@ -473,3 +475,20 @@ def test_reference_contraction_matches_physical_tables(k):
             rep = error_norms(x, mesh, topo, dm, problem)
             for name in ("e_L2", "e_grad", "e_q", "e_stream"):
                 assert getattr(rep, name) == pytest.approx(ref[name], rel=1e-13, abs=0.0), name
+
+
+@pytest.mark.parametrize("k,n", [(1, 32), (2, 24)], ids=["P2-n32", "P3-n24"])
+def test_local_systems_peak_memory(k, n):
+    # the traced peak of the local systems stays within 2.5 times the bytes
+    # they return (a_loc and b_loc): a (T, nloc, nq) table of the scalar
+    # residual or an a_loc-sized temporary would take it past that
+    _, _, dm = build_case(n, k)
+    problem = get_problem("smooth", 1e-3)
+    assembly._local_systems(problem, dm)  # the reference tables are cached
+    tracemalloc.start()
+    try:
+        a_loc, b_loc = assembly._local_systems(problem, dm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (a_loc.nbytes + b_loc.nbytes)

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from conftest import dense_oracle_solve, make_case
-from lsfem.assembly import assemble_ls, assemble_transport
+from lsfem import assembly
+from lsfem.assembly import LinearSystem, assemble_ls, assemble_transport
 from lsfem.bench import get_problem, solve_problem, studies
 from lsfem.bench.studies import build_case
-from lsfem.solver import STALL_ITERS, ConvergenceError
+from lsfem.solver import STALL_ITERS, ConvergenceError, NotSPDError
 
 SLIT = ((0.5, 0.0), (0.5, 0.5))
 MODES = ("weak", "alt-weak", "strong")
@@ -136,3 +137,65 @@ def test_negative_epsilon_rejected():
     problem = dataclasses.replace(get_problem("smooth", 1e-3), epsilon=-1e-3)
     with pytest.raises(ValueError, match="epsilon"):
         solve_problem(problem, mesh, topo, dm)
+
+
+def random_local_systems(ni, nb, seed, t=40):
+    """t random SPD local matrices of size ni + nb, with the ni interior
+    positions spread among the nb retained ones, and their local vectors."""
+    rng = np.random.default_rng(seed)
+    n = ni + nb
+    m = rng.standard_normal((t, n, n))
+    a = m @ m.swapaxes(1, 2) + n * np.eye(n)
+    drop = np.sort(rng.permutation(n)[:ni])
+    return a, rng.standard_normal((t, n)), np.setdiff1d(np.arange(n), drop), drop
+
+
+# the interior and retained local sizes of P1, P2 and P3 ([Q | W])
+LOCAL_SIZES = [pytest.param(2, 9, id="P1"), pytest.param(6, 15, id="P2"),
+               pytest.param(13, 21, id="P3")]
+
+
+@pytest.mark.parametrize("ni,nb", LOCAL_SIZES)
+def test_condense_and_expand_match_dense_reference(ni, nb):
+    a, b, keep, drop = random_local_systems(ni, nb, seed=ni)
+    s, g, (chol, coupling, interior_rhs) = assembly._condense(a, b, keep, drop)
+    a_ii, a_ib = a[:, drop[:, None], drop], a[:, drop[:, None], keep]
+    ref_chol = np.linalg.cholesky(a_ii)
+    ref_s = a[:, keep[:, None], keep] - a_ib.swapaxes(1, 2) @ np.linalg.solve(a_ii, a_ib)
+    ref_g = b[:, keep] - (a_ib.swapaxes(1, 2) @ np.linalg.solve(a_ii, b[:, drop, None]))[..., 0]
+
+    def close(got, ref):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    close(chol, ref_chol)
+    close(coupling, np.linalg.solve(ref_chol, a_ib))
+    close(interior_rhs, np.linalg.solve(ref_chol, b[:, drop, None])[..., 0])
+    close(s, ref_s)
+    assert np.array_equal(s, s.swapaxes(1, 2))
+    close(g, ref_g)
+
+    # every element its own DOFs, numbered element by element
+    t, n = b.shape
+    full = np.arange(t * n).reshape(t, n)
+    on_skeleton = np.zeros(t * n, dtype=bool)
+    on_skeleton[full[:, keep]] = True
+    system = LinearSystem(
+        matrix=None, rhs=None, dirichlet=[], norm_b=1.0, on_skeleton=on_skeleton,
+        skeleton=np.arange(t * nb).reshape(t, nb), interior=full[:, drop], chol=chol,
+        coupling=coupling, interior_rhs=interior_rhs, order=None)
+    x = np.random.default_rng(ni + 1).standard_normal(t * nb)
+    expanded = system.expand(x)
+    x_b = x.reshape(t, nb)
+    ref_i = np.linalg.solve(a_ii, b[:, drop, None] - a_ib @ x_b[..., None])[..., 0]
+    assert np.array_equal(expanded[full[:, keep]], x_b)
+    close(expanded[full[:, drop]], ref_i)
+
+
+@pytest.mark.parametrize("ni,nb", LOCAL_SIZES)
+def test_condense_rejects_an_indefinite_interior_block(ni, nb):
+    a, b, keep, drop = random_local_systems(ni, nb, seed=ni)
+    # one element's last interior pivot turns negative; the others stay SPD
+    a[7, drop[-1], drop[-1]] -= 1e3 * np.abs(a).max()
+    with pytest.raises(NotSPDError, match="element-interior block"):
+        assembly._condense(a, b, keep, drop)

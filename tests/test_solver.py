@@ -31,6 +31,25 @@ def test_sparse_sym_rejects_asymmetric():
         SparseSym.from_csr(A)
 
 
+def test_sparse_sym_rejects_asymmetric_values_on_a_symmetric_pattern():
+    # the pattern is symmetric, so the values compare position by position
+    dense = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 2.0]])
+    SparseSym.from_csr(sp.csr_matrix(dense))
+    dense[2, 1] += 1e-9
+    with pytest.raises(NotSymmetricError, match="asymmetry 1.000e-09"):
+        SparseSym.from_csr(sp.csr_matrix(dense))
+
+
+def test_sparse_sym_checks_an_asymmetric_pattern_by_value():
+    # (0, 1) is stored and (1, 0) is not: a stored 0.0 is symmetric, 1e-3 is not
+    def matrix(value):
+        return sp.csr_matrix(([1.0, value, 1.0], ([0, 0, 1], [0, 1, 1])), shape=(2, 2))
+
+    assert SparseSym.from_csr(matrix(0.0)).toarray().tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(NotSymmetricError, match="asymmetry 1.000e-03"):
+        SparseSym.from_csr(matrix(1e-3))
+
+
 def test_identity_converges_in_one_iteration():
     A = from_dense(np.eye(5))
     b = np.arange(1.0, 6.0)
