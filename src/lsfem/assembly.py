@@ -15,9 +15,13 @@ inflow part of the penalty.
 
 The local matrices (``_local_systems``) tabulate the scalar residual for the
 W basis alone; every Q term is a reference Gram matrix times an element
-factor, or one product of the reference divergences with the W rows. The
-element interiors are eliminated by a Cholesky factorization vectorized over
-the elements, with a loop over the interior DOFs (``_condense``).
+factor, or one product of the reference divergences with the W rows. Each
+face term (boundary and slit, ``_face_terms``) is added into the W-trace
+block of the element that owns the face, so there is one local system per
+element (``_system_blocks``): strong elimination, condensation and the
+scatter each run once, on one array. The element interiors are eliminated
+by a Cholesky factorization vectorized over the elements, with a loop over
+the interior DOFs (``_condense``).
 
 ``assemble_ls`` and ``assemble_transport`` build every system through one
 path and return one type, ``LinearSystem``. With ``condense`` the
@@ -186,19 +190,19 @@ def assemble_transport(
 def _assemble(problem, mesh, topo, dofmap, bc_mode, condense):
     """The system, with ``condense`` every element's interior DOFs eliminated
     through a batched Cholesky factor of its interior block; without, the
-    interior set is empty and the blocks pass through unchanged. eps == 0
-    has no Q block, and bc_mode is not read.
+    interior set is empty and the local systems pass through unchanged.
+    eps == 0 has no Q block.
 
-    Interior DOFs couple only inside their element, and face, slit and
-    strong-BC terms touch only W traces, so those go straight onto the
-    skeleton.
+    Interior DOFs couple only inside their element, and the face, slit and
+    strong-BC terms, which the local systems already hold, touch only W
+    traces, so the interior blocks are those of the volume form alone.
     """
     if problem.epsilon == 0.0:  # transport: the W block alone
         dofmap = dataclasses.replace(dofmap, n_q=0, q_index=dofmap.q_index[:, :0],
                                      q_sign=dofmap.q_sign[:, :0], nloc_q_skel=0)
-    blocks, n, fixed = _system_blocks(problem, mesh, topo, dofmap, bc_mode)
-    norm_b = float(np.linalg.norm(_rhs(blocks, n, _offset(fixed, dofmap.n_q))))
-    (a_loc, b_loc, gidx), faces = blocks[0], blocks[1:]
+    a_loc, b_loc, gidx, fixed = _system_blocks(problem, mesh, topo, dofmap, bc_mode)
+    n = dofmap.n_total
+    norm_b = float(np.linalg.norm(_rhs(b_loc, gidx, n, fixed)))
     local = np.arange(gidx.shape[1])
     keep = local
     if condense:  # the skeleton is a prefix of each block's local DOFs (see DofMap)
@@ -209,16 +213,16 @@ def _assemble(problem, mesh, topo, dofmap, bc_mode, condense):
     on_skeleton[gidx[:, drop]] = False
     renumber = np.cumsum(on_skeleton) - 1  # skeleton index of each skeleton DOF
     n_skel = int(np.count_nonzero(on_skeleton))
-    n_q_skel = int(np.count_nonzero(on_skeleton[:dofmap.n_q]))
 
     s_loc, g_loc, (chol, coupling, interior_rhs) = _condense(a_loc, b_loc, keep, drop)
-    del a_loc, blocks  # the full local matrices are not needed for the scatter
+    del a_loc  # the full local matrices are not needed for the scatter
     skeleton = renumber[gidx[:, keep]]
-    skel_blocks = [(s_loc, g_loc, skeleton)] + [(a, b, renumber[idx]) for a, b, idx in faces]
-    # the fixed W-block indices are boundary nodes, so skeleton W-block indices too
-    mat, rhs = _scatter(skel_blocks, n_skel, _offset(fixed, n_q_skel))
-    del s_loc, skel_blocks  # summed into mat; without interiors s_loc is a_loc
-    dirichlet = [] if fixed is None else list(zip(fixed[0].tolist(), fixed[1].tolist()))
+    # the fixed DOFs are boundary nodes, so skeleton DOFs
+    skel_fixed = None if fixed is None else (renumber[fixed[0]], fixed[1])
+    mat, rhs = _scatter(s_loc, g_loc, skeleton, n_skel, skel_fixed)
+    del s_loc  # summed into mat; without interiors s_loc is a_loc
+    dirichlet = [] if fixed is None else list(zip((fixed[0] - dofmap.n_q).tolist(),
+                                                  fixed[1].tolist()))
     return LinearSystem(
         SparseSym.from_csr(mat), rhs, dirichlet,
         norm_b=norm_b, on_skeleton=on_skeleton, skeleton=skeleton, interior=gidx[:, drop],
@@ -263,15 +267,18 @@ def _dissection_order(geo, skeleton, n):
 def apply_slit(problem: ProblemSpec, topo: Topology, dofmap: fem.DofMap):
     """Interior-face penalty enforcing ``problem.slit_g`` on the flagged slit
     edges, for the least-squares system numbered by ``dofmap``; returns
-    (CSR matrix, rhs). Nothing in the package or its tests calls it:
-    ``_system_blocks`` adds the same blocks. It stays only because
+    (CSR matrix, rhs). Nothing in the package or its tests calls it: the
+    assembly adds the same face terms into the local systems of the elements
+    that own the slit edges (``_system_blocks``). It stays only because
     ``perfbench/tracing.py`` names it, and goes with the benchmark change of
     ROADMAP item 1.
 
     The weight is (eps + |beta . n_F|) / h_F with n_F the stored oriented
     normal; the absolute value keeps the term symmetric and side-agnostic.
     """
-    return _scatter([_face_terms(problem, topo, dofmap, "slit", dofmap.n_q)], dofmap.n_total)
+    owners, a, b = _face_terms(problem, topo, dofmap, "slit")
+    idx = dofmap.n_q + dofmap.w_index[owners, :dofmap.nloc_w_skel]
+    return _scatter(a, b, idx, dofmap.n_total)
 
 
 def boundary_w_dofs(mesh: Mesh, topo: Topology, dofmap: fem.DofMap) -> np.ndarray:
@@ -298,8 +305,9 @@ def mass_diagonal(mesh: Mesh, dofmap: fem.DofMap) -> np.ndarray:
     diag = np.zeros(dofmap.n_total)
     w_sq = geo.det[:, None] * (tab.w_vals**2 @ tab.weights)[None, :]
     np.add.at(diag, dofmap.n_q + dofmap.w_index.ravel(), w_sq.ravel())
-    q_mass = _affine_block(geo.jac, 1.0 / geo.det, tab.q_vals, tab.weights)
-    q_sq = np.diagonal(q_mass, axis1=1, axis2=2)
+    # the diagonal of the Q mass J^T J / det J needs only the Gram diagonals
+    factor, gram = _affine_factors(geo.jac, 1.0 / geo.det, tab.q_vals, tab.weights)
+    q_sq = factor @ np.diagonal(gram, axis1=1, axis2=2)
     np.add.at(diag, dofmap.q_index.ravel(), q_sq.ravel())
     return diag
 
@@ -318,7 +326,7 @@ def _local_systems(problem, dofmap):
     and b_Q are one product of the sqrt(w)-weighted reference divergences
     with the rows of all elements. The vector residual q + sqrt(eps) grad w
     is affine in the element map: its blocks are reference Gram matrices
-    times 2x2 element factors (``_affine_block``).
+    times 2x2 element factors (``_affine_factors``).
 
     The signs are applied once per block. The diagonal blocks are averaged
     with their transposes and the W-Q block is the transpose of the Q-W
@@ -355,7 +363,8 @@ def _local_systems(problem, dofmap):
     b_loc[:, nq:] = gram[:, :, nw]
     ww = gram[:, :, :nw]
     if nq:
-        ww += _affine_block(geo.inv_t, eps * geo.det, tab.w_grads, tab.weights)
+        factor, gram = _affine_factors(geo.inv_t, eps * geo.det, tab.w_grads, tab.weights)
+        ww += (factor @ gram.reshape(4, -1)).reshape(t, nw, nw)
     ww *= 0.5
     np.add(ww, ww.swapaxes(1, 2), out=a_loc[:, nq:, nq:])
     del gram, ww
@@ -375,14 +384,11 @@ def _local_systems(problem, dofmap):
     a_loc[:, :nq, nq:] = wq[:, :nw].swapaxes(1, 2)
     b_loc[:, :nq] = wq[:, nw]
     del wq
-    # Q mass J^T J / det J and div-div eps / det J, one product over elements
-    factor = np.empty((t, 5))
-    factor[:, :4] = np.einsum("tda,tdb->tab", geo.jac, geo.jac).reshape(t, 4)
-    factor[:, 4] = eps
-    factor /= 2.0 * geo.det[:, None]  # halved for the average with the transpose
-    grams = np.concatenate([
-        np.einsum("iqa,jqb,q->abij", tab.q_vals, tab.q_vals, tab.weights).reshape(4, -1),
-        (sqw_divs @ sqw_divs.T).reshape(1, -1)])
+    # Q mass J^T J / det J and div-div eps / det J, one product over elements,
+    # halved for the average with the transpose
+    factor, gram = _affine_factors(geo.jac, 0.5 / geo.det, tab.q_vals, tab.weights)
+    factor = np.concatenate([factor, (0.5 * eps / geo.det)[:, None]], axis=1)
+    grams = np.concatenate([gram.reshape(4, -1), (sqw_divs @ sqw_divs.T).reshape(1, -1)])
     qq = (factor @ grams).reshape(t, nq, nq)
     qq *= sign[:, :, None]
     qq *= sign[:, None, :]
@@ -390,99 +396,87 @@ def _local_systems(problem, dofmap):
     return a_loc, b_loc
 
 
-def _affine_block(F, scale, ref, weights):
-    """Matrices sum_q w_q scale (F v_i).(F v_j) of reference fields v (n, nq, 2)
-    on every element, as the element factors scale F^T F (T, 4) times the
-    reference Gram matrices (4, n*n); returns (T, n, n)."""
+def _affine_factors(F, scale, ref, weights):
+    """Element factors scale F^T F (T, 4) and reference Gram matrices
+    sum_q w_q v_ia v_jb (4, n, n) of reference fields v (n, nq, 2), indexed
+    by (a, b): over the axis of length 4 their product is
+    sum_q w_q scale (F v_i).(F v_j) on every element."""
     factor = np.einsum("tda,tdb->tab", F, F).reshape(len(F), 4) * scale[:, None]
-    gram = np.einsum("iqa,jqb,q->abij", ref, ref, weights).reshape(4, -1)
-    return (factor @ gram).reshape(len(F), len(ref), len(ref))
+    gram = np.einsum("iqa,jqb,q->abij", ref, ref, weights).reshape(4, len(ref), len(ref))
+    return factor, gram
 
 
 def _system_blocks(problem, mesh, topo, dofmap, bc_mode):
-    """Local blocks (a (E, l, l), b (E, l), idx (E, l)) of the least-squares
-    system in the numbering of the full system: the element block, then the
-    boundary and slit face blocks. Returns them with the system size and the
-    strongly fixed (W-block indices, values), or None. In strong mode the
-    blocks are already eliminated: every b holds b - A x_fixed, and every a
-    is zero in the rows and columns of fixed DOFs. Transport (eps == 0) takes
-    a DOF map without the Q block and has the inflow penalty, whatever bc_mode.
+    """One local system per element of the least-squares form, a (T, l, l),
+    b (T, l) and idx (T, l) in the numbering of the full system, with the
+    boundary and slit face terms added into the W-trace block of the element
+    that owns each face. Returns them with the strongly fixed (system
+    indices, values), or None. In strong mode the system is already
+    eliminated: b holds b - A x_fixed, and a is zero in the rows and columns
+    of fixed DOFs. Transport (eps == 0) takes a DOF map without the Q block.
     """
     if dofmap.q_index.shape[0] != mesh.num_triangles:
         raise ValueError("dofmap was built for a different mesh")
-    if problem.epsilon == 0.0:
-        bc_mode = "weak"  # with eps == 0 the weak boundary weight is the inflow weight alone
-    elif bc_mode not in BC_MODES:
+    if bc_mode not in BC_MODES:
         raise ValueError(f"bc_mode must be one of {BC_MODES}, got {bc_mode!r}")
     n_q = dofmap.n_q
-    a_loc, b_loc = _local_systems(problem, dofmap)
-    gidx = np.concatenate([dofmap.q_index, n_q + dofmap.w_index], axis=1)
-    blocks = [(a_loc, b_loc, gidx)]
-    if bc_mode != "strong":
-        blocks.append(_face_terms(problem, topo, dofmap, bc_mode, n_q))
+    a, b = _local_systems(problem, dofmap)
+    idx = np.concatenate([dofmap.q_index, n_q + dofmap.w_index], axis=1)
+    modes = [] if bc_mode == "strong" else [bc_mode]
     # slit terms enter before strong elimination, so eliminated rows stay identity rows
     if topo.slit_edges.size and problem.slit_g is not None:
-        blocks.append(_face_terms(problem, topo, dofmap, "slit", n_q))
-    n = n_q + dofmap.n_w
+        modes.append("slit")
+    trace = dofmap.q_index.shape[1] + np.arange(dofmap.nloc_w_skel)  # local W-trace positions
+    for mode in modes:
+        # a corner element owns two boundary faces, hence add.at
+        owners, a_face, b_face = _face_terms(problem, topo, dofmap, mode)
+        np.add.at(a, (owners[:, None, None], trace[:, None], trace), a_face)
+        np.add.at(b, (owners[:, None], trace), b_face)
     if bc_mode != "strong":
-        return blocks, n, None
+        return a, b, idx, None
     wdofs = boundary_w_dofs(mesh, topo, dofmap)
     coords = dofmap.w_coords[wdofs]
-    values = _scalar_field(problem.g, coords[:, 0], coords[:, 1]).copy()
-    x_fixed, is_fixed = np.zeros(n), np.zeros(n, dtype=bool)
-    x_fixed[n_q + wdofs] = values
-    is_fixed[n_q + wdofs] = True
-    for a, b, idx in blocks:
-        b -= np.einsum("eij,ej->ei", a, x_fixed[idx])
-        on = is_fixed[idx]
-        a[on[:, :, None] | on[:, None, :]] = 0.0
-    return blocks, n, (wdofs, values)
+    fixed = (n_q + wdofs, _scalar_field(problem.g, coords[:, 0], coords[:, 1]).copy())
+    x_fixed, is_fixed = np.zeros(dofmap.n_total), np.zeros(dofmap.n_total, dtype=bool)
+    x_fixed[fixed[0]] = fixed[1]
+    is_fixed[fixed[0]] = True
+    b -= np.einsum("eij,ej->ei", a, x_fixed[idx])
+    on = is_fixed[idx]
+    a[on[:, :, None] | on[:, None, :]] = 0.0
+    return a, b, idx, fixed
 
 
-def _offset(fixed, n_q):
-    """Strongly fixed (W-block indices, values) as (system indices, values)."""
-    return None if fixed is None else (n_q + fixed[0], fixed[1])
-
-
-def _rhs(blocks, n, fixed):
-    """Sum of the local vectors at their global indices; fixed rows hold their values."""
-    rhs = np.bincount(np.concatenate([idx.ravel() for _, _, idx in blocks]),
-                      np.concatenate([b.ravel() for _, b, _ in blocks]), minlength=n)
+def _rhs(b, idx, n, fixed):
+    """Sum of the local vectors b (E, l) at their global indices idx (E, l);
+    fixed rows hold their values."""
+    rhs = np.bincount(idx.ravel(), b.ravel(), minlength=n)
     if fixed is not None:
         rhs[fixed[0]] = fixed[1]
     return rhs
 
 
-def _scatter(blocks, n, fixed=None):
-    """Sum local blocks [(a (E, l, l), b (E, l), idx (E, l))] at their global
-    indices into an n x n CSR matrix and a length-n vector.
+def _scatter(a, b, idx, n, fixed=None):
+    """Sum local matrices a (E, l, l) and vectors b (E, l) at their global
+    indices idx (E, l) into an n x n CSR matrix and a length-n vector.
 
-    One COO holds every block, so the pattern is structural: an entry whose
-    terms cancel to 0.0 stays. ``fixed`` = (indices, values) were eliminated
-    in the blocks (``_system_blocks``); their couplings are dropped by index,
-    and their rows become identity rows with the values as rhs.
+    One COO holds every local matrix, so the pattern is structural: an entry
+    whose terms cancel to 0.0 stays. ``fixed`` = (indices, values) were
+    eliminated in the local systems (``_system_blocks``); their couplings
+    are dropped by index, and their rows become identity rows with the
+    values as rhs.
     """
-    size = sum(a.size for a, _, _ in blocks)
-    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    rows, cols = np.empty(size, dtype=index), np.empty(size, dtype=index)
-    vals = np.empty(size)
-    start = 0
-    for a, _, idx in blocks:
-        e, l = idx.shape
-        part = slice(start, start + a.size)
-        rows[part].reshape(e, l, l)[...] = idx[:, :, None]
-        cols[part].reshape(e, l, l)[...] = idx[:, None, :]
-        vals[part] = a.ravel()
-        start += a.size
+    local = idx.astype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+    l = idx.shape[1]  # rows[e, i, j] = idx[e, i] and cols[e, i, j] = idx[e, j]
+    rows, cols, vals = np.repeat(local, l, axis=1).ravel(), np.tile(local, l).ravel(), a.ravel()
     if fixed is not None:
         free = np.ones(n, dtype=bool)
         free[fixed[0]] = False
         kept = free[rows] & free[cols]
-        rows = np.concatenate([rows[kept], fixed[0].astype(index)])
-        cols = np.concatenate([cols[kept], fixed[0].astype(index)])
+        rows = np.concatenate([rows[kept], fixed[0].astype(local.dtype)])
+        cols = np.concatenate([cols[kept], fixed[0].astype(local.dtype)])
         vals = np.concatenate([vals[kept], np.ones(len(fixed[0]))])
     mat = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return mat, _rhs(blocks, n, fixed)
+    return mat, _rhs(b, idx, n, fixed)
 
 
 def _condense(a, b, keep, drop):
@@ -524,9 +518,10 @@ def _gather(a, rows, cols):
     return np.take(a.reshape(len(a), -1), flat, axis=1).reshape(len(a), len(rows), len(cols))
 
 
-def _face_terms(problem, topo, dofmap, mode, offset):
-    """Face penalty int_F w (u - d)^2 as local blocks (a, b, idx) on the W
-    traces (vertex and edge nodes), with the W block starting at ``offset``.
+def _face_terms(problem, topo, dofmap, mode):
+    """Face penalty int_F w (u - d)^2 as local blocks on the W traces
+    (vertex and edge nodes) of the element that owns each face: returns
+    the owners (E,), a (E, l, l) and b (E, l), with l = nloc_w_skel.
 
     Slit mode runs over the flagged slit edges with their stored normals and
     d = slit_g; the other modes over the boundary with outward normals and
@@ -541,7 +536,7 @@ def _face_terms(problem, topo, dofmap, mode, offset):
     # the traces are the local Lagrange basis, whose vertex and edge nodes
     # (the skeleton columns of w_index) come first; the bubbles vanish on F
     n_trace = dofmap.nloc_w_skel
-    blocks, rhs_blocks, gidx = [], [], []
+    owners, blocks, rhs_blocks = [], [], []
     for sel, tris, pts, trace, weights, h in fem.edge_quadrature(
         topo, dofmap, edges, fem.assembly_degree(dofmap.k)
     ):
@@ -549,7 +544,7 @@ def _face_terms(problem, topo, dofmap, mode, offset):
         beta_n = (problem.beta(pts[..., 0], pts[..., 1]) @ normals[sel, :, None])[..., 0]
         scale = face_weight(mode, problem.epsilon, beta_n, h) * weights * h
         gval = _scalar_field(data, pts[..., 0], pts[..., 1])
+        owners.append(tris)
         blocks.append(np.einsum("aq,bq,eq->eab", trace, trace, scale))
         rhs_blocks.append(np.einsum("aq,eq->ea", trace, scale * gval))
-        gidx.append(offset + dofmap.w_index[tris, :n_trace])
-    return np.concatenate(blocks), np.concatenate(rhs_blocks), np.concatenate(gidx)
+    return np.concatenate(owners), np.concatenate(blocks), np.concatenate(rhs_blocks)

@@ -1,8 +1,8 @@
 """Convergence-order and conditioning studies plus weak/strong comparisons.
 
-Mesh ladders are generated crisscross meshes with deterministic jitter,
-one independent draw per level, emulating unstructured quasi-uniform
-families.
+Each level of a study is a crisscross mesh generated with deterministic
+jitter, one independent draw per level (``build_case``), emulating
+unstructured quasi-uniform families.
 """
 from __future__ import annotations
 
@@ -66,15 +66,8 @@ class ModeComparison:
 
 
 def build_case(n: int, k: int, perturb: float = DEFAULT_PERTURB, slit=None):
-    """Mesh, topology, and DOF map for one study cell."""
-    mesh = generate_structured(n, perturb)
-    topo = build_topology(mesh, slit=slit)
-    dofmap = fem.build_dofmap(mesh, topo, k)
-    return mesh, topo, dofmap
-
-
-def mesh_ladder(levels: Sequence[int], perturb: float) -> list[Mesh]:
-    """Quasi-uniform family for a refinement study, one mesh per level.
+    """Mesh, topology, and DOF map for one study cell or one level of a
+    refinement study.
 
     Each level is generated directly; the coordinate-hashed jitter keeps
     lattice points shared between levels displaced consistently. Refining a
@@ -82,7 +75,10 @@ def mesh_ladder(levels: Sequence[int], perturb: float) -> list[Mesh]:
     into every finer level, which visibly pollutes the L2 rate in the
     vanishing-diffusion regime.
     """
-    return [generate_structured(n, perturb) for n in levels]
+    mesh = generate_structured(n, perturb)
+    topo = build_topology(mesh, slit=slit)
+    dofmap = fem.build_dofmap(mesh, topo, k)
+    return mesh, topo, dofmap
 
 
 def solve_problem(
@@ -140,9 +136,8 @@ def convergence_study(
     """Solve on each level and report norms with last-over-previous EOC."""
     problem = get_problem(problem_name, epsilon)
     reports = []
-    for level, mesh in enumerate(mesh_ladder(levels, perturb)):
-        topo = build_topology(mesh)
-        dofmap = fem.build_dofmap(mesh, topo, k)
+    for level, n in enumerate(levels):
+        mesh, topo, dofmap = build_case(n, k, perturb)
         solution, _ = solve_problem(problem, mesh, topo, dofmap, bc_mode, tol=tol)
         report = error_norms(solution, mesh, topo, dofmap, problem, region=region, level=level)
         if reports:
@@ -171,9 +166,8 @@ def condition_study(
     """
     rows = []
     prev: dict[float, float] = {}
-    for level, (n, mesh) in enumerate(zip(levels, mesh_ladder(levels, 0.0))):
-        topo = build_topology(mesh)
-        dofmap = fem.build_dofmap(mesh, topo, k)
+    for level, n in enumerate(levels):
+        mesh, topo, dofmap = build_case(n, k, 0.0)
         scale = 1.0 / np.sqrt(mass_diagonal(mesh, dofmap))
         for eps in epsilons:
             problem = get_problem(problem_name, eps)

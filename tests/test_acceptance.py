@@ -29,14 +29,11 @@ from lsfem.bench import (
 )
 from lsfem.bench.errors import interpolate_scalar
 from lsfem.bench.studies import (
-    DEFAULT_PERTURB,
     build_case,
-    mesh_ladder,
     nearest_generated_n,
     solve_problem,
 )
 from lsfem.fem import basis
-from lsfem.mesh import build_topology
 from lsfem.solver import cg_solve
 
 LADDERS = {0: (8, 16, 32, 64), 1: (8, 16, 32), 2: (4, 8, 16, 32)}
@@ -295,9 +292,8 @@ def test_criterion_8_transport_rates(k):
     reports = convergence_study("transport", k, levels=levels)
     problem = get_problem("transport")
     interp = []
-    for mesh in mesh_ladder(levels, DEFAULT_PERTURB):
-        topo = build_topology(mesh)
-        dm = fem.build_dofmap(mesh, topo, k)
+    for n in levels:
+        mesh, topo, dm = build_case(n, k)
         coef = interpolate_scalar(problem.exact_u, dm)
         interp.append(error_norms(coef, mesh, topo, dm, problem).e_stream)
     eoc_interp = [np.log2(a / b) for a, b in zip(interp, interp[1:])]

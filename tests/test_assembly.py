@@ -19,11 +19,12 @@ from lsfem.solver import cg_solve
 import scipy.linalg
 
 
-def dense_form_oracle(problem, mesh, topo, dofmap):
+def dense_form_oracle(problem, mesh, topo, dofmap, mode="weak"):
     """Brute-force matrix: evaluate every global basis function of the
     product space, push it through the trial-to-test map (vector residual,
-    scalar residual, boundary trace), and integrate all pairs directly.
-    No element-local blocks, no symmetry shortcut."""
+    scalar residual, boundary trace with the penalty weight of ``mode``),
+    and integrate all pairs directly. No element-local blocks, no symmetry
+    shortcut."""
     eps = problem.epsilon
     se = np.sqrt(eps)
     n = dofmap.n_total
@@ -70,7 +71,7 @@ def dense_form_oracle(problem, mesh, topo, dofmap):
         for i in range(dofmap.nloc_w):
             traces[dofmap.n_q + dofmap.w_index[tri, i], cols] = tv[i]
         beta_n = problem.beta(pts[:, 0], pts[:, 1]) @ topo.outward_normals([e])[0]
-        bweights[cols] = face_weight("weak", eps, beta_n, topo.h_F[e]) * erule.weights * topo.h_F[e]
+        bweights[cols] = face_weight(mode, eps, beta_n, topo.h_F[e]) * erule.weights * topo.h_F[e]
 
     A = np.einsum("ipd,jpd,p->ij", r_vec, r_vec, wq)
     A += np.einsum("ip,jp,p->ij", r_scal, r_scal, wq)
@@ -78,14 +79,17 @@ def dense_form_oracle(problem, mesh, topo, dofmap):
     return A
 
 
+@pytest.mark.parametrize("k", [0, 1, 2], ids=["P1", "P2", "P3"])
+@pytest.mark.parametrize("mode", ["weak", "alt-weak"])
 @pytest.mark.parametrize("n", [1, 2])
-def test_oracle_equivalence_small_meshes(n):
-    mesh, topo, dm = make_case(n, 0, perturb=0.15 if n > 1 else 0.0)
+def test_oracle_equivalence_small_meshes(n, mode, k):
+    # at n = 1 each of the two elements owns two boundary faces
+    mesh, topo, dm = make_case(n, k, perturb=0.15 if n > 1 else 0.0)
     assert mesh.num_triangles <= 8
-    problem = polynomial_problem(0.05, 0)
-    system = assemble_ls(problem, mesh, topo, dm, "weak")
+    problem = polynomial_problem(0.05, k)
+    system = assemble_ls(problem, mesh, topo, dm, mode)
     direct = system.matrix.toarray()
-    oracle = dense_form_oracle(problem, mesh, topo, dm)
+    oracle = dense_form_oracle(problem, mesh, topo, dm, mode)
     scale = np.abs(oracle).max()
     assert np.abs(direct - oracle).max() <= 1e-10 * scale
 
@@ -492,3 +496,19 @@ def test_local_systems_peak_memory(k, n):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * (a_loc.nbytes + b_loc.nbytes)
+
+
+@pytest.mark.parametrize("k,n", [(1, 32), (2, 24)], ids=["P2-n32", "P3-n24"])
+def test_mass_diagonal_peak_memory(k, n):
+    # the diagonal takes the Gram diagonals times the element factors, so
+    # its traced peak stays within 4 times the bytes it returns: building
+    # the (T, nloc_q, nloc_q) Q mass matrices takes it past 20
+    mesh, _, dm = build_case(n, k)
+    mass_diagonal(mesh, dm)  # the reference tables are cached
+    tracemalloc.start()
+    try:
+        diag = mass_diagonal(mesh, dm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * diag.nbytes
