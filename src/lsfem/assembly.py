@@ -94,9 +94,7 @@ class LinearSystem:
     complement on the skeleton, numbered [Q edge moments | W vertex and edge
     nodes]: the leading ``n_q_skel`` and ``n_w_skel`` DOFs of the two blocks
     of the full system (see ``DofMap``). The full system is the one with no
-    interiors. Either way ``dirichlet`` lists (W-block index, value) pairs
-    fixed by strong boundary imposition; in the matrix, indices are offset
-    by the size of its Q block.
+    interiors.
 
     ``expand`` recovers the interiors element by element, so the full
     residual b - A x of ``expand(x)`` is g - S x on the skeleton and zero on
@@ -110,7 +108,6 @@ class LinearSystem:
 
     matrix: SparseSym
     rhs: np.ndarray
-    dirichlet: list
     norm_b: float
     on_skeleton: np.ndarray   # (n_total,) bool, the retained DOFs in the full numbering
     skeleton: np.ndarray      # (T, nb) retained indices of each element's retained DOFs
@@ -221,10 +218,8 @@ def _assemble(problem, mesh, topo, dofmap, bc_mode, condense):
     skel_fixed = None if fixed is None else (renumber[fixed[0]], fixed[1])
     mat, rhs = _scatter(s_loc, g_loc, skeleton, n_skel, skel_fixed)
     del s_loc  # summed into mat; without interiors s_loc is a_loc
-    dirichlet = [] if fixed is None else list(zip((fixed[0] - dofmap.n_q).tolist(),
-                                                  fixed[1].tolist()))
     return LinearSystem(
-        SparseSym.from_csr(mat), rhs, dirichlet,
+        SparseSym.from_csr(mat), rhs,
         norm_b=norm_b, on_skeleton=on_skeleton, skeleton=skeleton, interior=gidx[:, drop],
         chol=chol, coupling=coupling, interior_rhs=interior_rhs,
         order=_dissection_order(dofmap.geo, skeleton, n_skel),

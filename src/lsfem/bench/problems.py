@@ -8,8 +8,6 @@ convection fields used here); the transport case uses c = 1.
 """
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from ..assembly import ProblemSpec
@@ -21,36 +19,30 @@ PROBLEM_NAMES = ("smooth", "rotating", "interior-layer", "boundary-layer", "tran
 INTERIOR_LAYER_JUMPS = ((0.0, 0.2), (1.0, 0.0))
 
 
-def get_problem(name: str, epsilon: float | None = None, **overrides) -> ProblemSpec:
+def get_problem(name: str, epsilon: float | None = None) -> ProblemSpec:
     """Build a catalog entry, validating epsilon against the entry's range.
 
-    Keyword overrides replace fields of the built entry (for example a
-    different source term or boundary data).
+    Each f is manufactured from its entry's own epsilon, beta and c, so a
+    copy with one of those replaced (``dataclasses.replace``) keeps an f
+    that its exact solution, if it has one, no longer satisfies.
     """
     if name not in PROBLEM_NAMES:
         raise KeyError(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")
     if name == "transport":
         if epsilon not in (None, 0.0):
             raise ValueError("transport problem requires epsilon == 0")
-        problem = _transport()
-    else:
-        if epsilon is None:
-            epsilon = {"rotating": 1e-6}.get(name, 1e-3)
-        if not 0.0 < epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-        builder = {
-            "smooth": _smooth,
-            "rotating": _rotating,
-            "interior-layer": _interior_layer,
-            "boundary-layer": _boundary_layer,
-        }[name]
-        problem = builder(epsilon)
-    if overrides:
-        try:
-            problem = dataclasses.replace(problem, **overrides)
-        except TypeError as exc:
-            raise ValueError(f"unknown problem field override: {exc}") from None
-    return problem
+        return _transport()
+    if epsilon is None:
+        epsilon = {"rotating": 1e-6}.get(name, 1e-3)
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    builder = {
+        "smooth": _smooth,
+        "rotating": _rotating,
+        "interior-layer": _interior_layer,
+        "boundary-layer": _boundary_layer,
+    }[name]
+    return builder(epsilon)
 
 
 def _const_beta(bx, by):

@@ -10,7 +10,7 @@ import numpy as np
 from ..mesh import Mesh
 
 CONVERGENCE_HEADER = "level,h,ndofs,e_L2,eoc_L2,e_grad,eoc_grad,e_stream,e_bdry"
-CONDITION_HEADER = "level,n,eps,ndofs,h,lambda_min,lambda_max,kappa,kappa_ratio,method"
+CONDITION_HEADER = "level,n,eps,ndofs,h,lambda_min,lambda_max,kappa,kappa_ratio"
 
 
 def _fmt(x) -> str:
@@ -59,7 +59,6 @@ def write_condition_csv(rows, path: str) -> None:
                     _fmt(est.lambda_max),
                     _fmt(est.kappa),
                     _fmt(r.kappa_ratio),
-                    est.method,
                 ]
             )
         )

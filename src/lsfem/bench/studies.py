@@ -158,7 +158,10 @@ def condition_study(
     The raw nodal/moment coefficients mix h-scalings between the vector and
     scalar blocks, so the matrix is symmetrically rescaled by the basis L2
     norms before the eigenvalue estimate; Rayleigh quotients then mirror the
-    function-space ones that the h^-2 bound concerns.
+    function-space ones that the h^-2 bound concerns. Both extremes come
+    from ARPACK at every level (``estimate_extremes``), lambda_min through
+    one factor of the full system in its dissection order; each row's
+    estimate carries its residual bounds.
 
     The meshes are not jittered: the kappa ratio per halving of h is checked
     in a band around 4, and on the uniform family it changes with h alone,

@@ -184,11 +184,11 @@ def _cmd_condition(args) -> int:
     rows = bench.condition_study(args.problem, args.k, args.bc, levels, epsilons)
     out = os.path.join(args.out_dir, f"condition_{args.problem}_P{args.k + 1}.csv")
     bench.write_condition_csv(rows, out)
-    print(f"{'level':>5} {'n':>4} {'eps':>8} {'ndofs':>8} {'kappa':>12} {'ratio':>8} method")
+    print(f"{'level':>5} {'n':>4} {'eps':>8} {'ndofs':>8} {'kappa':>12} {'ratio':>8}")
     for r in rows:
         ratio = f"{r.kappa_ratio:8.2f}" if r.kappa_ratio is not None else "       -"
         print(f"{r.level:>5} {r.n:>4} {r.epsilon:>8.1e} {r.n_dofs:>8} "
-              f"{r.estimate.kappa:>12.4e} {ratio} {r.estimate.method}")
+              f"{r.estimate.kappa:>12.4e} {ratio}")
     print(f"wrote {out}")
     return 0
 

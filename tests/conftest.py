@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from lsfem import fem
 from lsfem.assembly import ProblemSpec
 from lsfem.mesh import Mesh, MeshError, Topology, build_topology, generate_structured
-from lsfem.solver import DENSE_CUTOFF, SingularMatrixError, SparseSym
+from lsfem.solver import SingularMatrixError, SparseSym
+
+# largest system the dense oracle solves: O(n^3) work and n^2 storage
+DENSE_ORACLE_MAX_N = 2000
 
 
 @pytest.fixture(scope="session")
@@ -25,8 +28,8 @@ def from_dense(arr):
 def dense_oracle_solve(A, b):
     """Direct factorization solve used to cross-check CG on small systems."""
     A = np.asarray(A, dtype=float)
-    if A.shape[0] > DENSE_CUTOFF:
-        raise ValueError(f"dense oracle limited to n <= {DENSE_CUTOFF}")
+    if A.shape[0] > DENSE_ORACLE_MAX_N:
+        raise ValueError(f"dense oracle limited to n <= {DENSE_ORACLE_MAX_N}")
     try:
         x = np.linalg.solve(A, np.asarray(b, dtype=float))
     except np.linalg.LinAlgError as exc:

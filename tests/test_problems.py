@@ -18,13 +18,6 @@ def test_unknown_name_rejected():
         get_problem("poisson")
 
 
-def test_field_overrides():
-    custom = get_problem("smooth", 1e-3, c=lambda x, y: np.full(np.shape(x), 2.0))
-    assert custom.c(np.array(0.3), np.array(0.4)) == 2.0
-    with pytest.raises(ValueError, match="override"):
-        get_problem("smooth", 1e-3, viscosity=1.0)
-
-
 def test_epsilon_validation():
     with pytest.raises(ValueError):
         get_problem("smooth", 0.0)

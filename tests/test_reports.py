@@ -31,8 +31,9 @@ def test_condition_csv(tmp_path):
     path = tmp_path / "cond.csv"
     write_condition_csv(rows, str(path))
     lines = path.read_text().splitlines()
-    assert lines[0].startswith("level,n,eps,ndofs,h,lambda_min,lambda_max,kappa")
-    assert lines[1].endswith("dense")
+    assert lines[0] == "level,n,eps,ndofs,h,lambda_min,lambda_max,kappa,kappa_ratio"
+    assert lines[1].endswith(",")  # no kappa ratio on the first level
+    assert len(lines[2].split(",")) == 9 and float(lines[2].split(",")[-1]) > 0
 
 
 def test_vtk_two_triangle_contract(tmp_path):

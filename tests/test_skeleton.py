@@ -181,7 +181,7 @@ def test_condense_and_expand_match_dense_reference(ni, nb):
     on_skeleton = np.zeros(t * n, dtype=bool)
     on_skeleton[full[:, keep]] = True
     system = LinearSystem(
-        matrix=None, rhs=None, dirichlet=[], norm_b=1.0, on_skeleton=on_skeleton,
+        matrix=None, rhs=None, norm_b=1.0, on_skeleton=on_skeleton,
         skeleton=np.arange(t * nb).reshape(t, nb), interior=full[:, drop], chol=chol,
         coupling=coupling, interior_rhs=interior_rhs, order=None)
     x = np.random.default_rng(ni + 1).standard_normal(t * nb)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from conftest import dense_oracle_solve, from_dense
@@ -164,26 +165,24 @@ def test_dense_oracle_size_guard():
 
 def test_estimate_extremes_diagonal():
     est = estimate_extremes(from_dense(np.diag([1.0, 100.0])))
-    assert est.method == "dense"
     assert est.kappa == pytest.approx(100.0, abs=1e-12)
     assert est.lambda_min == pytest.approx(1.0)
 
 
 def test_estimate_ordering_validated():
     with pytest.raises(ValueError):
-        SpectralEstimate(2.0, 1.0, 0.5, "dense")
+        SpectralEstimate(2.0, 1.0, 0.5, 0.0, 0.0)
 
 
 def test_iterative_path_matches_dense_within_two_percent():
-    # same matrix through both paths near the crossover
+    # ARPACK against a dense eigensolve of the same matrix
     A = random_spd(300, seed=21, kappa=1e5)
-    S = from_dense(A)
-    dense = estimate_extremes(S)
-    iterative = estimate_extremes(S, dense_cutoff=100)
-    assert dense.method == "dense" and iterative.method == "iterative"
-    assert abs(iterative.lambda_max - dense.lambda_max) <= 0.02 * dense.lambda_max
-    assert abs(iterative.lambda_min - dense.lambda_min) <= 0.02 * dense.lambda_min
-    assert abs(iterative.kappa - dense.kappa) <= 0.02 * dense.kappa
+    iterative = estimate_extremes(from_dense(A))
+    eigs = scipy.linalg.eigvalsh(A)
+    dense_kappa = eigs[-1] / eigs[0]
+    assert abs(iterative.lambda_max - eigs[-1]) <= 0.02 * eigs[-1]
+    assert abs(iterative.lambda_min - eigs[0]) <= 0.02 * eigs[0]
+    assert abs(iterative.kappa - dense_kappa) <= 0.02 * dense_kappa
 
 
 def test_deterministic_results():
@@ -192,8 +191,8 @@ def test_deterministic_results():
     x1, _ = cg_solve(A, b)
     x2, _ = cg_solve(A, b)
     assert np.array_equal(x1, x2)
-    e1 = estimate_extremes(A, dense_cutoff=10)
-    e2 = estimate_extremes(A, dense_cutoff=10)
+    e1 = estimate_extremes(A)
+    e2 = estimate_extremes(A)
     assert e1.kappa == e2.kappa
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -63,7 +65,6 @@ def test_condition_two_triangle_matches_direct_eigensolve():
     scaled = (scale @ system.matrix.to_scipy() @ scale).tocsr()
     est = estimate_extremes(SparseSym.from_csr(scaled))
     eigs = scipy.linalg.eigvalsh(scaled.toarray())
-    assert est.method == "dense"
     assert est.lambda_min == pytest.approx(eigs[0], rel=1e-12)
     assert est.lambda_max == pytest.approx(eigs[-1], rel=1e-12)
     rows = condition_study("smooth", 0, "weak", levels=(1,), epsilons=(1e-3,))
@@ -84,24 +85,41 @@ def test_scaled_matrix_is_the_diagonal_product(k):
     assert np.array_equal(SparseSym.from_csr(scaled.to_scipy()).data, scaled.data)
 
 
-def test_spectral_paths_agree_near_crossover():
-    # assembled P1 and P2 systems just under the dense cutoff, pushed through both paths
+def test_arpack_bounds_hold_up_to_2000_dofs():
+    # assembled P1 and P2 systems of up to 2000 DOFs against a dense eigensolve
     for k, n in ((0, 13), (1, 8)):
         mesh, topo, dm = build_case(n, k, perturb=0.0)
         problem = get_problem("smooth", 1e-3)
         system = assemble_ls(problem, mesh, topo, dm, "weak")
         assert dm.n_total <= 2000
         scale = sp.diags(1.0 / np.sqrt(mass_diagonal(mesh, dm)))
-        scaled = SparseSym.from_csr((scale @ system.matrix.to_scipy() @ scale).tocsr())
-        dense = estimate_extremes(scaled)
-        iterative = estimate_extremes(scaled, dense_cutoff=500)
-        assert dense.method == "dense" and iterative.method == "iterative"
-        assert abs(iterative.kappa - dense.kappa) <= 0.02 * dense.kappa
+        scaled = (scale @ system.matrix.to_scipy() @ scale).tocsr()
+        est = estimate_extremes(SparseSym.from_csr(scaled))
+        eigs = scipy.linalg.eigvalsh(scaled.toarray())
+        assert abs(est.kappa - eigs[-1] / eigs[0]) <= 0.02 * eigs[-1] / eigs[0]
         # the reported residual bounds hold at both ends
-        ends = ((iterative.lambda_min, dense.lambda_min, iterative.tol_min),
-                (iterative.lambda_max, dense.lambda_max, iterative.tol_max))
+        ends = ((est.lambda_min, eigs[0], est.tol_min), (est.lambda_max, eigs[-1], est.tol_max))
         for got, ref, tol in ends:
             assert 0.0 < tol and abs(got - ref) <= tol * got, (k, got, ref, tol)
+
+
+@pytest.mark.parametrize("mode", ["weak", "strong", "alt-weak"])
+@pytest.mark.parametrize("k", [0, 1, 2], ids=["P1", "P2", "P3"])
+def test_condition_rows_converge_through_arpack(k, mode):
+    # every (n, eps) row of the condition study on small meshes: each
+    # extreme within its residual bound of a dense eigensolve, or within
+    # 1e-12 relative where the bound reads less than the rounding error
+    for n in (1, 2, 4, 8) if k == 0 else (1, 2, 4):
+        mesh, topo, dm = build_case(n, k, 0.0)
+        scale = 1.0 / np.sqrt(mass_diagonal(mesh, dm))
+        for eps in (1.0, 1e-3, 1e-9):
+            system = assemble_ls(get_problem("smooth", eps), mesh, topo, dm, mode)
+            scaled = system.matrix.scaled(scale)
+            est = estimate_extremes(scaled, order=system.order)
+            eigs = scipy.linalg.eigvalsh(scaled.toarray())
+            ends = ((est.lambda_min, eigs[0], est.tol_min), (est.lambda_max, eigs[-1], est.tol_max))
+            for got, ref, tol in ends:
+                assert abs(got - ref) <= max(tol, 1e-12) * ref, (n, eps, got, ref, tol)
 
 
 def test_spectral_estimate_has_a_fixed_budget(monkeypatch):
@@ -112,7 +130,7 @@ def test_spectral_estimate_has_a_fixed_budget(monkeypatch):
     scaled = system.matrix.scaled(1.0 / np.sqrt(mass_diagonal(mesh, dm)))
     monkeypatch.setattr(solver, "ARPACK_RESTARTS", 1)
     with pytest.raises(ConvergenceError, match="ARPACK_RESTARTS = 1 restarts"):
-        estimate_extremes(scaled, dense_cutoff=500, order=system.order)
+        estimate_extremes(scaled, order=system.order)
 
 
 def test_compare_modes_boundary_layer_no_layer_regime():
@@ -159,7 +177,21 @@ def test_factor_preconditioned_iterations_flat_in_h_and_eps(k, n):
 def test_repeated_iterative_estimates_identical():
     mesh, topo, dm = build_case(4, 0)
     system = assemble_ls(get_problem("smooth", 1e-3), mesh, topo, dm, "weak")
-    first = estimate_extremes(system.matrix, dense_cutoff=50)
-    again = estimate_extremes(system.matrix, dense_cutoff=50)
-    assert first.method == "iterative"
+    first = estimate_extremes(system.matrix)
+    again = estimate_extremes(system.matrix)
     assert first == again
+
+
+@pytest.mark.parametrize("k", [0, 1], ids=["P1", "P2"])
+def test_eps_to_zero_limit_is_the_transport_solution(k):
+    # the least-squares solution tends to the transport one linearly in eps:
+    # the max-norm gap of the W part falls by about 100 per factor 100 in eps
+    mesh, topo, dm = build_case(16, k)
+    transport = get_problem("transport")
+    limit, _ = solve_problem(transport, mesh, topo, dm, "weak")
+    gaps = []
+    for eps in (1e-6, 1e-8, 1e-10):
+        x, _ = solve_problem(dataclasses.replace(transport, epsilon=eps), mesh, topo, dm, "weak")
+        gaps.append(np.abs(x[dm.n_q:] - limit).max() / np.abs(limit).max())
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 50.0 <= coarse / fine <= 200.0, gaps
