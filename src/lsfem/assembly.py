@@ -516,7 +516,8 @@ def _gather(a, rows, cols):
 def _face_terms(problem, topo, dofmap, mode):
     """Face penalty int_F w (u - d)^2 as local blocks on the W traces
     (vertex and edge nodes) of the element that owns each face: returns
-    the owners (E,), a (E, l, l) and b (E, l), with l = nloc_w_skel.
+    the owners (E,), a (E, l, l) and b (E, l), with l = nloc_w_skel, one
+    row per face of the ``edge_quadrature`` table, in the order of the edges.
 
     Slit mode runs over the flagged slit edges with their stored normals and
     d = slit_g; the other modes over the boundary with outward normals and
@@ -528,18 +529,14 @@ def _face_terms(problem, topo, dofmap, mode):
     else:
         edges = topo.boundary_edges
         normals, data = topo.outward_normals(edges), problem.g
+    owners, pts, trace, weights, h = fem.edge_quadrature(
+        topo, dofmap, edges, fem.assembly_degree(dofmap.k)
+    )
     # the traces are the local Lagrange basis, whose vertex and edge nodes
     # (the skeleton columns of w_index) come first; the bubbles vanish on F
-    n_trace = dofmap.nloc_w_skel
-    owners, blocks, rhs_blocks = [], [], []
-    for sel, tris, pts, trace, weights, h in fem.edge_quadrature(
-        topo, dofmap, edges, fem.assembly_degree(dofmap.k)
-    ):
-        trace = trace[:n_trace]
-        beta_n = (problem.beta(pts[..., 0], pts[..., 1]) @ normals[sel, :, None])[..., 0]
-        scale = face_weight(mode, problem.epsilon, beta_n, h) * weights * h
-        gval = _scalar_field(data, pts[..., 0], pts[..., 1])
-        owners.append(tris)
-        blocks.append(np.einsum("aq,bq,eq->eab", trace, trace, scale))
-        rhs_blocks.append(np.einsum("aq,eq->ea", trace, scale * gval))
-    return np.concatenate(owners), np.concatenate(blocks), np.concatenate(rhs_blocks)
+    trace = trace[:, :dofmap.nloc_w_skel]
+    beta_n = (problem.beta(pts[..., 0], pts[..., 1]) @ normals[:, :, None])[..., 0]
+    scale = face_weight(mode, problem.epsilon, beta_n, h) * weights * h
+    gval = _scalar_field(data, pts[..., 0], pts[..., 1])
+    a = np.einsum("eaq,ebq,eq->eab", trace, trace, scale)
+    return owners, a, np.einsum("eaq,eq->ea", trace, scale * gval)

@@ -53,6 +53,14 @@ def region_elements(mesh: Mesh, region, tol: float = 1e-12) -> np.ndarray:
     return np.flatnonzero(inside.all(axis=1))
 
 
+def nonempty_region(mesh: Mesh, region) -> np.ndarray:
+    """``region_elements``, raising ValueError when the region keeps none."""
+    sel = region_elements(mesh, region)
+    if not sel.size:
+        raise ValueError(f"region {_region_label(region)} contains no element of the mesh")
+    return sel
+
+
 def error_norms(
     solution: np.ndarray,
     mesh: Mesh,
@@ -66,7 +74,8 @@ def error_norms(
 
     ``solution`` is the full [Q | W] coefficient vector, or a W-only vector
     of length n_w for transport solves (then e_q and e_grad drop out of the
-    vector part naturally since eps = 0).
+    vector part naturally since eps = 0). A ``region`` that keeps no element
+    raises ValueError.
     """
     if problem.exact_u is None or problem.exact_grad is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
@@ -75,7 +84,7 @@ def error_norms(
     eps = problem.epsilon
     se = np.sqrt(eps)
 
-    sel = region_elements(mesh, region)
+    sel = nonempty_region(mesh, region)
     tab = fem.reference_tables(dofmap.k, fem.error_degree(dofmap.k))
     geo = dofmap.geo
     X = geo.map_points(tab.xy)
@@ -198,18 +207,18 @@ def _q_moments(field, mesh: Mesh, topo: Topology, dofmap: fem.DofMap) -> np.ndar
 
 
 def _boundary_error(coef_w, topo, dofmap, problem, sel):
-    """Weighted boundary norm over the boundary edges of elements in ``sel``."""
+    """Weighted boundary norm over the boundary edges owned by elements in
+    ``sel``: one row of the ``edge_quadrature`` table per face, u_h from the
+    owner's W coefficients and traces, and the weak-mode face weight."""
     edges = topo.boundary_edges[np.isin(topo.edge_to_tri[topo.boundary_edges, 0], sel)]
     normals = topo.outward_normals(edges)
-    total = 0.0
-    for esel, tris, pts, trace, weights, h in fem.edge_quadrature(
+    owners, pts, trace, weights, h = fem.edge_quadrature(
         topo, dofmap, edges, fem.error_degree(dofmap.k)
-    ):
-        u_h = coef_w[dofmap.w_index[tris]] @ trace
-        du = _scalar_field(problem.exact_u, pts[..., 0], pts[..., 1]) - u_h
-        beta_n = (problem.beta(pts[..., 0], pts[..., 1]) @ normals[esel, :, None])[..., 0]
-        total += np.sum(face_weight("weak", problem.epsilon, beta_n, h) * du**2 * weights * h)
-    return np.sqrt(total)
+    )
+    u_h = (coef_w[dofmap.w_index[owners]][:, None, :] @ trace)[:, 0]
+    du = _scalar_field(problem.exact_u, pts[..., 0], pts[..., 1]) - u_h
+    beta_n = (problem.beta(pts[..., 0], pts[..., 1]) @ normals[:, :, None])[..., 0]
+    return np.sqrt(np.sum(face_weight("weak", problem.epsilon, beta_n, h) * du**2 * weights * h))
 
 
 def _region_label(region) -> str:

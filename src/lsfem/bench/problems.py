@@ -14,10 +14,6 @@ from ..assembly import ProblemSpec
 
 PROBLEM_NAMES = ("smooth", "rotating", "interior-layer", "boundary-layer", "transport")
 
-# g of the interior-layer problem jumps at these boundary points; strong
-# mode interpolates the closed-set value 1 there
-INTERIOR_LAYER_JUMPS = ((0.0, 0.2), (1.0, 0.0))
-
 
 def get_problem(name: str, epsilon: float | None = None) -> ProblemSpec:
     """Build a catalog entry, validating epsilon against the entry's range.

@@ -22,7 +22,7 @@ from ..solver import (
     estimate_extremes,
     factorize,
 )
-from .errors import ErrorReport, error_norms
+from .errors import ErrorReport, error_norms, nonempty_region
 from .problems import get_problem
 
 DEFAULT_PERTURB = 0.15
@@ -138,6 +138,7 @@ def convergence_study(
     reports = []
     for level, n in enumerate(levels):
         mesh, topo, dofmap = build_case(n, k, perturb)
+        nonempty_region(mesh, region)  # fail before the solve, not after it
         solution, _ = solve_problem(problem, mesh, topo, dofmap, bc_mode, tol=tol)
         report = error_norms(solution, mesh, topo, dofmap, problem, region=region, level=level)
         if reports:
@@ -210,6 +211,8 @@ def compare_bc_modes(
         raise ValueError("mode comparison is defined for the layer problems")
     problem = get_problem(problem_name, epsilon)
     mesh, topo, dofmap = build_case(mesh_n, k, perturb)
+    if problem.exact_u is not None:
+        nonempty_region(mesh, region)  # fail before the solves, not after them
     reports = {}
     overshoot = {}
     for mode in ("weak", "strong"):
@@ -220,9 +223,7 @@ def compare_bc_modes(
             reports[mode] = error_norms(
                 solution, mesh, topo, dofmap, problem, region=region
             )
-    ratio = None
-    if reports:
-        ratio = reports["weak"].e_L2 / reports["strong"].e_L2
+    ratio = reports["weak"].e_L2 / reports["strong"].e_L2 if reports else None
     return ModeComparison(
         problem=problem_name,
         epsilon=problem.epsilon,

@@ -8,6 +8,7 @@ and eigenvalue start vectors are fixed.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -117,6 +118,9 @@ def _parse_region(text):
     parts = [float(v) for v in text.split(",")]
     if len(parts) != 4:
         raise ValueError("region must be xmin,xmax,ymin,ymax")
+    xmin, xmax, ymin, ymax = parts
+    if not (all(map(math.isfinite, parts)) and xmin < xmax and ymin < ymax):
+        raise ValueError(f"region {text} must be finite with xmin < xmax and ymin < ymax")
     return tuple(parts)
 
 

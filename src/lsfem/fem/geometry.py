@@ -30,10 +30,6 @@ class ElementGeometry:
     det: np.ndarray     # (T,) determinant, positive for CCW elements
     inv_t: np.ndarray   # (T, 2, 2) inverse transpose, maps reference gradients
 
-    def __getitem__(self, cells) -> "ElementGeometry":
-        """The geometry of the elements ``cells``."""
-        return ElementGeometry(self.v0[cells], self.jac[cells], self.det[cells], self.inv_t[cells])
-
     def map_points(self, ref_pts: np.ndarray) -> np.ndarray:
         """Physical images of reference points, shape (T, npts, 2)."""
         return self.v0[:, None, :] + ref_pts @ self.jac.swapaxes(1, 2)
@@ -80,27 +76,24 @@ def edge_ref_points(local_edge: int, t: np.ndarray) -> np.ndarray:
 
 
 def edge_quadrature(topo: Topology, dofmap: DofMap, edges, degree: int):
-    """Gauss quadrature of exact degree ``degree`` on the given edges, each
-    seen from its first neighbouring triangle, grouped by local edge.
+    """Gauss quadrature of exact degree ``degree`` on the given edges, one
+    row per face, each face seen from its first neighbouring triangle.
 
-    Yields ``(sel, tris, pts, trace, weights, h)`` per nonempty group: the
-    positions ``sel`` in ``edges``, the owning triangles (E,), the physical
-    points (E, nq, 2), the W-space Lagrange traces (nloc, nq), the
-    reference weights (nq,) and h_F as a column (E, 1). An edge integral of
-    a penalty ``w`` is ``sum(w * weights * h)``, formed in that order.
+    Returns ``(owners, pts, trace, weights, h)``: the owning triangles (E,),
+    the physical points (E, nq, 2), the owner's W-space Lagrange traces
+    (E, nloc, nq), the reference weights (nq,) and h_F as a column (E, 1).
+    One basis call tabulates the three local edges and each face gathers
+    its own. An edge integral of a penalty ``w`` is ``sum(w * weights * h)``,
+    formed in that order.
     """
     geo = dofmap.geo
     erule = quadrature.edge_rule(degree)
     t = erule.points[:, 0]
-    tris = topo.edge_to_tri[edges, 0]
-    local = np.argmax(topo.tri_to_edge[tris] == edges[:, None], axis=1)
-    h = topo.h_F[edges]
-    for le in range(3):
-        sel = np.flatnonzero(local == le)
-        if sel.size == 0:
-            continue
-        ref = edge_ref_points(le, t)
-        owners = tris[sel]
-        pts = geo[owners].map_points(ref)
-        trace = basis.lagrange_basis(dofmap.degree, ref)[0]
-        yield sel, owners, pts, trace, erule.weights, h[sel, None]
+    owners = topo.edge_to_tri[edges, 0]
+    local = np.argmax(topo.tri_to_edge[owners] == edges[:, None], axis=1)
+    ref = np.stack([edge_ref_points(le, t) for le in range(3)])      # (3, nq, 2)
+    # (nloc, 3 nq) -> (3, nloc, nq), the traces on the three local edges
+    trace = basis.lagrange_basis(dofmap.degree, ref)[0].reshape(-1, 3, len(t)).swapaxes(0, 1)
+    # the arithmetic of ElementGeometry.map_points, face by face
+    pts = geo.v0[owners, None, :] + ref[local] @ geo.jac[owners].swapaxes(1, 2)
+    return owners, pts, trace[local], erule.weights, topo.h_F[edges, None]

@@ -9,8 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_JITTER_SEED = 20470
-
 
 class MeshError(ValueError):
     """Invalid mesh data (parse failure, inverted or non-conforming element)."""

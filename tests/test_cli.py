@@ -51,6 +51,25 @@ def test_bad_value_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(("convergence", "--problem", "smooth", "--levels", "2",
+                      "--region", "1,0,0,1"), "xmin < xmax", id="reversed"),
+        pytest.param(("convergence", "--problem", "smooth", "--levels", "2",
+                      "--region", "nan,1,0,1"), "finite", id="nan"),
+        pytest.param(("compare", "--problem", "boundary-layer", "--mesh-n", "8",
+                      "--region", "0.5,0.51,0,1"), "no element", id="empty-strip"),
+    ],
+)
+def test_bad_region_exits_one(tmp_path, capsys, argv, message):
+    code, out, err = run(capsys, "--out-dir", str(tmp_path), *argv)
+    assert code == 1
+    assert err.startswith(f"error [{argv[0]}]: region ")
+    assert message in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         pytest.param(("solve", "--mesh-n", "4", "--maxit", "-3"), id="negative-maxit"),

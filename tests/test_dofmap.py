@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import edge_traces, edge_w_values, jittered_relabelled_meshes, make_case
+from conftest import (
+    edge_traces,
+    edge_w_values,
+    jittered_relabelled_meshes,
+    make_case,
+    polynomial_problem,
+)
 from lsfem import fem
+from lsfem.bench.errors import interpolate_scalar
 from lsfem.fem import basis
 from lsfem.mesh import Mesh, build_topology, generate_structured, refine_uniform
 
@@ -167,3 +174,41 @@ def test_rejects_bad_k():
     mesh, topo, _ = make_case(1, 0)
     with pytest.raises(ValueError):
         fem.build_dofmap(mesh, topo, 3)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_edge_quadrature_table(k):
+    # every edge of a jittered mesh, so the faces sit on all three local
+    # edges of their owners
+    mesh, topo, dm = make_case(4, k, perturb=0.2)
+    edges = np.arange(topo.num_edges)
+    owners, pts, trace, weights, h = fem.edge_quadrature(topo, dm, edges, fem.assembly_degree(k))
+    local = np.argmax(topo.tri_to_edge[owners] == edges[:, None], axis=1)
+    assert set(local.tolist()) == {0, 1, 2}
+    nq = len(weights)
+    assert pts.shape == (len(edges), nq, 2)
+    assert trace.shape == (len(edges), dm.w_index.shape[1], nq)
+
+    # every point on its edge segment: no distance off the line, parameter in [0, 1]
+    a = mesh.vertices[topo.edges[:, 0], None, :]
+    d = mesh.vertices[topo.edges[:, 1], None, :] - a
+    rel = pts - a
+    off = np.abs(rel[..., 0] * d[..., 1] - rel[..., 1] * d[..., 0]) / topo.h_F[:, None]
+    along = (rel * d).sum(axis=2) / topo.h_F[:, None] ** 2
+    assert off.max() <= 1e-14
+    assert along.min() >= -1e-14 and along.max() <= 1.0 + 1e-14
+    assert np.abs(weights.sum() * h[:, 0] - topo.h_F[edges]).max() <= 1e-14
+
+    # the traces reproduce a degree-(k+1) polynomial from its interpolant
+    u = polynomial_problem(1.0, k).exact_u
+    coef = interpolate_scalar(u, dm)
+    u_h = np.einsum("eaq,ea->eq", trace, coef[dm.w_index[owners]])
+    assert np.abs(u_h - u(pts[..., 0], pts[..., 1])).max() <= 1e-13
+
+
+def test_edge_quadrature_of_no_edges_is_empty():
+    mesh, topo, dm = make_case(2, 1)
+    owners, pts, trace, weights, h = fem.edge_quadrature(topo, dm, np.array([], int), 6)
+    nq, nloc = len(weights), dm.w_index.shape[1]
+    assert owners.shape == (0,) and pts.shape == (0, nq, 2)
+    assert trace.shape == (0, nloc, nq) and h.shape == (0, 1)

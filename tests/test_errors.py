@@ -75,6 +75,22 @@ def test_subdomain_error_never_exceeds_full():
     assert sub.region == "[0,0.9]x[0,0.9]"
 
 
+def test_interior_region_has_no_boundary_error():
+    problem = get_problem("smooth", 1e-3)
+    mesh, topo, dm = make_case(8, 1, perturb=0.1)
+    x = np.random.default_rng(5).standard_normal(dm.n_total)
+    report = error_norms(x, mesh, topo, dm, problem, region=(0.3, 0.7, 0.3, 0.7))
+    assert report.e_bdry == 0.0
+    assert report.e_L2 > 0.0
+
+
+def test_region_without_elements_rejected():
+    problem = get_problem("smooth", 1e-3)
+    mesh, topo, dm = make_case(8, 0, perturb=0.1)
+    with pytest.raises(ValueError, match=r"region \[0.5,0.51\]x\[0,1\] contains no element"):
+        error_norms(np.zeros(dm.n_total), mesh, topo, dm, problem, region=(0.5, 0.51, 0.0, 1.0))
+
+
 def test_missing_exact_solution_rejected():
     problem = get_problem("interior-layer", 1e-3)
     mesh, topo, dm = make_case(2, 0)

@@ -15,6 +15,7 @@ from lsfem.bench import (
     nearest_generated_n,
     solve_problem,
 )
+from lsfem.bench import studies
 from lsfem.bench.studies import build_case
 from lsfem import solver
 from lsfem.solver import ConvergenceError, SparseSym, cg_solve, estimate_extremes
@@ -153,6 +154,23 @@ def test_compare_modes_rejects_other_problems():
         compare_bc_modes("smooth", 0, mesh_n=4)
 
 
+@pytest.mark.parametrize(
+    "study",
+    [
+        lambda region: convergence_study("smooth", 0, levels=(4,), region=region),
+        lambda region: compare_bc_modes("boundary-layer", 0, mesh_n=8, region=region),
+    ],
+    ids=["convergence", "compare"],
+)
+def test_empty_region_fails_before_any_solve(monkeypatch, study):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the region was checked")
+
+    monkeypatch.setattr(studies, "solve_problem", no_solve)
+    with pytest.raises(ValueError, match="contains no element"):
+        study((0.5, 0.51, 0.0, 1.0))
+
+
 def test_solve_problem_matches_dense_oracle_and_jacobi():
     mesh, topo, dm = build_case(4, 1)
     problem = get_problem("smooth", 1e-3)
@@ -182,7 +200,7 @@ def test_repeated_iterative_estimates_identical():
     assert first == again
 
 
-@pytest.mark.parametrize("k", [0, 1], ids=["P1", "P2"])
+@pytest.mark.parametrize("k", [0, 1, 2], ids=["P1", "P2", "P3"])
 def test_eps_to_zero_limit_is_the_transport_solution(k):
     # the least-squares solution tends to the transport one linearly in eps:
     # the max-norm gap of the W part falls by about 100 per factor 100 in eps
