@@ -92,9 +92,9 @@ class LinearSystem:
 
     With the element-interior DOFs condensed out, the matrix is the Schur
     complement on the skeleton, numbered [Q edge moments | W vertex and edge
-    nodes]: the leading ``n_q_skel`` and ``n_w_skel`` DOFs of the two blocks
-    of the full system (see ``DofMap``). The full system is the one with no
-    interiors.
+    nodes]: the leading DOFs of the two blocks of the full system, those in
+    the first ``nloc_q_skel`` and ``nloc_w_skel`` columns of the index
+    tables (see ``DofMap``). The full system is the one with no interiors.
 
     ``expand`` recovers the interiors element by element, so the full
     residual b - A x of ``expand(x)`` is g - S x on the skeleton and zero on

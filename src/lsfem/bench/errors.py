@@ -134,7 +134,8 @@ def interpolate_solution(problem: ProblemSpec, mesh: Mesh, topo: Topology, dofma
     """Nodal/moment interpolant of (q, u) = (-sqrt(eps) grad u, u).
 
     Returns the full [Q | W] coefficient vector; for transport problems the
-    Q block carries the interpolant of the zero field.
+    Q block carries the interpolant of the zero field. ``mesh`` and ``topo``
+    are not read: the DOF map holds the geometry and the numbering.
     """
     if problem.exact_u is None or problem.exact_grad is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
@@ -143,9 +144,7 @@ def interpolate_solution(problem: ProblemSpec, mesh: Mesh, topo: Topology, dofma
     xw = dofmap.w_coords
     coef[dofmap.n_q:] = _scalar_field(problem.exact_u, xw[:, 0], xw[:, 1])
     if se > 0.0:
-        coef[: dofmap.n_q] = _q_moments(
-            lambda x, y: -se * problem.exact_grad(x, y), mesh, topo, dofmap
-        )
+        coef[: dofmap.n_q] = _q_moments(lambda x, y: -se * problem.exact_grad(x, y), dofmap)
     return coef
 
 
@@ -173,37 +172,20 @@ def sample_solution(solution: np.ndarray, mesh: Mesh, dofmap: fem.DofMap):
     return u_vertices, dofmap.geo.piola(q_ref)[:, 0, :]
 
 
-def _q_moments(field, mesh: Mesh, topo: Topology, dofmap: fem.DofMap) -> np.ndarray:
-    """Global vector DOFs of a smooth field: Legendre edge moments along the
-    global edge direction plus reference interior moments."""
-    m = dofmap.degree
-    n_edge = fem.rt_edge_dofs(m)
-    out = np.zeros(dofmap.n_q)
-    erule = fem.edge_rule(2 * m + 4)
-    t = erule.points[:, 0]
-    lo = mesh.vertices[topo.edges[:, 0]]
-    hi = mesh.vertices[topo.edges[:, 1]]
-    pts = lo[:, None, :] + t[None, :, None] * (hi - lo)[:, None, :]
-    fvals = field(pts[..., 0], pts[..., 1])          # (E, nq, 2)
-    fn = (fvals @ topo.normals[:, :, None])[..., 0]
-    for j in range(n_edge):
-        leg = fem.basis.edge_moment_weight(j, t)
-        out[np.arange(topo.num_edges) * n_edge + j] = np.einsum(
-            "eq,q,e->e", fn, leg * erule.weights, topo.h_F
-        )
-
-    # every RT space of order m >= 1 has m (m + 1) interior moments
+def _q_moments(field, dofmap: fem.DofMap) -> np.ndarray:
+    """Global vector DOFs of a smooth field: the reference DOFs of each
+    element's pull-back det(J) J^{-1} f, signed into the global numbering.
+    The two elements of an edge agree on its moments only to round-off, so
+    each global DOF is read from its first occurrence in ``q_index``."""
     geo = dofmap.geo
-    rule = fem.triangle_rule(2 * m + 4)
-    X = geo.map_points(rule.xy)
-    fvals = field(X[..., 0], X[..., 1])          # (T, nq, 2)
-    # reference pullback det(J) J^{-1} f keeps the interior moments affine-invariant
-    fhat = fvals @ geo.inv_t * geo.det[:, None, None]
-    tests = fem.basis.rt_interior_tests(m, rule.xy)
-    moments = np.einsum("tqd,iqd,q->ti", fhat, tests, rule.weights)
-    base = topo.num_edges * n_edge
-    out[base:] = moments.ravel()
-    return out
+
+    def pull_back(pts):
+        X = geo.map_points(pts)
+        return field(X[..., 0], X[..., 1]) @ geo.inv_t * geo.det[:, None, None]
+
+    local = fem.rt_dofs(dofmap.degree, 2 * dofmap.degree + 4, pull_back)
+    _, first = np.unique(dofmap.q_index, return_index=True)
+    return (dofmap.q_sign * local).ravel()[first]
 
 
 def _boundary_error(coef_w, topo, dofmap, problem, sel):

@@ -166,8 +166,12 @@ def condition_study(
 
     The meshes are not jittered: the kappa ratio per halving of h is checked
     in a band around 4, and on the uniform family it changes with h alone,
-    not with a distortion that differs from level to level.
+    not with a distortion that differs from level to level. A repeated
+    epsilon raises ValueError: its second row would divide a kappa by itself.
     """
+    for i, eps in enumerate(epsilons):
+        if eps in epsilons[:i]:
+            raise ValueError(f"eps {eps:g} is listed twice")
     rows = []
     prev: dict[float, float] = {}
     for level, n in enumerate(levels):

@@ -3,22 +3,19 @@
 from .quadrature import QuadRule, edge_rule, triangle_rule
 from .basis import (
     LOCAL_EDGES,
-    REF_EDGE_NORMALS,
-    REF_VERTS,
+    edge_ref_points,
     lagrange_basis,
     lagrange_nodes,
     reference_tables,
     rt_basis,
     rt_dimension,
-    rt_dof_matrix,
+    rt_dofs,
     rt_edge_dofs,
-    shifted_legendre,
 )
 from .dofmap import DofMap, build_dofmap
 from .geometry import (
     ElementGeometry,
     edge_quadrature,
-    edge_ref_points,
     element_geometry,
     q_tables,
     w_tables,

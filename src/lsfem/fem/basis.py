@@ -3,7 +3,8 @@
 Scalar part: nodal Lagrange bases P1..P3 on the equispaced lattice.
 Vector part: the local space P_m(K; R^2) + x P_m(K) of dimension
 (m+1)(m+3), dual to edge moments of the normal trace against shifted
-Legendre polynomials plus interior moments against (P_{m-1})^2.
+Legendre polynomials plus interior moments against (P_{m-1})^2; ``rt_dofs``
+is the one definition of those functionals.
 
 Local edge i is opposite vertex i and is traversed (1,2), (2,0), (0,1);
 each of those traversals runs counterclockwise around the element.
@@ -27,19 +28,21 @@ REF_EDGE_NORMALS[0] /= np.sqrt(2.0)
 REF_EDGE_LENGTHS = np.array([np.sqrt(2.0), 1.0, 1.0])
 
 
-def shifted_legendre(j: int, t: np.ndarray) -> np.ndarray:
-    """Legendre polynomial of degree j on [0, 1]."""
-    x = 2.0 * np.asarray(t) - 1.0
-    return np.polynomial.legendre.legval(x, np.eye(j + 1)[j])
-
-
 def edge_moment_weight(j: int, t: np.ndarray) -> np.ndarray:
     """L2([0,1])-normalized Legendre weight defining the j-th edge moment.
 
     Normalization keeps the moment-dual basis well conditioned; reversing
     the argument still flips the sign of odd degrees only.
     """
-    return np.sqrt(2.0 * j + 1.0) * shifted_legendre(j, t)
+    x = 2.0 * np.asarray(t) - 1.0
+    return np.sqrt(2.0 * j + 1.0) * np.polynomial.legendre.legval(x, np.eye(j + 1)[j])
+
+
+def edge_ref_points(local_edge: int, t: np.ndarray) -> np.ndarray:
+    """Reference coordinates along a directed local edge at parameters t."""
+    a, b = LOCAL_EDGES[local_edge]
+    pa, pb = REF_VERTS[a], REF_VERTS[b]
+    return pa[None, :] + t[:, None] * (pb - pa)[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -50,10 +53,9 @@ def lagrange_nodes(degree: int) -> np.ndarray:
     """Equispaced reference nodes ordered vertices, edge nodes, interior."""
     _check_degree(degree)
     m = degree
-    nodes = [REF_VERTS[0], REF_VERTS[1], REF_VERTS[2]]
-    for a, b in LOCAL_EDGES:
-        for i in range(1, m):
-            nodes.append(REF_VERTS[a] + (i / m) * (REF_VERTS[b] - REF_VERTS[a]))
+    nodes = list(REF_VERTS)
+    for e in range(3):
+        nodes.extend(edge_ref_points(e, np.arange(1, m) / m))
     for i in range(1, m):
         for j in range(1, m - i):
             nodes.append(np.array([i / m, j / m]))
@@ -132,10 +134,30 @@ def rt_basis(order: int, points: np.ndarray):
     return values, divergences
 
 
-def rt_dof_matrix(order: int) -> np.ndarray:
-    """DOF functionals applied to the moment-dual basis (identity by duality)."""
-    coeff = _rt_coefficients(order)
-    return _rt_moment_matrix(order) @ coeff
+def rt_dofs(order: int, degree: int, field) -> np.ndarray:
+    """The DOF functionals of the vector space applied to reference fields.
+
+    ``field(pts)`` gives values (..., npts, 2) at reference points (npts, 2).
+    Returns (..., nloc) in ``rt_basis``'s DOF order, each moment integrated
+    by the edge and triangle rules of exact degree ``degree``. Normal-trace
+    and interior moments are invariant under the contravariant Piola map,
+    so the pull-back det(J) J^{-1} f of a physical field f gives its DOFs
+    on that element.
+    """
+    erule = edge_rule(degree)
+    t = erule.points[:, 0]
+    dofs = []
+    for e in range(3):
+        ptrace = field(edge_ref_points(e, t)) @ REF_EDGE_NORMALS[e]
+        for j in range(order + 1):
+            dofs.append(ptrace @ (edge_moment_weight(j, t) * erule.weights * REF_EDGE_LENGTHS[e]))
+    trule = triangle_rule(degree)
+    vals = field(trule.xy)
+    tests = rt_interior_tests(order, trule.xy)
+    for i in range(len(tests)):
+        comp = 0 if i < len(tests) // 2 else 1
+        dofs.append(vals[..., comp] @ (tests[i, :, comp] * trule.weights))
+    return np.stack(dofs, axis=-1)
 
 
 def rt_interior_tests(order: int, pts: np.ndarray) -> np.ndarray:
@@ -211,35 +233,10 @@ def _eval_vector_space(order, pts):
     return vals, divs
 
 
-def _rt_moment_matrix(order: int) -> np.ndarray:
-    """Rows: DOF functionals; columns: spanning fields of the local space."""
-    m = order
-    n = rt_dimension(m)
-    erule = edge_rule(2 * m + 2)
-    t = erule.points[:, 0]
-    rows = []
-    for e, (a, b) in enumerate(LOCAL_EDGES):
-        pa, pb = REF_VERTS[a], REF_VERTS[b]
-        pts = pa[None, :] + t[:, None] * (pb - pa)[None, :]
-        vals, _ = _eval_vector_space(m, pts)
-        ptrace = vals @ REF_EDGE_NORMALS[e]
-        for j in range(m + 1):
-            weight = edge_moment_weight(j, t) * erule.weights * REF_EDGE_LENGTHS[e]
-            rows.append(ptrace @ weight)
-    trule = triangle_rule(2 * m + 2)
-    vals, _ = _eval_vector_space(m, trule.xy)
-    tests = rt_interior_tests(m, trule.xy)
-    for i in range(len(tests)):
-        comp = 0 if i < len(tests) // 2 else 1
-        rows.append(vals[:, :, comp] @ (tests[i, :, comp] * trule.weights))
-    M = np.array(rows)
-    assert M.shape == (n, n)
-    return M
-
-
 @functools.cache
 def _rt_coefficients(order: int) -> np.ndarray:
-    M = _rt_moment_matrix(order)
+    # rows: DOF functionals; columns: spanning fields of the local space
+    M = rt_dofs(order, 2 * order + 2, lambda pts: _eval_vector_space(order, pts)[0]).T
     got = np.linalg.inv(M)
     for _ in range(2):  # Newton refinement keeps duality at machine precision
         got = got @ (2.0 * np.eye(len(M)) - M @ got)

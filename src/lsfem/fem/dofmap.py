@@ -29,12 +29,12 @@ class DofMap:
     coefficient times its sign is the coefficient of the local basis.
 
     The skeleton is the Q edge moments and the W vertex and edge nodes: the
-    DOFs that couple elements. They are a prefix three ways: the first
+    DOFs that couple elements. They are a prefix twice over: the first
     ``nloc_q_skel`` (``nloc_w_skel``) columns of each row of q_index
-    (w_index), in the local basis order, and the first ``n_q_skel``
-    (``n_w_skel``) indices of each block. So a skeleton DOF has the same
-    index in the skeleton's blocks as in the full ones; the remaining
-    columns and indices are element interiors.
+    (w_index), in the local basis order, and the indices those columns
+    hold, which are the leading indices of each block. So a skeleton DOF
+    has the same index in the skeleton's blocks as in the full ones; the
+    remaining columns and indices are element interiors.
     """
 
     k: int
@@ -63,14 +63,6 @@ class DofMap:
     @property
     def nloc_w(self) -> int:
         return self.w_index.shape[1]
-
-    @property
-    def n_q_skel(self) -> int:
-        return self.n_q - len(self.q_index) * (self.nloc_q - self.nloc_q_skel)
-
-    @property
-    def n_w_skel(self) -> int:
-        return self.n_w - len(self.w_index) * (self.nloc_w - self.nloc_w_skel)
 
 
 def build_dofmap(mesh: Mesh, topo: Topology, k: int) -> DofMap:

@@ -68,13 +68,6 @@ def q_tables(order: int, ref_pts: np.ndarray, geo: ElementGeometry):
     return vals, divs
 
 
-def edge_ref_points(local_edge: int, t: np.ndarray) -> np.ndarray:
-    """Reference coordinates along a directed local edge at parameters t."""
-    a, b = basis.LOCAL_EDGES[local_edge]
-    pa, pb = basis.REF_VERTS[a], basis.REF_VERTS[b]
-    return pa[None, :] + t[:, None] * (pb - pa)[None, :]
-
-
 def edge_quadrature(topo: Topology, dofmap: DofMap, edges, degree: int):
     """Gauss quadrature of exact degree ``degree`` on the given edges, one
     row per face, each face seen from its first neighbouring triangle.
@@ -91,7 +84,7 @@ def edge_quadrature(topo: Topology, dofmap: DofMap, edges, degree: int):
     t = erule.points[:, 0]
     owners = topo.edge_to_tri[edges, 0]
     local = np.argmax(topo.tri_to_edge[owners] == edges[:, None], axis=1)
-    ref = np.stack([edge_ref_points(le, t) for le in range(3)])      # (3, nq, 2)
+    ref = np.stack([basis.edge_ref_points(le, t) for le in range(3)])  # (3, nq, 2)
     # (nloc, 3 nq) -> (3, nloc, nq), the traces on the three local edges
     trace = basis.lagrange_basis(dofmap.degree, ref)[0].reshape(-1, 3, len(t)).swapaxes(0, 1)
     # the arithmetic of ElementGeometry.map_points, face by face

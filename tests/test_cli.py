@@ -50,6 +50,18 @@ def test_bad_value_exits_one(tmp_path, capsys):
     assert "error" in err
 
 
+def test_repeated_eps_exits_one(tmp_path, capsys):
+    # a second row for the same eps would report the ratio of a kappa to itself
+    code, out, err = run(
+        capsys, "--out-dir", str(tmp_path),
+        "condition", "--problem", "smooth", "--levels", "1", "--base-n", "2",
+        "--eps-list", "1e-3,1e-3",
+    )
+    assert code == 1
+    assert err == "error [condition]: eps 0.001 is listed twice\n"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

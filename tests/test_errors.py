@@ -4,7 +4,7 @@ import pytest
 from conftest import make_case, polynomial_problem
 from lsfem import fem
 from lsfem.bench import error_norms, get_problem, interpolate_solution, sample_solution
-from lsfem.bench.errors import region_elements
+from lsfem.bench.errors import _q_moments, region_elements
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -15,6 +15,26 @@ def test_interpolant_of_polynomial_has_zero_error(k):
     report = error_norms(coef, mesh, topo, dm, problem)
     for field in ("e_L2", "e_grad", "e_q", "e_stream", "e_bdry"):
         assert getattr(report, field) <= 1e-10
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_q_interpolant_reproduces_the_local_space(k):
+    # a random field of the whole local space P_m^2 + x P_m (m = k + 1), whose
+    # x P_m part no gradient of a polynomial reaches
+    m = k + 1
+    mesh, topo, dm = make_case(4, k, perturb=0.2)
+    exps = [(a, b) for a in range(m + 1) for b in range(m + 1 - a)]
+    coef = np.random.default_rng(k).standard_normal((len(exps), 3))
+
+    def field(x, y):
+        p = [sum(c[i] * x**a * y**b for c, (a, b) in zip(coef, exps)) for i in range(3)]
+        return np.stack([p[0] + x * p[2], p[1] + y * p[2]], axis=-1)
+
+    cq = dm.q_sign * _q_moments(field, dm)[dm.q_index]
+    tab = fem.reference_tables(k, fem.error_degree(k))
+    q_h = dm.geo.piola(np.tensordot(cq, tab.q_vals, 1))
+    X = dm.geo.map_points(tab.xy)
+    assert np.abs(q_h - field(X[..., 0], X[..., 1])).max() < 1e-12
 
 
 def test_zero_solution_gives_exact_norm():

@@ -113,7 +113,10 @@ def error_norms_einsum(x, topo, dm, problem, sel):
 
 
 def q_moments_einsum(field, mesh, topo, dm):
-    """``errors._q_moments`` with the normal components and the pull-back as einsums."""
+    """The global vector DOFs on the mesh's own edges, as einsums: Legendre
+    moments of f.n along each global low->high edge and interior moments of
+    the pull-back. An oracle for ``errors._q_moments`` that shares neither
+    ``rt_dofs`` nor the sign table."""
     m = dm.degree
     n_edge = fem.rt_edge_dofs(m)
     out = np.zeros(dm.n_q)
@@ -198,4 +201,4 @@ def test_kernels_match_einsum_forms(case):
     if problem.epsilon > 0.0:
         def field(x_, y_):
             return -np.sqrt(problem.epsilon) * problem.exact_grad(x_, y_)
-        _close(_q_moments(field, mesh, topo, dm), q_moments_einsum(field, mesh, topo, dm))
+        _close(_q_moments(field, dm), q_moments_einsum(field, mesh, topo, dm))

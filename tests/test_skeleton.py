@@ -118,7 +118,12 @@ def test_convergence_error_names_the_system():
     assert "preconditioner: sparse factor" in message
     history = info.value.stats.residual_history
     assert f"last residuals: {history[-1]:.3e}]" in message
-    assert n_skel == dm.n_q_skel + dm.n_w_skel < dm.n_total
+    # the skeleton columns of the index tables hold the leading indices of each block
+    q_skel = np.unique(dm.q_index[:, :dm.nloc_q_skel])
+    w_skel = np.unique(dm.w_index[:, :dm.nloc_w_skel])
+    assert np.array_equal(q_skel, np.arange(len(q_skel)))
+    assert np.array_equal(w_skel, np.arange(len(w_skel)))
+    assert n_skel == len(q_skel) + len(w_skel) < dm.n_total
 
 
 def test_factor_preconditioned_solve_has_a_fixed_budget(monkeypatch):
