@@ -289,11 +289,10 @@ def boundary_w_dofs(mesh: Mesh, topo: Topology, dofmap: fem.DofMap) -> np.ndarra
 
 
 def mass_diagonal(mesh: Mesh, dofmap: fem.DofMap) -> np.ndarray:
-    """Squared L2 norms of the global basis functions, blockwise [Q | W].
-
-    Used to rescale assembled systems so matrix Rayleigh quotients mirror
-    the function-space ones when estimating condition numbers. ``mesh`` is
-    not read: the DOF map carries the geometry.
+    """Squared L2 norms of the global basis functions, blockwise [Q | W]:
+    the diagonal D of the kappa pencil A x = lambda D x, whose Rayleigh
+    quotients mirror the function-space ones (``condition_study``). ``mesh``
+    is not read: the DOF map carries the geometry.
     """
     tab = fem.reference_tables(dofmap.k, 2 * dofmap.degree + 2)
     geo = dofmap.geo

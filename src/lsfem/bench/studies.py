@@ -154,15 +154,15 @@ def condition_study(
     levels: Sequence[int] = (4, 8),
     epsilons: Sequence[float] = (1.0, 1e-3, 1e-9),
 ) -> list[ConditionRow]:
-    """Condition number per (level, epsilon) on the mass-normalized system.
+    """Condition number per (level, epsilon) of the pencil A x = lambda D x.
 
     The raw nodal/moment coefficients mix h-scalings between the vector and
-    scalar blocks, so the matrix is symmetrically rescaled by the basis L2
-    norms before the eigenvalue estimate; Rayleigh quotients then mirror the
-    function-space ones that the h^-2 bound concerns. Both extremes come
-    from ARPACK at every level (``estimate_extremes``), lambda_min through
-    one factor of the full system in its dissection order; each row's
-    estimate carries its residual bounds.
+    scalar blocks, so kappa is taken relative to D, the diagonal of squared
+    basis L2 norms (``mass_diagonal``); the pencil's Rayleigh quotients then
+    mirror the function-space ones that the h^-2 bound concerns. Both
+    extremes come from ARPACK at every level (``estimate_extremes``),
+    lambda_min through one factor of the full system in its dissection
+    order; each row's estimate carries its residual bounds.
 
     The meshes are not jittered: the kappa ratio per halving of h is checked
     in a band around 4, and on the uniform family it changes with h alone,
@@ -176,11 +176,11 @@ def condition_study(
     prev: dict[float, float] = {}
     for level, n in enumerate(levels):
         mesh, topo, dofmap = build_case(n, k, 0.0)
-        scale = 1.0 / np.sqrt(mass_diagonal(mesh, dofmap))
+        mass = mass_diagonal(mesh, dofmap)
         for eps in epsilons:
             problem = get_problem(problem_name, eps)
             system = assemble_ls(problem, mesh, topo, dofmap, bc_mode)
-            est = estimate_extremes(system.matrix.scaled(scale), order=system.order)
+            est = estimate_extremes(system.matrix, mass, system.order)
             row = ConditionRow(
                 level=level,
                 n=n,

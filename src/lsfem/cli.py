@@ -186,7 +186,7 @@ def _cmd_condition(args) -> int:
     epsilons = [float(v) for v in args.eps_list.split(",")]
     levels = [args.base_n * 2**i for i in range(args.levels)]
     rows = bench.condition_study(args.problem, args.k, args.bc, levels, epsilons)
-    out = os.path.join(args.out_dir, f"condition_{args.problem}_P{args.k + 1}.csv")
+    out = os.path.join(args.out_dir, f"condition_{args.problem}_P{args.k + 1}_{args.bc}.csv")
     bench.write_condition_csv(rows, out)
     print(f"{'level':>5} {'n':>4} {'eps':>8} {'ndofs':>8} {'kappa':>12} {'ratio':>8}")
     for r in rows:

@@ -1,7 +1,7 @@
 """Sparse symmetric linear algebra: CSR storage with symmetry validation,
 a sparse factorization, preconditioned conjugate gradients, and
-extreme-eigenvalue estimation (ARPACK on the matrix and on its inverse
-through one factor, at every size).
+extreme-eigenvalue estimation of a pencil with a diagonal right-hand side
+(ARPACK on the matrix and on its inverse through one factor, at every size).
 """
 from __future__ import annotations
 
@@ -84,12 +84,6 @@ class SparseSym:
             )
         return cls(mat.shape[0], mat.indptr, mat.indices, mat.data)
 
-    def scaled(self, s: np.ndarray) -> "SparseSym":
-        """diag(s) A diag(s), entry by entry in the order d @ A @ d takes;
-        symmetric because A is, so it is not validated again."""
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        return SparseSym(self.n, self.indptr, self.indices, self.data * s[rows] * s[self.indices])
-
     def to_scipy(self) -> sp.csr_matrix:
         return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
 
@@ -107,14 +101,15 @@ class CgStats:
 
 @dataclass(frozen=True)
 class SpectralEstimate:
-    """Extreme eigenvalues of an SPD matrix, kappa = lambda_max / lambda_min,
-    and at each end the residual bound ||Bv - theta v|| / theta on the
-    relative error of the estimate, B = A^-1 for lambda_min and A for
-    lambda_max (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998). The
-    bounds leave out rounding: where one reads less than the rounding
-    error of theta and of the residual, the estimate can be off by that
-    rounding error instead (up to 3.2e-13 relative to a dense eigensolve
-    on the small condition-study systems of the tests)."""
+    """Extreme eigenvalues of an SPD pencil A x = lambda D x, kappa =
+    lambda_max / lambda_min, and at each end the residual bound
+    ||Bv - theta v|| / theta on the relative error of the estimate, with
+    S = D^-1/2, B = (S A S)^-1 for lambda_min and S A S for lambda_max
+    (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998). The bounds
+    leave out rounding: where one reads less than the rounding error of
+    theta and of the residual, the estimate can be off by that rounding
+    error instead (up to 2.6e-13 relative to a dense eigensolve on the
+    small condition-study systems of the tests)."""
 
     lambda_min: float
     lambda_max: float
@@ -127,9 +122,7 @@ class SpectralEstimate:
             raise ValueError("lambda_min exceeds lambda_max")
 
 
-def factorize(
-    A: SparseSym, order: Optional[np.ndarray] = None
-) -> Callable[[np.ndarray], np.ndarray]:
+def factorize(A: SparseSym, order: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Sparse factor of A; returns the map r -> A^-1 r.
 
     SuperLU with a minimum-degree ordering of A^T + A, symmetric mode and no
@@ -137,12 +130,10 @@ def factorize(
     not depend on the values. Raises SingularMatrixError on an exactly
     singular factor.
 
-    With ``order``, a permutation of the indices, SuperLU factors P A P^T,
-    row i of which is row order[i] of A: minimum degree breaks its ties by
+    ``order`` is a permutation of the indices: SuperLU factors P A P^T, row
+    i of which is row order[i] of A. Minimum degree breaks its ties by
     index, so a nested-dissection pre-order (``LinearSystem.order``) decides
-    them. Without, A is factored as given: its CSR arrays are read as CSC,
-    that is as A^T, which equals A to the symmetry tolerance of
-    ``SparseSym``; this avoids a converted copy.
+    them.
 
     With diagonal pivots only, P A P^T = L U with U = D L^T, so by
     Sylvester's law of inertia A is positive definite exactly when every
@@ -150,10 +141,8 @@ def factorize(
     SuperLU had to pivot off the diagonal; CG's curvature test alone can
     miss an indefinite A, depending on b.
     """
-    if order is None:
-        at = sp.csc_matrix((A.data, A.indices, A.indptr), shape=(A.n, A.n))
-    else:  # rows gathered, transposed to CSC and columns gathered: sorted indices, no sort
-        at = A.to_scipy()[order].tocsc()[:, order]
+    # rows gathered, transposed to CSC and columns gathered: sorted indices, no sort
+    at = A.to_scipy()[order].tocsc()[:, order]
     try:
         lu = spla.splu(
             at,
@@ -175,8 +164,6 @@ def factorize(
             f"{np.count_nonzero(bad)} of {A.n} pivots of the sparse factor are not "
             f"positive (least {pivots.min():.3e})"
         )
-    if order is None:
-        return lu.solve
     inverse = np.empty_like(order)
     inverse[order] = np.arange(A.n)
     return lambda r: lu.solve(r[order])[inverse]
@@ -295,18 +282,24 @@ def cg_solve(
     )
 
 
-def estimate_extremes(A: SparseSym, order: Optional[np.ndarray] = None) -> SpectralEstimate:
-    """Extreme eigenvalues and condition number of an SPD matrix.
+def estimate_extremes(A: SparseSym, d: np.ndarray, order: np.ndarray) -> SpectralEstimate:
+    """Extreme eigenvalues and condition number of the SPD pencil
+    A x = lambda diag(d) x, d > 0.
 
-    ARPACK's implicitly restarted Lanczos (``eigsh``) on A gives lambda_max,
-    and on A^-1, applied through one ``factorize`` of A in ``order``,
-    1/lambda_min; plain inverse power iteration stalls when the small
-    eigenvalues cluster. Each end reports its residual bound (see
+    The pencil's eigenvalues are those of S A S, S = diag(d)^-1/2, which is
+    applied as x -> s (A (s x)) and never formed. ARPACK's implicitly
+    restarted Lanczos (``eigsh``) on it gives lambda_max, and on its inverse
+    x -> r A^-1 (r x), r = d^1/2, applied through one ``factorize`` of A in
+    ``order``, 1/lambda_min; plain inverse power iteration stalls when the
+    small eigenvalues cluster. Each end reports its residual bound (see
     ``SpectralEstimate``). Raises ConvergenceError when ARPACK does not
     converge within ``ARPACK_RESTARTS`` restarts.
     """
-    lam_max, tol_max = _largest_eigenvalue(A.to_scipy().dot, A.n, 1234, "lambda_max")
-    inv_top, tol_min = _largest_eigenvalue(factorize(A, order), A.n, 4321, "1/lambda_min")
+    mat, r = A.to_scipy(), np.sqrt(d)
+    s = 1.0 / r
+    lam_max, tol_max = _largest_eigenvalue(lambda x: s * (mat @ (s * x)), A.n, 1234, "lambda_max")
+    solve = factorize(A, order)
+    inv_top, tol_min = _largest_eigenvalue(lambda x: r * solve(r * x), A.n, 4321, "1/lambda_min")
     lam_min = 1.0 / inv_top
     return SpectralEstimate(lam_min, lam_max, lam_max / lam_min, tol_min=tol_min, tol_max=tol_max)
 

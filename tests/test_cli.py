@@ -158,7 +158,19 @@ def test_condition_table(tmp_path, capsys):
     )
     assert code == 0
     assert "kappa" in out
-    assert "condition_smooth_P1.csv" in os.listdir(tmp_path)
+    assert "condition_smooth_P1_weak.csv" in os.listdir(tmp_path)
+
+
+def test_condition_csv_names_the_bc_mode(tmp_path, capsys):
+    # a strong-BC study does not overwrite the weak one in the same directory
+    for bc in ("weak", "strong"):
+        code, _, _ = run(
+            capsys, "--out-dir", str(tmp_path),
+            "condition", "--problem", "smooth", "--levels", "1", "--base-n", "2", "--bc", bc,
+        )
+        assert code == 0
+    files = set(os.listdir(tmp_path))
+    assert {"condition_smooth_P1_weak.csv", "condition_smooth_P1_strong.csv"} <= files
 
 
 def test_solve_writes_vtk(tmp_path, capsys):

@@ -130,7 +130,7 @@ def test_factor_preconditioned_solve_has_a_fixed_budget(monkeypatch):
     # without the factor CG would need far more than the budget, which does
     # not grow with n and sits above the iterations stagnation takes
     assert studies.FACTOR_CG_MAXIT > 3 * STALL_ITERS
-    monkeypatch.setattr(studies, "factorize", lambda A, order=None: lambda r: r)
+    monkeypatch.setattr(studies, "factorize", lambda A, order: lambda r: r)
     problem = get_problem("smooth", 1e-3)
     with pytest.raises(ConvergenceError, match="did not reach tol") as info:
         solve_problem(problem, *build_case(8, 0))

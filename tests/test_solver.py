@@ -164,7 +164,7 @@ def test_dense_oracle_size_guard():
 
 
 def test_estimate_extremes_diagonal():
-    est = estimate_extremes(from_dense(np.diag([1.0, 100.0])))
+    est = estimate_extremes(from_dense(np.diag([1.0, 100.0])), np.ones(2), np.arange(2))
     assert est.kappa == pytest.approx(100.0, abs=1e-12)
     assert est.lambda_min == pytest.approx(1.0)
 
@@ -177,12 +177,28 @@ def test_estimate_ordering_validated():
 def test_iterative_path_matches_dense_within_two_percent():
     # ARPACK against a dense eigensolve of the same matrix
     A = random_spd(300, seed=21, kappa=1e5)
-    iterative = estimate_extremes(from_dense(A))
+    iterative = estimate_extremes(from_dense(A), np.ones(300), np.arange(300))
     eigs = scipy.linalg.eigvalsh(A)
     dense_kappa = eigs[-1] / eigs[0]
     assert abs(iterative.lambda_max - eigs[-1]) <= 0.02 * eigs[-1]
     assert abs(iterative.lambda_min - eigs[0]) <= 0.02 * eigs[0]
     assert abs(iterative.kappa - dense_kappa) <= 0.02 * dense_kappa
+
+
+def test_pencil_extremes_with_a_graded_diagonal():
+    # A = D^1/2 Q diag(lam) Q^T D^1/2, so A x = lambda D x has the eigenvalues
+    # lam; d spans 1e-4 .. 1, as mass diagonals mix h^2 and O(1) entries
+    n = 60
+    rng = np.random.default_rng(8)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.geomspace(1.0, 100.0, n)
+    d = np.geomspace(1e-4, 1.0, n)[rng.permutation(n)]
+    r = np.sqrt(d)
+    A = r[:, None] * (Q * lam @ Q.T) * r[None, :]
+    est = estimate_extremes(from_dense(0.5 * (A + A.T)), d, np.arange(n)[::-1].copy())
+    ends = ((est.lambda_min, lam[0], est.tol_min), (est.lambda_max, lam[-1], est.tol_max))
+    for got, ref, tol in ends:
+        assert abs(got - ref) <= max(tol, 1e-12) * ref, (got, ref, tol)
 
 
 def test_deterministic_results():
@@ -191,31 +207,31 @@ def test_deterministic_results():
     x1, _ = cg_solve(A, b)
     x2, _ = cg_solve(A, b)
     assert np.array_equal(x1, x2)
-    e1 = estimate_extremes(A)
-    e2 = estimate_extremes(A)
+    e1 = estimate_extremes(A, np.ones(80), np.arange(80))
+    e2 = estimate_extremes(A, np.ones(80), np.arange(80))
     assert e1.kappa == e2.kappa
 
 
 def test_factorize_inverts_spd():
     A = random_spd(60, seed=4, kappa=1e6)
     b = np.sin(np.arange(60.0))
-    x = factorize(from_dense(A))(b)
+    x = factorize(from_dense(A), np.arange(60))(b)
     assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-10
 
 
 def test_factorize_rejects_singular():
     with pytest.raises(SingularMatrixError):
-        factorize(from_dense(np.array([[1.0, 1.0], [1.0, 1.0]])))
+        factorize(from_dense(np.array([[1.0, 1.0], [1.0, 1.0]])), np.arange(2))
 
 
 def test_indefinite_matrix_detected_under_factor():
     A = from_dense(np.diag([1.0, -1.0]))
     b = np.array([1.0, 1.0])
     with pytest.raises(NotSPDError):
-        cg_solve(A, b, precond=factorize(A))
+        cg_solve(A, b, precond=factorize(A, np.arange(2)))
     # an SPD preconditioner does not hide the curvature of A either
     with pytest.raises(NotSPDError):
-        cg_solve(A, b, precond=factorize(from_dense(np.eye(2))))
+        cg_solve(A, b, precond=factorize(from_dense(np.eye(2)), np.arange(2)))
 
 
 def test_indefinite_matrix_detected_by_factor_whatever_b():
@@ -223,10 +239,10 @@ def test_indefinite_matrix_detected_by_factor_whatever_b():
     # converges in one step; only the factor's negative pivot shows A indefinite
     A = from_dense(np.diag([1.0, -1.0]))
     with pytest.raises(NotSPDError, match="pivots"):
-        cg_solve(A, np.array([2.0, 1.0]), precond=factorize(A))
+        cg_solve(A, np.array([2.0, 1.0]), precond=factorize(A, np.arange(2)))
     # a zero diagonal forces a row exchange, a pivot off the diagonal
     with pytest.raises(NotSPDError, match="off the diagonal"):
-        factorize(from_dense(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        factorize(from_dense(np.array([[0.0, 1.0], [1.0, 0.0]])), np.arange(2))
 
 
 def test_factor_checks_hold_in_any_order():
@@ -248,7 +264,7 @@ def test_factor_preconditioned_cg_matches_jacobi():
     S = from_dense(random_spd(50, seed=11, kappa=1e4))
     b = np.cos(np.arange(50.0))
     x_j, stats_j = cg_solve(S, b, tol=1e-12)
-    x_f, stats_f = cg_solve(S, b, tol=1e-12, precond=factorize(S))
+    x_f, stats_f = cg_solve(S, b, tol=1e-12, precond=factorize(S, np.arange(S.n)))
     assert stats_f.converged and stats_f.iterations <= 2 < stats_j.iterations
     assert np.linalg.norm(x_f - x_j) / np.linalg.norm(x_j) <= 1e-9
 
@@ -257,7 +273,7 @@ def test_factor_preconditioned_cg_matches_jacobi():
 def test_stagnation_below_rounding_floor_is_bounded(factor):
     # no iterate of b - Ax in double precision reaches 1e-20
     A, b = from_dense(random_spd(40, seed=3, kappa=1e6)), np.ones(40)
-    precond = factorize(A) if factor else None
+    precond = factorize(A, np.arange(A.n)) if factor else None
     maxit = 20 * A.n
     with pytest.raises(ConvergenceError, match="stagnated") as err:
         cg_solve(A, b, tol=1e-20, maxit=maxit, precond=precond)
@@ -273,6 +289,6 @@ def test_stagnation_below_rounding_floor_is_bounded(factor):
 def test_repeated_factor_solves_identical():
     S = from_dense(random_spd(80, seed=2))
     b = np.ones(80)
-    x1, _ = cg_solve(S, b, precond=factorize(S))
-    x2, _ = cg_solve(S, b, precond=factorize(S))
+    x1, _ = cg_solve(S, b, precond=factorize(S, np.arange(S.n)))
+    x2, _ = cg_solve(S, b, precond=factorize(S, np.arange(S.n)))
     assert np.array_equal(x1, x2)

@@ -18,7 +18,7 @@ from lsfem.bench import (
 from lsfem.bench import studies
 from lsfem.bench.studies import build_case
 from lsfem import solver
-from lsfem.solver import ConvergenceError, SparseSym, cg_solve, estimate_extremes
+from lsfem.solver import ConvergenceError, cg_solve, estimate_extremes
 
 
 def test_nearest_generated_sizes():
@@ -62,28 +62,15 @@ def test_condition_two_triangle_matches_direct_eigensolve():
     mesh, topo, dm = build_case(1, 0, perturb=0.0)
     problem = get_problem("smooth", 1e-3)
     system = assemble_ls(problem, mesh, topo, dm, "weak")
-    scale = sp.diags(1.0 / np.sqrt(mass_diagonal(mesh, dm)))
-    scaled = (scale @ system.matrix.to_scipy() @ scale).tocsr()
-    est = estimate_extremes(SparseSym.from_csr(scaled))
+    mass = mass_diagonal(mesh, dm)
+    scale = sp.diags(1.0 / np.sqrt(mass))
+    scaled = scale @ system.matrix.to_scipy() @ scale
+    est = estimate_extremes(system.matrix, mass, system.order)
     eigs = scipy.linalg.eigvalsh(scaled.toarray())
     assert est.lambda_min == pytest.approx(eigs[0], rel=1e-12)
     assert est.lambda_max == pytest.approx(eigs[-1], rel=1e-12)
     rows = condition_study("smooth", 0, "weak", levels=(1,), epsilons=(1e-3,))
     assert rows[0].estimate.kappa == pytest.approx(est.kappa, rel=1e-12)
-
-
-@pytest.mark.parametrize("k", [0, 1, 2], ids=["P1", "P2", "P3"])
-def test_scaled_matrix_is_the_diagonal_product(k):
-    # diag(s) A diag(s) entry by entry, bit for bit, on A's own pattern
-    mesh, topo, dm = build_case(3, k)
-    system = assemble_ls(get_problem("boundary-layer", 1e-3), mesh, topo, dm, "strong")
-    s = 1.0 / np.sqrt(mass_diagonal(mesh, dm))
-    scaled = system.matrix.scaled(s)
-    d = sp.diags(s)
-    ref = (d @ system.matrix.to_scipy() @ d).toarray()
-    assert np.array_equal(scaled.toarray(), ref)
-    assert scaled.indptr is system.matrix.indptr and scaled.indices is system.matrix.indices
-    assert np.array_equal(SparseSym.from_csr(scaled.to_scipy()).data, scaled.data)
 
 
 def test_arpack_bounds_hold_up_to_2000_dofs():
@@ -93,9 +80,10 @@ def test_arpack_bounds_hold_up_to_2000_dofs():
         problem = get_problem("smooth", 1e-3)
         system = assemble_ls(problem, mesh, topo, dm, "weak")
         assert dm.n_total <= 2000
-        scale = sp.diags(1.0 / np.sqrt(mass_diagonal(mesh, dm)))
-        scaled = (scale @ system.matrix.to_scipy() @ scale).tocsr()
-        est = estimate_extremes(SparseSym.from_csr(scaled))
+        mass = mass_diagonal(mesh, dm)
+        scale = sp.diags(1.0 / np.sqrt(mass))
+        scaled = scale @ system.matrix.to_scipy() @ scale
+        est = estimate_extremes(system.matrix, mass, system.order)
         eigs = scipy.linalg.eigvalsh(scaled.toarray())
         assert abs(est.kappa - eigs[-1] / eigs[0]) <= 0.02 * eigs[-1] / eigs[0]
         # the reported residual bounds hold at both ends
@@ -112,11 +100,12 @@ def test_condition_rows_converge_through_arpack(k, mode):
     # 1e-12 relative where the bound reads less than the rounding error
     for n in (1, 2, 4, 8) if k == 0 else (1, 2, 4):
         mesh, topo, dm = build_case(n, k, 0.0)
-        scale = 1.0 / np.sqrt(mass_diagonal(mesh, dm))
+        mass = mass_diagonal(mesh, dm)
+        scale = sp.diags(1.0 / np.sqrt(mass))
         for eps in (1.0, 1e-3, 1e-9):
             system = assemble_ls(get_problem("smooth", eps), mesh, topo, dm, mode)
-            scaled = system.matrix.scaled(scale)
-            est = estimate_extremes(scaled, order=system.order)
+            scaled = scale @ system.matrix.to_scipy() @ scale
+            est = estimate_extremes(system.matrix, mass, system.order)
             eigs = scipy.linalg.eigvalsh(scaled.toarray())
             ends = ((est.lambda_min, eigs[0], est.tol_min), (est.lambda_max, eigs[-1], est.tol_max))
             for got, ref, tol in ends:
@@ -128,10 +117,10 @@ def test_spectral_estimate_has_a_fixed_budget(monkeypatch):
     # system, which converges with the default budget (test above)
     mesh, topo, dm = build_case(13, 0, perturb=0.0)
     system = assemble_ls(get_problem("smooth", 1e-3), mesh, topo, dm, "weak")
-    scaled = system.matrix.scaled(1.0 / np.sqrt(mass_diagonal(mesh, dm)))
+    mass = mass_diagonal(mesh, dm)
     monkeypatch.setattr(solver, "ARPACK_RESTARTS", 1)
     with pytest.raises(ConvergenceError, match="ARPACK_RESTARTS = 1 restarts"):
-        estimate_extremes(scaled, order=system.order)
+        estimate_extremes(system.matrix, mass, system.order)
 
 
 def test_compare_modes_boundary_layer_no_layer_regime():
@@ -195,8 +184,9 @@ def test_factor_preconditioned_iterations_flat_in_h_and_eps(k, n):
 def test_repeated_iterative_estimates_identical():
     mesh, topo, dm = build_case(4, 0)
     system = assemble_ls(get_problem("smooth", 1e-3), mesh, topo, dm, "weak")
-    first = estimate_extremes(system.matrix)
-    again = estimate_extremes(system.matrix)
+    mass = mass_diagonal(mesh, dm)
+    first = estimate_extremes(system.matrix, mass, system.order)
+    again = estimate_extremes(system.matrix, mass, system.order)
     assert first == again
 
 
