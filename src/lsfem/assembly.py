@@ -18,10 +18,11 @@ W basis alone; every Q term is a reference Gram matrix times an element
 factor, or one product of the reference divergences with the W rows. Each
 face term (boundary and slit, ``_face_terms``) is added into the W-trace
 block of the element that owns the face, so there is one local system per
-element (``_system_blocks``): strong elimination, condensation and the
-scatter each run once, on one array. The element interiors are eliminated
-by a Cholesky factorization vectorized over the elements, with a loop over
-the interior DOFs (``_condense``).
+element (``_system_blocks``). Strong elimination ends there, so the
+condensation and the scatter run once, on one array, blind to the BC mode,
+and every mode has the pattern of the DOF map. The element interiors are
+eliminated by a Cholesky factorization vectorized over the elements, with a
+loop over the interior DOFs (``_condense``).
 
 ``assemble_ls`` and ``assemble_transport`` build every system through one
 path and return one type, ``LinearSystem``. With ``condense`` the
@@ -197,9 +198,9 @@ def _assemble(problem, mesh, topo, dofmap, bc_mode, condense):
     if problem.epsilon == 0.0:  # transport: the W block alone
         dofmap = dataclasses.replace(dofmap, n_q=0, q_index=dofmap.q_index[:, :0],
                                      q_sign=dofmap.q_sign[:, :0], nloc_q_skel=0)
-    a_loc, b_loc, gidx, fixed = _system_blocks(problem, mesh, topo, dofmap, bc_mode)
+    a_loc, b_loc, gidx = _system_blocks(problem, mesh, topo, dofmap, bc_mode)
     n = dofmap.n_total
-    norm_b = float(np.linalg.norm(_rhs(b_loc, gidx, n, fixed)))
+    norm_b = float(np.linalg.norm(_rhs(b_loc, gidx, n)))
     local = np.arange(gidx.shape[1])
     keep = local
     if condense:  # the skeleton is a prefix of each block's local DOFs (see DofMap)
@@ -214,9 +215,7 @@ def _assemble(problem, mesh, topo, dofmap, bc_mode, condense):
     s_loc, g_loc, (chol, coupling, interior_rhs) = _condense(a_loc, b_loc, keep, drop)
     del a_loc  # the full local matrices are not needed for the scatter
     skeleton = renumber[gidx[:, keep]]
-    # the fixed DOFs are boundary nodes, so skeleton DOFs
-    skel_fixed = None if fixed is None else (renumber[fixed[0]], fixed[1])
-    mat, rhs = _scatter(s_loc, g_loc, skeleton, n_skel, skel_fixed)
+    mat, rhs = _scatter(s_loc, g_loc, skeleton, n_skel)
     del s_loc  # summed into mat; without interiors s_loc is a_loc
     return LinearSystem(
         SparseSym.from_csr(mat), rhs,
@@ -404,10 +403,11 @@ def _system_blocks(problem, mesh, topo, dofmap, bc_mode):
     """One local system per element of the least-squares form, a (T, l, l),
     b (T, l) and idx (T, l) in the numbering of the full system, with the
     boundary and slit face terms added into the W-trace block of the element
-    that owns each face. Returns them with the strongly fixed (system
-    indices, values), or None. In strong mode the system is already
-    eliminated: b holds b - A x_fixed, and a is zero in the rows and columns
-    of fixed DOFs. Transport (eps == 0) takes a DOF map without the Q block.
+    that owns each face. Strong mode fixes the boundary W DOFs to g: b holds
+    b - A x_fixed, a and b are zero in the rows and columns of fixed DOFs,
+    but for 1 on the diagonal and g in b of the first element holding each,
+    so the summed row is e_i with rhs g. Transport (eps == 0) takes a DOF
+    map without the Q block.
     """
     if dofmap.q_index.shape[0] != mesh.num_triangles:
         raise ValueError("dofmap was built for a different mesh")
@@ -427,50 +427,40 @@ def _system_blocks(problem, mesh, topo, dofmap, bc_mode):
         np.add.at(a, (owners[:, None, None], trace[:, None], trace), a_face)
         np.add.at(b, (owners[:, None], trace), b_face)
     if bc_mode != "strong":
-        return a, b, idx, None
+        return a, b, idx
     wdofs = boundary_w_dofs(mesh, topo, dofmap)
-    coords = dofmap.w_coords[wdofs]
-    fixed = (n_q + wdofs, _scalar_field(problem.g, coords[:, 0], coords[:, 1]).copy())
-    x_fixed, is_fixed = np.zeros(dofmap.n_total), np.zeros(dofmap.n_total, dtype=bool)
-    x_fixed[fixed[0]] = fixed[1]
-    is_fixed[fixed[0]] = True
+    x_fixed = np.zeros(dofmap.n_total)
+    x_fixed[n_q + wdofs] = _scalar_field(problem.g, *dofmap.w_coords[wdofs].T)
     b -= np.einsum("eij,ej->ei", a, x_fixed[idx])
-    on = is_fixed[idx]
+    on = np.isin(idx, n_q + wdofs)
     a[on[:, :, None] | on[:, None, :]] = 0.0
-    return a, b, idx, fixed
+    b[on] = 0.0
+    e, i = np.nonzero(on)  # element-major, so np.unique finds each DOF's first element
+    first = np.unique(idx[e, i], return_index=True)[1]
+    e, i = e[first], i[first]
+    a[e, i, i] = 1.0
+    b[e, i] = x_fixed[idx[e, i]]
+    return a, b, idx
 
 
-def _rhs(b, idx, n, fixed):
-    """Sum of the local vectors b (E, l) at their global indices idx (E, l);
-    fixed rows hold their values."""
-    rhs = np.bincount(idx.ravel(), b.ravel(), minlength=n)
-    if fixed is not None:
-        rhs[fixed[0]] = fixed[1]
-    return rhs
+def _rhs(b, idx, n):
+    """Sum of the local vectors b (E, l) at their global indices idx (E, l)."""
+    return np.bincount(idx.ravel(), b.ravel(), minlength=n)
 
 
-def _scatter(a, b, idx, n, fixed=None):
+def _scatter(a, b, idx, n):
     """Sum local matrices a (E, l, l) and vectors b (E, l) at their global
     indices idx (E, l) into an n x n CSR matrix and a length-n vector.
 
-    One COO holds every local matrix, so the pattern is structural: an entry
-    whose terms cancel to 0.0 stays. ``fixed`` = (indices, values) were
-    eliminated in the local systems (``_system_blocks``); their couplings
-    are dropped by index, and their rows become identity rows with the
-    values as rhs.
+    One COO holds every local matrix, so the pattern is structural, that of
+    the DOF map in every BC mode: an entry whose terms cancel to 0.0 stays,
+    as do the couplings that strong elimination zeroed (``_system_blocks``).
     """
     local = idx.astype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)
     l = idx.shape[1]  # rows[e, i, j] = idx[e, i] and cols[e, i, j] = idx[e, j]
-    rows, cols, vals = np.repeat(local, l, axis=1).ravel(), np.tile(local, l).ravel(), a.ravel()
-    if fixed is not None:
-        free = np.ones(n, dtype=bool)
-        free[fixed[0]] = False
-        kept = free[rows] & free[cols]
-        rows = np.concatenate([rows[kept], fixed[0].astype(local.dtype)])
-        cols = np.concatenate([cols[kept], fixed[0].astype(local.dtype)])
-        vals = np.concatenate([vals[kept], np.ones(len(fixed[0]))])
-    mat = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return mat, _rhs(b, idx, n, fixed)
+    rows, cols = np.repeat(local, l, axis=1).ravel(), np.tile(local, l).ravel()
+    mat = coo_matrix((a.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return mat, _rhs(b, idx, n)
 
 
 def _condense(a, b, keep, drop):

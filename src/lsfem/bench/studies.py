@@ -99,8 +99,11 @@ def solve_problem(
     The stats' residual is the full system's ||b - Ax|| / ||b||. A
     ConvergenceError carries the full-length iterate, and its message names
     the system, the preconditioner and the last residuals CG recorded.
+    Transport (eps == 0) has only its inflow penalty: another mode raises.
     """
     if problem.epsilon == 0.0:
+        if bc_mode != "weak":
+            raise ValueError(f"transport (eps == 0) takes bc mode 'weak' only, got {bc_mode!r}")
         skel = assemble_transport(problem, mesh, topo, dofmap, condense=True)
     else:
         skel = assemble_ls(problem, mesh, topo, dofmap, bc_mode, condense=True)
@@ -135,6 +138,8 @@ def convergence_study(
 ) -> list[ErrorReport]:
     """Solve on each level and report norms with last-over-previous EOC."""
     problem = get_problem(problem_name, epsilon)
+    if problem.exact_u is None:  # fail before the solves, not after the first
+        raise ValueError(f"problem {problem_name!r} has no exact solution")
     reports = []
     for level, n in enumerate(levels):
         mesh, topo, dofmap = build_case(n, k, perturb)
@@ -169,6 +174,8 @@ def condition_study(
     not with a distortion that differs from level to level. A repeated
     epsilon raises ValueError: its second row would divide a kappa by itself.
     """
+    if problem_name == "transport":
+        raise ValueError("the condition study needs eps > 0; transport has eps == 0")
     for i, eps in enumerate(epsilons):
         if eps in epsilons[:i]:
             raise ValueError(f"eps {eps:g} is listed twice")

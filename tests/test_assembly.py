@@ -192,16 +192,35 @@ def test_strong_mode_records_eliminations(slit, k):
     wdofs = boundary_w_dofs(mesh, topo, dm)
     coords = dm.w_coords[wdofs]
     values = problem.g(coords[:, 0], coords[:, 1])
-    # the eliminated rows are the identity rows, with the boundary value in the rhs
+    # the eliminated rows are the identity rows, with the boundary value in
+    # the rhs; their zeroed couplings may stay stored, so compare values
     idx = dm.n_q + wdofs
-    mat = system.matrix.to_scipy()
-    assert np.array_equal(np.flatnonzero(np.diff(mat.indptr) == 1), np.sort(idx))
-    rows = mat[idx]
-    assert np.array_equal(np.diff(rows.indptr), np.ones(len(idx)))
-    assert np.array_equal(rows.indices, idx) and np.all(rows.data == 1.0)
+    rows = system.matrix.to_scipy()[idx].toarray()
+    assert np.array_equal(rows, np.eye(dm.n_total)[idx])
     assert np.array_equal(system.rhs[idx], values)
     x, _ = cg_solve(system.matrix, system.rhs)
     assert np.abs(x[idx] - values).max() <= 1e-10 * max(np.abs(values).max(), 1.0)
+
+
+@pytest.mark.parametrize("condense", [False, True], ids=["full", "condensed"])
+@pytest.mark.parametrize("k", [0, 1, 2], ids=["P1", "P2", "P3"])
+@pytest.mark.parametrize("slit", [None, SLIT], ids=["jittered", "slit"])
+def test_bc_modes_share_one_pattern(slit, k, condense):
+    # strong elimination keeps the zeroed couplings stored, so the pattern is
+    # that of the DOF map whatever the BC mode
+    if slit is None:
+        mesh, topo, dm = make_case(3, k, perturb=0.1)
+        problem = get_problem("boundary-layer", 1e-2)
+    else:
+        mesh, topo, dm = make_case(8, k, slit=slit)
+        problem = get_problem("rotating")
+    weak, alt, strong = (
+        assemble_ls(problem, mesh, topo, dm, mode, condense).matrix.to_scipy()
+        for mode in ("weak", "alt-weak", "strong")
+    )
+    for other in (alt, strong):
+        assert np.array_equal(other.indptr, weak.indptr)
+        assert np.array_equal(other.indices, weak.indices)
 
 
 def test_transport_requires_zero_epsilon():

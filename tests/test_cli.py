@@ -120,6 +120,32 @@ def test_option_the_command_does_not_read_is_usage_error(tmp_path, capsys, comma
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("solve", "--mesh-n", "4", "--bc", "strong"), id="solve-strong"),
+        pytest.param(("solve", "--mesh-n", "4", "--bc", "alt-weak"), id="solve-alt-weak"),
+        pytest.param(("convergence", "--levels", "1", "--base-n", "4", "--bc", "strong"),
+                     id="convergence-strong"),
+    ],
+)
+def test_transport_other_bc_mode_exits_one(tmp_path, capsys, argv):
+    # transport has no strong or alt-weak system; no file may carry that name
+    code, out, err = run(capsys, "--out-dir", str(tmp_path), argv[0],
+                         "--problem", "transport", *argv[1:])
+    assert code == 1
+    assert err.startswith(f"error [{argv[0]}]: transport (eps == 0) takes bc mode 'weak' only")
+    assert not list(tmp_path.iterdir())
+
+
+def test_condition_transport_names_the_reason(tmp_path, capsys):
+    code, out, err = run(capsys, "--out-dir", str(tmp_path),
+                         "condition", "--problem", "transport", "--levels", "1")
+    assert code == 1
+    assert err == "error [condition]: the condition study needs eps > 0; transport has eps == 0\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_numerical_failure_exits_two(tmp_path, capsys):
     # a cap of zero iterations forces CG to give up; with the factor it
     # converges in one iteration

@@ -160,6 +160,32 @@ def test_empty_region_fails_before_any_solve(monkeypatch, study):
         study((0.5, 0.51, 0.0, 1.0))
 
 
+@pytest.mark.parametrize("name", ["rotating", "interior-layer"])
+def test_convergence_without_exact_solution_fails_before_any_solve(monkeypatch, name):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the exact solution was checked")
+
+    monkeypatch.setattr(studies, "solve_problem", no_solve)
+    with pytest.raises(ValueError, match="no exact solution"):
+        convergence_study(name, 0, levels=(4,))
+
+
+@pytest.mark.parametrize("mode", ["strong", "alt-weak"])
+def test_transport_rejects_other_bc_modes(mode):
+    # transport has only its inflow penalty: another mode would solve the
+    # weak system under the other mode's name
+    mesh, topo, dm = build_case(4, 0)
+    with pytest.raises(ValueError, match="transport"):
+        solve_problem(get_problem("transport"), mesh, topo, dm, mode)
+    with pytest.raises(ValueError, match="transport"):
+        convergence_study("transport", 0, mode, levels=(4,))
+
+
+def test_condition_study_rejects_transport():
+    with pytest.raises(ValueError, match="needs eps > 0"):
+        condition_study("transport", 0, levels=(2,), epsilons=(1e-3,))
+
+
 def test_solve_problem_matches_dense_oracle_and_jacobi():
     mesh, topo, dm = build_case(4, 1)
     problem = get_problem("smooth", 1e-3)
