@@ -24,8 +24,8 @@ and every mode has the pattern of the DOF map. The element interiors are
 eliminated by a Cholesky factorization vectorized over the elements, with a
 loop over the interior DOFs (``_condense``).
 
-``assemble_ls`` and ``assemble_transport`` build every system through one
-path and return one type, ``LinearSystem``. With ``condense`` the
+``assemble_ls`` builds every system, transport (eps == 0) included, through
+one path and returns one type, ``LinearSystem``. With ``condense`` the
 element-interior DOFs (the RT interior moments and the Lagrange bubbles) are
 condensed out element by element, which is what the solves factor; the full
 system is the one whose interior set is empty.
@@ -163,23 +163,16 @@ def assemble_ls(
     bc_mode: str = "weak",
     condense: bool = False,
 ) -> LinearSystem:
-    """Assemble the least-squares system for the diffusive problem; with
-    ``condense``, its element interiors condensed out."""
-    if problem.epsilon <= 0.0:
-        raise ValueError("epsilon must be positive; use assemble_transport for epsilon == 0")
+    """Assemble the least-squares system, at eps == 0 the scalar-only
+    transport system; with ``condense``, its element interiors condensed out."""
+    if problem.epsilon < 0.0:
+        raise ValueError(f"epsilon must be >= 0, got {problem.epsilon:g}")
     return _assemble(problem, mesh, topo, dofmap, bc_mode, condense)
 
 
-def assemble_transport(
-    problem: ProblemSpec,
-    mesh: Mesh,
-    topo: Topology,
-    dofmap: fem.DofMap,
-    condense: bool = False,
-) -> LinearSystem:
-    """Assemble the scalar-only transport-reaction system on W_h; with
-    ``condense``, its element interiors condensed out, which leaves the full
-    system unless the W space has bubbles (P3)."""
+def assemble_transport(problem: ProblemSpec, mesh: Mesh, topo: Topology, dofmap: fem.DofMap,
+                       condense: bool = False) -> LinearSystem:
+    """``assemble_ls`` at eps == 0 only; the benchmark's tracer names it."""
     if problem.epsilon != 0.0:
         raise ValueError("transport assembly requires epsilon == 0")
     return _assemble(problem, mesh, topo, dofmap, "weak", condense)
@@ -413,6 +406,8 @@ def _system_blocks(problem, mesh, topo, dofmap, bc_mode):
         raise ValueError("dofmap was built for a different mesh")
     if bc_mode not in BC_MODES:
         raise ValueError(f"bc_mode must be one of {BC_MODES}, got {bc_mode!r}")
+    if problem.epsilon == 0.0 and bc_mode != "weak":
+        raise ValueError(f"transport (eps == 0) takes bc mode 'weak' only, got {bc_mode!r}")
     n_q = dofmap.n_q
     a, b = _local_systems(problem, dofmap)
     idx = np.concatenate([dofmap.q_index, n_q + dofmap.w_index], axis=1)

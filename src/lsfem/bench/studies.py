@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .. import fem
-from ..assembly import ProblemSpec, assemble_ls, assemble_transport, mass_diagonal
+from ..assembly import ProblemSpec, assemble_ls, mass_diagonal
 from ..mesh import Mesh, build_topology, generate_structured
 from ..solver import (
     ConvergenceError,
@@ -26,10 +26,9 @@ from .errors import ErrorReport, error_norms, nonempty_region
 from .problems import get_problem
 
 DEFAULT_PERTURB = 0.15
-# CG iterations a factor-preconditioned solve may take when no maxit is given.
-# It converges in one or two, whatever n; the cap sits above 3 * STALL_ITERS,
-# so a stagnating run meets its failed checks, at most STALL_ITERS apart,
-# before the cap
+# CG iterations a factor-preconditioned solve may take. It converges in one
+# or two, whatever n; the cap sits above 3 * STALL_ITERS, so a stagnating run
+# meets its failed checks, at most STALL_ITERS apart, before the cap
 FACTOR_CG_MAXIT = 50
 
 
@@ -88,30 +87,21 @@ def solve_problem(
     dofmap,
     bc_mode: str = "weak",
     tol: float = 1e-10,
-    maxit: Optional[int] = None,
 ):
     """Condense the element interiors, factor the skeleton system in its
     nested-dissection order and solve it by CG preconditioned with the
-    factor, which converges in one or two iterations whatever h and eps, so
-    ``maxit`` defaults to FACTOR_CG_MAXIT; returns (full coefficient vector,
-    CgStats).
+    factor, which converges in one or two iterations whatever h and eps,
+    within FACTOR_CG_MAXIT; returns (full coefficient vector, CgStats).
 
     The stats' residual is the full system's ||b - Ax|| / ||b||. A
     ConvergenceError carries the full-length iterate, and its message names
     the system, the preconditioner and the last residuals CG recorded.
     Transport (eps == 0) has only its inflow penalty: another mode raises.
     """
-    if problem.epsilon == 0.0:
-        if bc_mode != "weak":
-            raise ValueError(f"transport (eps == 0) takes bc mode 'weak' only, got {bc_mode!r}")
-        skel = assemble_transport(problem, mesh, topo, dofmap, condense=True)
-    else:
-        skel = assemble_ls(problem, mesh, topo, dofmap, bc_mode, condense=True)
+    skel = assemble_ls(problem, mesh, topo, dofmap, bc_mode, condense=True)
     matrix = skel.matrix
-    if maxit is None:
-        maxit = FACTOR_CG_MAXIT
     try:
-        x, stats = cg_solve(matrix, skel.rhs, tol=tol, maxit=maxit,
+        x, stats = cg_solve(matrix, skel.rhs, tol=tol, maxit=FACTOR_CG_MAXIT,
                             precond=factorize(matrix, skel.order), norm_b=skel.norm_b)
     except ConvergenceError as err:
         mode = "transport" if problem.epsilon == 0.0 else bc_mode

@@ -13,8 +13,8 @@ import os
 import sys
 
 from . import bench, fem
-from .bench.studies import DEFAULT_PERTURB, build_case
-from .mesh import MeshError, build_topology, load_mesh
+from .bench.studies import DEFAULT_PERTURB
+from .mesh import MeshError, build_topology, generate_structured, load_mesh
 from .solver import SolverError
 
 OUTDIR_ENV = "LSFEM_OUTDIR"
@@ -58,20 +58,25 @@ def _build_parser() -> _Parser:
     bc = argparse.ArgumentParser(add_help=False)
     bc.add_argument("--bc", default="weak", choices=("weak", "strong", "alt-weak"))
     solves = argparse.ArgumentParser(add_help=False)
-    solves.add_argument("--perturb", type=float, default=DEFAULT_PERTURB,
-                        help="vertex jitter fraction of the cell size")
     solves.add_argument("--tol", type=_bounded(float, 0.0, strict=True), default=1e-10,
                         help="CG relative residual")
+    jitter = argparse.ArgumentParser(add_help=False)
+    jitter.add_argument("--perturb", type=float, default=DEFAULT_PERTURB,
+                        help="vertex jitter fraction of the cell size")
 
+    # solve's --mesh-n and --perturb default to None, so that _cmd_solve can
+    # reject them where it would not read them
     p = sub.add_parser("solve", parents=[case, bc, solves], help="single solve, VTK output")
-    p.add_argument("--maxit", type=_bounded(int, 0), default=None, help="CG iteration cap")
     p.add_argument("--eps", type=float, default=None, help="diffusion coefficient")
-    p.add_argument("--mesh-n", type=int, default=16, help="cells per side")
-    p.add_argument("--mesh-file", default=None, help="load mesh instead of generating")
-    p.add_argument("--mesh-format", default="native", choices=("native", "triangle"))
+    p.add_argument("--mesh-n", type=int, default=None, help="cells per side (default: 16)")
+    p.add_argument("--perturb", type=float, default=None, help="vertex jitter fraction of the "
+                   f"cell size (default: {DEFAULT_PERTURB}; rotating takes only 0)")
+    p.add_argument("--mesh-file", default=None, help="load the mesh instead: a Triangle "
+                   "pair if the name ends in .node or .ele, else the native format")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("convergence", parents=[case, bc, solves], help="EOC study, CSV output")
+    p = sub.add_parser("convergence", parents=[case, bc, solves, jitter],
+                       help="EOC study, CSV output")
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--levels", type=_bounded(int, 1), default=4,
                    help="number of refinement levels")
@@ -87,7 +92,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--base-n", type=int, default=4)
     p.set_defaults(func=_cmd_condition)
 
-    p = sub.add_parser("compare", parents=[case, solves],
+    p = sub.add_parser("compare", parents=[case, solves, jitter],
                        help="weak vs strong imposition on one mesh")
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--mesh-n", type=int, default=None,
@@ -125,20 +130,23 @@ def _parse_region(text):
 
 
 def _cmd_solve(args) -> int:
-    problem = bench.get_problem(args.problem, args.eps)
     slit = SLITS.get(args.problem)
-    if args.mesh_file is not None:
-        mesh = load_mesh(args.mesh_file, args.mesh_format)
-        topo = build_topology(mesh, slit=slit)
-        dofmap = fem.build_dofmap(mesh, topo, args.k)
-    else:
-        perturb = 0.0 if slit is not None else args.perturb
-        mesh, topo, dofmap = build_case(args.mesh_n, args.k, perturb, slit=slit)
+    unread = [opt for opt, value in (("--mesh-n", args.mesh_n), ("--perturb", args.perturb))
+              if value is not None and args.mesh_file is not None]
+    if unread:
+        raise ValueError(f"{' and '.join(unread)} cannot be used with --mesh-file")
+    if slit is not None and args.perturb:
+        raise ValueError(f"--perturb {args.perturb:g} does not apply to {args.problem}, "
+                         f"whose slit mesh is not jittered")
+    problem = bench.get_problem(args.problem, args.eps)
+    perturb = 0.0 if slit else DEFAULT_PERTURB if args.perturb is None else args.perturb
+    mesh = (load_mesh(args.mesh_file) if args.mesh_file is not None
+            else generate_structured(16 if args.mesh_n is None else args.mesh_n, perturb))
+    topo = build_topology(mesh, slit=slit)
+    dofmap = fem.build_dofmap(mesh, topo, args.k)
     for note in problem.notes:
         print(f"note: {note}")
-    solution, stats = bench.solve_problem(
-        problem, mesh, topo, dofmap, args.bc, tol=args.tol, maxit=args.maxit
-    )
+    solution, stats = bench.solve_problem(problem, mesh, topo, dofmap, args.bc, tol=args.tol)
     u_v, q_c = bench.sample_solution(solution, mesh, dofmap)
     out = os.path.join(
         args.out_dir, f"{args.problem}_P{args.k + 1}_{args.bc}_{mesh.num_triangles}.vtk"

@@ -244,6 +244,11 @@ def build_topology(mesh: Mesh, slit=None) -> Topology:
             f"non-conforming mesh: vertex {hit[e]} hangs on an edge of triangle {edge_to_tri[e, 0]}"
         )
 
+    # a vertex that no triangle holds would carry a W DOF with a zero row
+    stray = np.setdiff1d(np.arange(V), t)
+    if stray.size:
+        raise MeshError(f"vertex {stray[0]} belongs to no triangle")
+
     areas = _signed_areas(mesh.vertices, t)
     h_K = np.sqrt(areas)
 
@@ -264,22 +269,19 @@ def build_topology(mesh: Mesh, slit=None) -> Topology:
     )
 
 
-def load_mesh(path: str, format: str = "native") -> Mesh:
-    """Read a mesh file.
-
-    ``format`` is "native" (lsfem-mesh text, 0-based) or "triangle"
-    (a .node/.ele pair, 1-based; pass either file of the pair).
-    """
-    if format == "native":
-        return _load_native(path)
-    if format == "triangle":
-        return _load_triangle(path)
-    raise ValueError(f"unknown mesh format {format!r}")
+def load_mesh(path: str) -> Mesh:
+    """Read a mesh file: a Triangle .node/.ele pair (1-based; either file of
+    the pair) if the path ends in .node or .ele, else native lsfem-mesh text
+    (0-based)."""
+    base = _triangle_base(path)
+    return _load_native(path) if base is None else _load_triangle(base)
 
 
-def save_mesh(mesh: Mesh, path: str, format: str = "native") -> None:
-    """Write a mesh file in the native or triangle format (see load_mesh)."""
-    if format == "native":
+def save_mesh(mesh: Mesh, path: str) -> None:
+    """Write a mesh file, in the format that ``load_mesh`` reads from the
+    path; a .node or .ele path writes both files of the pair."""
+    base = _triangle_base(path)
+    if base is None:
         with open(path, "w") as f:
             f.write("lsfem-mesh 1\n")
             f.write(f"{mesh.num_vertices} {mesh.num_triangles}\n")
@@ -287,18 +289,21 @@ def save_mesh(mesh: Mesh, path: str, format: str = "native") -> None:
                 f.write(f"{x:.17g} {y:.17g}\n")
             for (i, j, k), r in zip(mesh.triangles, mesh.region_id):
                 f.write(f"{i} {j} {k} {r}\n")
-    elif format == "triangle":
-        base = path[:-5] if path.endswith((".node", ".ele")) else path
-        with open(base + ".node", "w") as f:
-            f.write(f"{mesh.num_vertices} 2 0 0\n")
-            for idx, (x, y) in enumerate(mesh.vertices, start=1):
-                f.write(f"{idx} {x:.17g} {y:.17g}\n")
-        with open(base + ".ele", "w") as f:
-            f.write(f"{mesh.num_triangles} 3 0\n")
-            for idx, (i, j, k) in enumerate(mesh.triangles, start=1):
-                f.write(f"{idx} {i + 1} {j + 1} {k + 1}\n")
-    else:
-        raise ValueError(f"unknown mesh format {format!r}")
+        return
+    with open(base + ".node", "w") as f:
+        f.write(f"{mesh.num_vertices} 2 0 0\n")
+        for idx, (x, y) in enumerate(mesh.vertices, start=1):
+            f.write(f"{idx} {x:.17g} {y:.17g}\n")
+    with open(base + ".ele", "w") as f:
+        f.write(f"{mesh.num_triangles} 3 0\n")
+        for idx, (i, j, k) in enumerate(mesh.triangles, start=1):
+            f.write(f"{idx} {i + 1} {j + 1} {k + 1}\n")
+
+
+def _triangle_base(path: str):
+    """The path without its .node or .ele extension, or None for any other path."""
+    root, ext = os.path.splitext(path)
+    return root if ext in (".node", ".ele") else None
 
 
 def _coordinate_noise(pts: np.ndarray) -> np.ndarray:
@@ -383,8 +388,7 @@ def _load_native(path: str) -> Mesh:
         raise MeshError(f"{path}: {exc}") from None
 
 
-def _load_triangle(path: str) -> Mesh:
-    base = path[:-5] if path.endswith(".node") else path[:-4] if path.endswith(".ele") else path
+def _load_triangle(base: str) -> Mesh:
     node_path, ele_path = base + ".node", base + ".ele"
     for p in (node_path, ele_path):
         if not os.path.exists(p):

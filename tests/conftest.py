@@ -105,6 +105,10 @@ def topology_oracle(mesh, slit=None, tol=1e-12):
             raise MeshError(
                 f"non-conforming mesh: vertex {hit} hangs on an edge of triangle {edge_to_tri[e, 0]}"
             )
+    held = set(t.ravel().tolist())
+    for v in range(len(V)):
+        if v not in held:
+            raise MeshError(f"vertex {v} belongs to no triangle")
 
     slit_edges = np.empty(0, dtype=np.int64)
     if slit is not None:

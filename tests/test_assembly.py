@@ -146,11 +146,23 @@ def test_polynomial_exactness(k, mode):
     assert report.e_bdry <= 1e-8
 
 
-def test_rejects_zero_epsilon_in_ls():
-    mesh, topo, dm = make_case(1, 0)
+def test_ls_at_zero_epsilon_is_the_transport_system():
+    # assemble_ls takes eps >= 0; at eps == 0 it builds assemble_transport's
+    # system bit for bit, with the weak inflow penalty alone
+    mesh, topo, dm = make_case(2, 2)
     problem = get_problem("transport")
-    with pytest.raises(ValueError, match="transport"):
-        assemble_ls(problem, mesh, topo, dm, "weak")
+    for condense in (False, True):
+        ls = assemble_ls(problem, mesh, topo, dm, "weak", condense)
+        ref = assemble_transport(problem, mesh, topo, dm, condense)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(ls.matrix, name), getattr(ref.matrix, name))
+        assert np.array_equal(ls.rhs, ref.rhs) and ls.norm_b == ref.norm_b
+    for mode in ("strong", "alt-weak"):
+        with pytest.raises(ValueError, match="transport .eps == 0. takes bc mode 'weak' only"):
+            assemble_ls(problem, mesh, topo, dm, mode)
+    negative = dataclasses.replace(polynomial_problem(0.1, 0), epsilon=-0.1)
+    with pytest.raises(ValueError, match="epsilon must be >= 0"):
+        assemble_ls(negative, mesh, topo, dm)
 
 
 def test_rejects_mismatched_dofmap():

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import lsfem
@@ -84,7 +85,6 @@ def test_bad_region_exits_one(tmp_path, capsys, argv, message):
 @pytest.mark.parametrize(
     "argv",
     [
-        pytest.param(("solve", "--mesh-n", "4", "--maxit", "-3"), id="negative-maxit"),
         pytest.param(("solve", "--mesh-n", "4", "--tol", "-1"), id="negative-tol"),
         pytest.param(("convergence", "--levels", "0"), id="zero-levels"),
     ],
@@ -107,6 +107,10 @@ def test_out_of_range_option_is_usage_error(tmp_path, capsys, argv):
         ("convergence", "--maxit", "10"),
         ("compare", "--bc", "strong"),
         ("compare", "--maxit", "10"),
+        # CG under the factor stops after one iteration, and a mesh file's
+        # format follows from its name
+        ("solve", "--maxit", "10"),
+        ("solve", "--mesh-format", "triangle"),
     ],
 )
 def test_option_the_command_does_not_read_is_usage_error(tmp_path, capsys, command, option,
@@ -147,14 +151,14 @@ def test_condition_transport_names_the_reason(tmp_path, capsys):
 
 
 def test_numerical_failure_exits_two(tmp_path, capsys):
-    # a cap of zero iterations forces CG to give up; with the factor it
-    # converges in one iteration
+    # a tolerance far below the rounding floor: CG stagnates and gives up
     code, out, err = run(
         capsys, "--out-dir", str(tmp_path),
-        "solve", "--problem", "smooth", "--eps", "1e-3", "--mesh-n", "8", "--maxit", "0",
+        "solve", "--problem", "smooth", "--eps", "1e-3", "--mesh-n", "8", "--tol", "1e-300",
     )
     assert code == 2
     assert "numerical failure" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_list_problems(capsys):
@@ -223,6 +227,84 @@ def test_solve_from_mesh_file(tmp_path, capsys):
     assert "errors:" in out
 
 
+def test_triangle_pair_solves_like_the_native_file(tmp_path, capsys):
+    # the format follows from the name: .node or .ele is a Triangle pair
+    from lsfem.mesh import generate_structured, save_mesh
+
+    mesh = generate_structured(4, 0.1)
+    outputs = []
+    for name in ("grid.mesh", "grid.node", "grid.ele"):
+        save_mesh(mesh, str(tmp_path / name))
+        out_dir = tmp_path / f"out-{name}"
+        out_dir.mkdir()
+        code, out, _ = run(
+            capsys, "--out-dir", str(out_dir),
+            "solve", "--problem", "smooth", "--k", "1", "--mesh-file", str(tmp_path / name),
+        )
+        assert code == 0
+        outputs.append((out.replace(str(out_dir), "OUT"),
+                        (out_dir / "smooth_P2_weak_32.vtk").read_bytes()))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(("--mesh-file", "MESH", "--mesh-n", "8"),
+                     "--mesh-n cannot be used with --mesh-file", id="mesh-file-mesh-n"),
+        pytest.param(("--mesh-file", "MESH", "--perturb", "0"),
+                     "--perturb cannot be used with --mesh-file", id="mesh-file-perturb"),
+        pytest.param(("--mesh-file", "MESH", "--perturb", "0.1", "--mesh-n", "4"),
+                     "--mesh-n and --perturb cannot be used with --mesh-file", id="mesh-file-both"),
+        pytest.param(("--problem", "rotating", "--mesh-n", "8", "--perturb", "0.2"),
+                     "--perturb 0.2 does not apply to rotating", id="rotating-perturb"),
+    ],
+)
+def test_solve_option_it_would_ignore_exits_one(tmp_path, capsys, argv, message):
+    # a mesh file reads neither --mesh-n nor --perturb, and the rotating
+    # slit mesh is never jittered; no file may be written
+    from lsfem.mesh import generate_structured, save_mesh
+
+    mesh_file = tmp_path / "grid.mesh"
+    save_mesh(generate_structured(4, 0.1), str(mesh_file))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = [str(mesh_file) if a == "MESH" else a for a in argv]
+    problem = [] if "--problem" in argv else ["--problem", "smooth"]
+    code, out, err = run(capsys, "--out-dir", str(out_dir), "solve", *problem, *argv)
+    assert code == 1
+    assert err.startswith(f"error [solve]: {message}")
+    assert not list(out_dir.iterdir())
+
+
+def test_rotating_solve_takes_zero_perturb(tmp_path, capsys):
+    # --perturb 0 restates what rotating does anyway: same stdout, same file
+    outputs = []
+    for extra in ((), ("--perturb", "0")):
+        code, out, _ = run(capsys, "--out-dir", str(tmp_path),
+                           "solve", "--problem", "rotating", "--mesh-n", "4", *extra)
+        assert code == 0
+        outputs.append((out, (tmp_path / "rotating_P1_weak_32.vtk").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("name", ["stray.mesh", "stray.node"])
+def test_vertex_in_no_triangle_exits_one(tmp_path, capsys, name):
+    # two triangles of the unit square and a fifth vertex at (5, 5)
+    from lsfem.mesh import Mesh, save_mesh
+
+    square = Mesh(np.array([[0, 0], [1, 0], [1, 1], [0, 1], [5, 5]], dtype=float),
+                  np.array([[0, 1, 2], [0, 2, 3]]), np.zeros(2, dtype=np.int64))
+    save_mesh(square, str(tmp_path / name))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, _, err = run(capsys, "--out-dir", str(out_dir),
+                       "solve", "--problem", "smooth", "--mesh-file", str(tmp_path / name))
+    assert code == 1
+    assert err == "error [solve]: vertex 4 belongs to no triangle\n"
+    assert not list(out_dir.iterdir())
+
+
 def _corrupt_empty_node(node, ele):
     node.write_text("")
     return f"{node}:1:"
@@ -249,12 +331,11 @@ def _corrupt_narrow_element(node, ele):
 def test_malformed_triangle_files_report_file_and_line(tmp_path, capsys, corrupt):
     from lsfem.mesh import generate_structured, save_mesh
 
-    save_mesh(generate_structured(4, 0.0), str(tmp_path / "grid"), format="triangle")
+    save_mesh(generate_structured(4, 0.0), str(tmp_path / "grid.node"))
     where = corrupt(tmp_path / "grid.node", tmp_path / "grid.ele")
     code, _, err = run(
         capsys, "--out-dir", str(tmp_path),
-        "solve", "--problem", "smooth", "--mesh-format", "triangle",
-        "--mesh-file", str(tmp_path / "grid.node"),
+        "solve", "--problem", "smooth", "--mesh-file", str(tmp_path / "grid.node"),
     )
     assert code == 1
     assert "error [solve]" in err and where in err

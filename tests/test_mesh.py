@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -136,13 +138,17 @@ def test_native_roundtrip(tmp_path):
 
 
 def test_triangle_format_roundtrip(tmp_path):
+    # a .node or .ele path names a Triangle pair, whichever file it ends in
     mesh = generate_structured(4, 0.0)
     base = str(tmp_path / "grid")
-    save_mesh(mesh, base, format="triangle")
-    back = load_mesh(base + ".node", format="triangle")
-    assert back.num_vertices == 25
-    assert back.num_triangles == 32
-    assert np.array_equal(back.triangles, mesh.triangles)
+    save_mesh(mesh, base + ".ele")
+    assert sorted(os.listdir(tmp_path)) == ["grid.ele", "grid.node"]
+    assert open(base + ".node").readline() == "25 2 0 0\n"
+    for ext in (".node", ".ele"):
+        back = load_mesh(base + ext)
+        assert back.num_vertices == 25
+        assert back.num_triangles == 32
+        assert np.array_equal(back.triangles, mesh.triangles)
 
 
 def test_load_rejects_out_of_range_vertex(tmp_path):

@@ -5,6 +5,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,15 +77,38 @@ def test_topology_matches_loop_oracle(mesh, with_slit, glue):
         assert a.dtype == b.dtype and np.array_equal(a, b), field.name
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        pytest.param([(5.0, 5.0)], "belongs to no triangle", id="far"),
+        pytest.param([(5.0, 5.0), (-1.0, 2.0)], "belongs to no triangle", id="two-far"),
+        pytest.param([(0.5 / 3, 0.0)], "non-conforming", id="on-an-edge"),
+        pytest.param([(5.0, 5.0), (0.5 / 3, 0.0)], "non-conforming", id="far-and-on-an-edge"),
+    ],
+)
+def test_vertices_in_no_triangle_match_loop_oracle(extra, message):
+    # stray vertices, relabelled among the others: a midpoint hangs, any
+    # other names the lowest stray index, in both implementations
+    mesh = generate_structured(3, 0.0)
+    verts = np.vstack([mesh.vertices, extra])
+    perm = np.random.default_rng(len(extra)).permutation(len(verts))
+    stray = Mesh(verts[np.argsort(perm)], perm[mesh.triangles], mesh.region_id)
+    ref = _topology_or_error(topology_oracle, stray, None)
+    assert isinstance(ref, str) and message in ref
+    assert _topology_or_error(build_topology, stray, None) == ref
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(meshes(), st.sampled_from(("native", "triangle")))
-def test_mesh_file_round_trip(mesh, fmt):
+@given(meshes(), st.sampled_from((".node", ".ele", ".txt", ".node.txt", "")))
+def test_mesh_file_round_trip(mesh, ext):
+    # the extension picks the format: .node and .ele a Triangle pair, any
+    # other the native one, the only one that keeps the region ids
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "mesh.node" if fmt == "triangle" else "mesh.txt")
-        save_mesh(mesh, path, format=fmt)
-        back = load_mesh(path, format=fmt)
+        path = os.path.join(tmp, "mesh" + ext)
+        save_mesh(mesh, path)
+        back = load_mesh(path)
     assert back.vertices.dtype == mesh.vertices.dtype
     assert np.array_equal(back.vertices, mesh.vertices)
     assert np.array_equal(back.triangles, mesh.triangles)
-    if fmt == "native":
+    if ext not in (".node", ".ele"):
         assert np.array_equal(back.region_id, mesh.region_id)

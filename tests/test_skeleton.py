@@ -1,7 +1,6 @@
 """The skeleton solve: element interiors condensed out, the edge and vertex
 DOFs factored, the interiors recovered element by element. Every check is
-against the full system that ``assemble_ls`` and ``assemble_transport``
-build."""
+against the full system that ``assemble_ls`` builds."""
 import dataclasses
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 
 from conftest import dense_oracle_solve, make_case
 from lsfem import assembly
-from lsfem.assembly import LinearSystem, assemble_ls, assemble_transport
+from lsfem.assembly import LinearSystem, assemble_ls
 from lsfem.bench import get_problem, solve_problem, studies
 from lsfem.bench.studies import build_case
 from lsfem.solver import STALL_ITERS, ConvergenceError, NotSPDError
@@ -17,12 +16,6 @@ from lsfem.solver import STALL_ITERS, ConvergenceError, NotSPDError
 SLIT = ((0.5, 0.0), (0.5, 0.5))
 MODES = ("weak", "alt-weak", "strong")
 TOL = 1e-10
-
-
-def full_system(problem, mesh, topo, dm, mode, condense=False):
-    if problem.epsilon == 0.0:
-        return assemble_transport(problem, mesh, topo, dm, condense)
-    return assemble_ls(problem, mesh, topo, dm, mode, condense)
 
 
 def full_residual(system, x):
@@ -60,12 +53,12 @@ def test_pattern_structural_across_eps(mode, k):
 @pytest.mark.parametrize("kind,k", CASES)
 def test_skeleton_is_schur_complement_and_solve_matches_oracle(kind, k):
     problem, mesh, topo, dm, mode = case(kind, k)
-    full = full_system(problem, mesh, topo, dm, mode)
+    full = assemble_ls(problem, mesh, topo, dm, mode)
     A, b = full.matrix.toarray(), full.rhs
     # the full system is the one with no interiors
     assert full.on_skeleton.all() and full.interior.size == 0
     assert full.norm_b == np.linalg.norm(b)
-    skel = full_system(problem, mesh, topo, dm, mode, condense=True)
+    skel = assemble_ls(problem, mesh, topo, dm, mode, condense=True)
     s, i = skel.on_skeleton, ~skel.on_skeleton
     schur = A[np.ix_(s, s)] - A[np.ix_(s, i)] @ np.linalg.solve(A[np.ix_(i, i)], A[np.ix_(i, s)])
     g = b[s] - A[np.ix_(s, i)] @ np.linalg.solve(A[np.ix_(i, i)], b[i])
@@ -84,34 +77,36 @@ def test_skeleton_is_schur_complement_and_solve_matches_oracle(kind, k):
 def test_transport_without_bubbles_is_the_full_system(k):
     # no interior DOFs: the condensation is the identity, bit for bit
     problem, mesh, topo, dm, _ = case("transport", k)
-    full = assemble_transport(problem, mesh, topo, dm)
-    skel = assemble_transport(problem, mesh, topo, dm, condense=True)
+    full = assemble_ls(problem, mesh, topo, dm)
+    skel = assemble_ls(problem, mesh, topo, dm, condense=True)
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(skel.matrix, name), getattr(full.matrix, name))
     assert np.array_equal(skel.rhs, full.rhs)
 
 
 @pytest.mark.parametrize("kind,k", CASES)
-def test_reported_residual_is_the_full_systems(kind, k):
+def test_reported_residual_is_the_full_systems(kind, k, monkeypatch):
     problem, mesh, topo, dm, mode = case(kind, k)
-    full = full_system(problem, mesh, topo, dm, mode)
+    full = assemble_ls(problem, mesh, topo, dm, mode)
     x, stats = solve_problem(problem, mesh, topo, dm, mode, tol=TOL)
     assert stats.converged and stats.residual <= TOL
     assert full_residual(full, x) <= TOL
     # with no iteration the skeleton residual is g, far above rounding: it
     # must be the full residual of the full-length iterate, relative to ||b||
+    monkeypatch.setattr(studies, "FACTOR_CG_MAXIT", 0)
     with pytest.raises(ConvergenceError) as info:
-        solve_problem(problem, mesh, topo, dm, mode, tol=TOL, maxit=0)
+        solve_problem(problem, mesh, topo, dm, mode, tol=TOL)
     err = info.value
     assert len(err.x) == full.matrix.n  # dm.n_total, or n_w for transport
     assert err.stats.residual == pytest.approx(full_residual(full, err.x), rel=1e-9)
 
 
-def test_convergence_error_names_the_system():
+def test_convergence_error_names_the_system(monkeypatch):
     problem, mesh, topo, dm, mode = case("strong", 1)
     n_skel = assemble_ls(problem, mesh, topo, dm, mode, condense=True).matrix.n
+    monkeypatch.setattr(studies, "FACTOR_CG_MAXIT", 0)
     with pytest.raises(ConvergenceError) as info:
-        solve_problem(problem, mesh, topo, dm, mode, maxit=0)
+        solve_problem(problem, mesh, topo, dm, mode)
     message = str(info.value)
     assert "eps=0.001" in message and "strong" in message
     assert f"{dm.n_total} DOFs" in message and f"{n_skel} on the skeleton" in message
