@@ -11,58 +11,35 @@ from ..mesh import Mesh
 
 CONVERGENCE_HEADER = "level,h,ndofs,e_L2,eoc_L2,e_grad,eoc_grad,e_stream,e_bdry"
 CONDITION_HEADER = "level,n,eps,ndofs,h,lambda_min,lambda_max,kappa,kappa_ratio"
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return f"{x:.12e}"
+# columns written with str; the others are floats, "%.12e" or empty for None
+_INTEGER_COLUMNS = {"level", "n", "ndofs"}
 
 
 def write_convergence_csv(reports, path: str) -> None:
     """One row per mesh level; EOC columns empty on the first level."""
-    _ensure_dir(path)
-    lines = [CONVERGENCE_HEADER]
-    for r in reports:
-        lines.append(
-            ",".join(
-                [
-                    str(r.level),
-                    _fmt(r.h),
-                    str(r.n_dofs),
-                    _fmt(r.e_L2),
-                    _fmt(r.eoc_L2),
-                    _fmt(r.e_grad),
-                    _fmt(r.eoc_grad),
-                    _fmt(r.e_stream),
-                    _fmt(r.e_bdry),
-                ]
-            )
-        )
-    _write_text(path, lines)
+    _write_csv(path, CONVERGENCE_HEADER, [
+        (r.level, r.h, r.n_dofs, r.e_L2, r.eoc_L2, r.e_grad, r.eoc_grad, r.e_stream, r.e_bdry)
+        for r in reports
+    ])
 
 
 def write_condition_csv(rows, path: str) -> None:
+    """One row per (level, eps); the kappa ratio empty on the first level."""
+    _write_csv(path, CONDITION_HEADER, [
+        (r.level, r.n, r.epsilon, r.n_dofs, r.h, r.estimate.lambda_min,
+         r.estimate.lambda_max, r.estimate.kappa, r.kappa_ratio)
+        for r in rows
+    ])
+
+
+def _write_csv(path: str, header: str, rows) -> None:
+    """The header line and one line per row, each value formatted by its column."""
     _ensure_dir(path)
-    lines = [CONDITION_HEADER]
-    for r in rows:
-        est = r.estimate
-        lines.append(
-            ",".join(
-                [
-                    str(r.level),
-                    str(r.n),
-                    _fmt(r.epsilon),
-                    str(r.n_dofs),
-                    _fmt(r.h),
-                    _fmt(est.lambda_min),
-                    _fmt(est.lambda_max),
-                    _fmt(est.kappa),
-                    _fmt(r.kappa_ratio),
-                ]
-            )
-        )
-    _write_text(path, lines)
+    ints = [name in _INTEGER_COLUMNS for name in header.split(",")]
+    _write_text(path, [header] + [
+        ",".join(str(x) if i else "" if x is None else f"{x:.12e}" for x, i in zip(row, ints))
+        for row in rows
+    ])
 
 
 def write_vtk(

@@ -12,10 +12,18 @@ import math
 import os
 import sys
 
-from . import bench, fem
-from .bench.studies import DEFAULT_PERTURB
-from .mesh import MeshError, build_topology, generate_structured, load_mesh
-from .solver import SolverError
+# The command, this module, runs one thread in each BLAS and OpenMP pool
+# unless the caller chose a count: its factor and solves run serially, and a
+# pool per core only contends with them. The pools read these variables when
+# numpy loads; importing the package loads none, so they are set before the
+# imports below.
+for _pool in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_pool, "1")
+
+from . import bench, fem  # noqa: E402
+from .bench.studies import DEFAULT_PERTURB  # noqa: E402
+from .mesh import MeshError, build_topology, generate_structured, load_mesh  # noqa: E402
+from .solver import SolverError  # noqa: E402
 
 OUTDIR_ENV = "LSFEM_OUTDIR"
 

@@ -70,8 +70,7 @@ def lagrange_basis(degree: int, points: np.ndarray):
     _check_degree(degree)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     coeff = _lagrange_coefficients(degree)
-    exps = _poly_exponents(degree)
-    mono, dmono = _eval_monomials(exps, pts)
+    mono, dmono = _monomials(_poly_exponents(degree), pts[:, 0], pts[:, 1])
     values = coeff.T @ mono
     grads = np.einsum("si,sqd->iqd", coeff, dmono)
     return values, grads
@@ -80,8 +79,7 @@ def lagrange_basis(degree: int, points: np.ndarray):
 @functools.cache
 def _lagrange_coefficients(degree: int) -> np.ndarray:
     nodes = lagrange_nodes(degree)
-    exps = _poly_exponents(degree)
-    vand, _ = _eval_monomials(exps, nodes)
+    vand, _ = _monomials(_poly_exponents(degree), nodes[:, 0], nodes[:, 1])
     return _read_only(np.linalg.inv(vand.T))  # column i: monomial coefficients of basis i
 
 
@@ -94,15 +92,28 @@ def _poly_exponents(m: int):
     return [(a, b) for tot in range(m + 1) for a in range(tot, -1, -1) for b in [tot - a]]
 
 
-def _eval_monomials(exps, pts):
-    x, y = pts[:, 0], pts[:, 1]
-    vals = np.empty((len(exps), len(pts)))
-    grads = np.empty((len(exps), len(pts), 2))
+def _monomials(exps, u, v):
+    """Values (n, npts) and gradients (n, npts, 2) of the monomials u^a v^b,
+    (a, b) in ``exps``, at the points (u, v): every reference table is built
+    from these."""
+    vals = np.array([u**a * v**b for a, b in exps])
+    grads = np.zeros(vals.shape + (2,))
     for s, (a, b) in enumerate(exps):
-        vals[s] = x**a * y**b
-        grads[s, :, 0] = a * x ** max(a - 1, 0) * y**b if a else 0.0
-        grads[s, :, 1] = b * x**a * y ** max(b - 1, 0) if b else 0.0
+        if a:
+            grads[s, :, 0] = a * u ** (a - 1) * v**b
+        if b:
+            grads[s, :, 1] = b * u**a * v ** (b - 1)
     return vals, grads
+
+
+_CENTROID = 1.0 / 3.0
+
+
+def _centred_monomials(m: int, pts: np.ndarray):
+    """``_monomials`` of degree <= m in u, v = x - 1/3, y - 1/3. Centring on
+    the centroid keeps the moment and Gram matrices well conditioned
+    through order 3."""
+    return _monomials(_poly_exponents(m), pts[:, 0] - _CENTROID, pts[:, 1] - _CENTROID)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +188,7 @@ def rt_interior_tests(order: int, pts: np.ndarray) -> np.ndarray:
 
 def _interior_scalar_tests(order: int, pts: np.ndarray) -> np.ndarray:
     """Orthonormal basis of P_{order-1}(reference triangle) at ``pts``."""
-    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    u, v = pts[:, 0] - _CENTROID, pts[:, 1] - _CENTROID
-    vals = np.array([u**a * v**b for a, b in _poly_exponents(order - 1)])
+    vals, _ = _centred_monomials(order - 1, np.asarray(pts, dtype=float).reshape(-1, 2))
     return _interior_coefficients(order).T @ vals
 
 
@@ -187,49 +196,23 @@ def _interior_scalar_tests(order: int, pts: np.ndarray) -> np.ndarray:
 def _interior_coefficients(order: int) -> np.ndarray:
     """Monomial coefficients (columns) of the orthonormal basis of P_{order-1}."""
     rule = triangle_rule(2 * order + 2)
-    u, v = rule.xy[:, 0] - _CENTROID, rule.xy[:, 1] - _CENTROID
-    vals = np.array([u**a * v**b for a, b in _poly_exponents(order - 1)])
+    vals, _ = _centred_monomials(order - 1, rule.xy)
     gram = np.einsum("iq,jq,q->ij", vals, vals, rule.weights)
     return _read_only(np.linalg.inv(np.linalg.cholesky(gram)).T)
 
 
-_CENTROID = 1.0 / 3.0
-
-
-def _rt_space_exponents(order: int):
-    """Spanning fields in centroid-centered monomials u^a v^b: the two
-    component copies for a+b <= m plus x * u^a v^b for a+b == m. Centering
-    keeps the moment matrix well conditioned through order 3."""
-    m = order
-    scalar = _poly_exponents(m)
-    top = [(a, m - a) for a in range(m, -1, -1)]
-    return scalar, top
-
-
 def _eval_vector_space(order, pts):
-    scalar, top = _rt_space_exponents(order)
+    """Values (n, npts, 2) and divergences (n, npts) of the spanning fields
+    of P_m^2 + x P_m in centred monomials q = u^a v^b: the copies (q, 0) and
+    (0, q) for a+b <= m, then x q for a+b == m."""
     x, y = pts[:, 0], pts[:, 1]
-    u, v = x - _CENTROID, y - _CENTROID
-    n = 2 * len(scalar) + len(top)
-    vals = np.zeros((n, len(pts), 2))
-    divs = np.zeros((n, len(pts)))
-    s = 0
-    for comp in (0, 1):
-        for a, b in scalar:
-            vals[s, :, comp] = u**a * v**b
-            if comp == 0 and a:
-                divs[s] = a * u ** (a - 1) * v**b
-            elif comp == 1 and b:
-                divs[s] = b * u**a * v ** (b - 1)
-            s += 1
-    for a, b in top:
-        q = u**a * v**b
-        qx = a * u ** (a - 1) * v**b if a else 0.0
-        qy = b * u**a * v ** (b - 1) if b else 0.0
-        vals[s, :, 0] = x * q
-        vals[s, :, 1] = y * q
-        divs[s] = 2.0 * q + x * qx + y * qy
-        s += 1
+    mono, grads = _centred_monomials(order, pts)
+    top, dtop = mono[-(order + 1):], grads[-(order + 1):]  # a+b == m, a descending
+    zero = np.zeros_like(mono)
+    vals = np.concatenate([np.stack([mono, zero], axis=-1), np.stack([zero, mono], axis=-1),
+                           np.stack([x * top, y * top], axis=-1)])
+    divs = np.concatenate([grads[..., 0], grads[..., 1],
+                           2.0 * top + x * dtop[..., 0] + y * dtop[..., 1]])
     return vals, divs
 
 

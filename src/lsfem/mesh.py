@@ -243,6 +243,12 @@ def build_topology(mesh: Mesh, slit=None) -> Topology:
         raise MeshError(
             f"non-conforming mesh: vertex {hit[e]} hangs on an edge of triangle {edge_to_tri[e, 0]}"
         )
+    # triangles that hold different indices of one point share no edge
+    # through it: the domain would be cut open along those edges
+    twin = np.flatnonzero(vertex_at[place[:V]] != np.arange(V))
+    if twin.size:
+        i, j = np.flatnonzero(place[:V] == place[twin[0]])[:2]
+        raise MeshError(f"vertices {i} and {j} coincide at ({points[i, 0]:g}, {points[i, 1]:g})")
 
     # a vertex that no triangle holds would carry a W DOF with a zero row
     stray = np.setdiff1d(np.arange(V), t)

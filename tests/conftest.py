@@ -69,7 +69,8 @@ def make_case(n, k, perturb=0.0, slit=None):
 def topology_oracle(mesh, slit=None, tol=1e-12):
     """Reference topology built with per-edge Python loops: the neighbour
     fill in (local edge, triangle) order, a dict from rounded coordinates to
-    the last vertex there, and a scan of every edge against the slit.
+    the last vertex there, another to all the vertices there, and a scan of
+    every edge against the slit.
     ``build_topology`` must agree with it field for field and error for
     error."""
     t, V = mesh.triangles, mesh.vertices
@@ -105,6 +106,13 @@ def topology_oracle(mesh, slit=None, tol=1e-12):
             raise MeshError(
                 f"non-conforming mesh: vertex {hit} hangs on an edge of triangle {edge_to_tri[e, 0]}"
             )
+    sharing = {}
+    for idx, v in enumerate(np.round(V, 12)):
+        sharing.setdefault((v[0], v[1]), []).append(idx)
+    twins = min((ids for ids in sharing.values() if len(ids) > 1), default=None)
+    if twins is not None:
+        x, y = np.round(V[twins[0]], 12)
+        raise MeshError(f"vertices {twins[0]} and {twins[1]} coincide at ({x:g}, {y:g})")
     held = set(t.ravel().tolist())
     for v in range(len(V)):
         if v not in held:

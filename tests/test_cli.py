@@ -36,6 +36,59 @@ def test_run_as_module_without_warning():
     assert "RuntimeWarning" not in proc.stderr
 
 
+THREAD_POOLS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# a fresh interpreter with the three variables unset but for ``env``, which
+# prints what they read when numpy starts to load, then runs ``code`` with
+# the command line `lsfem list-problems`
+POOLS_AT_NUMPY = """
+import os, runpy, sys
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print(*(os.environ.get(v, "-") for v in {pools}))
+sys.meta_path.insert(0, Spy())
+sys.argv = ["lsfem", "list-problems"]
+{code}
+"""
+
+
+def _pools_at_numpy(code, **env):
+    src = os.path.dirname(os.path.dirname(lsfem.__file__))
+    base = {k: v for k, v in os.environ.items() if k not in THREAD_POOLS}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", POOLS_AT_NUMPY.format(pools=THREAD_POOLS, code=code)],
+        capture_output=True, text=True, env=dict(base, **env), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+# python -m lsfem.cli, and the [project.scripts] entry as its wrapper calls it
+LAUNCHERS = {
+    "module": "runpy.run_module('lsfem.cli', run_name='__main__', alter_sys=True)",
+    "script": "from lsfem.cli import main\nsys.exit(main())",
+}
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_command_pins_thread_pools(launcher):
+    lines = _pools_at_numpy(LAUNCHERS[launcher])
+    assert lines[0] == "1 1 1" and "smooth: eps=0.001, exact solution" in lines
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_command_keeps_a_thread_count_the_caller_set(launcher):
+    assert _pools_at_numpy(LAUNCHERS[launcher], OMP_NUM_THREADS="2")[0] == "1 2 1"
+
+
+def test_library_import_sets_no_thread_count():
+    # the package loads numpy only with a submodule, and neither sets a variable
+    lines = _pools_at_numpy("import lsfem\nprint('numpy' in sys.modules)\nlsfem.fem")
+    assert lines == ["False", "- - -"]
+
+
 def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["convergence", "--problem", "no-such-problem"])
@@ -302,6 +355,24 @@ def test_vertex_in_no_triangle_exits_one(tmp_path, capsys, name):
                        "solve", "--problem", "smooth", "--mesh-file", str(tmp_path / name))
     assert code == 1
     assert err == "error [solve]: vertex 4 belongs to no triangle\n"
+    assert not list(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("name", ["crack.mesh", "crack.node"])
+def test_coincident_vertices_exit_one(tmp_path, capsys, name):
+    # the unit square whose second triangle holds a copy of vertex 2: the
+    # diagonal would be two boundary edges, a crack through the domain
+    from lsfem.mesh import Mesh, save_mesh
+
+    square = Mesh(np.array([[0, 0], [1, 0], [1, 1], [0, 1], [1, 1]], dtype=float),
+                  np.array([[0, 1, 2], [0, 4, 3]]), np.zeros(2, dtype=np.int64))
+    save_mesh(square, str(tmp_path / name))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, _, err = run(capsys, "--out-dir", str(out_dir),
+                       "solve", "--problem", "smooth", "--mesh-file", str(tmp_path / name))
+    assert code == 1
+    assert err == "error [solve]: vertices 2 and 4 coincide at (1, 1)\n"
     assert not list(out_dir.iterdir())
 
 

@@ -98,6 +98,33 @@ def test_vertices_in_no_triangle_match_loop_oracle(extra, message):
     assert _topology_or_error(build_topology, stray, None) == ref
 
 
+@pytest.mark.parametrize(
+    "copies",
+    [
+        pytest.param([(4, 0)], id="crack"),
+        pytest.param([(4, 0), (9, 1)], id="two-cracks"),
+        pytest.param([(4, 0), (4, 1)], id="three-at-a-point"),
+        pytest.param([(4, None)], id="unused-copy"),
+    ],
+)
+def test_coincident_vertices_match_loop_oracle(copies):
+    # each copy of a vertex takes its place in one of the triangles that
+    # hold it, or in none; after a relabelling, both implementations name
+    # the lowest coincident pair
+    mesh = generate_structured(3, 0.1)
+    verts, tris = list(mesh.vertices), mesh.triangles.copy()
+    for v, holder in copies:
+        if holder is not None:
+            row = np.flatnonzero((mesh.triangles == v).any(axis=1))[holder]
+            tris[row, tris[row] == v] = len(verts)
+        verts.append(mesh.vertices[v])
+    perm = np.random.default_rng(len(copies)).permutation(len(verts))
+    cracked = Mesh(np.array(verts)[np.argsort(perm)], perm[tris], mesh.region_id)
+    ref = _topology_or_error(topology_oracle, cracked, None)
+    assert isinstance(ref, str) and "coincide" in ref
+    assert _topology_or_error(build_topology, cracked, None) == ref
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(meshes(), st.sampled_from((".node", ".ele", ".txt", ".node.txt", "")))
 def test_mesh_file_round_trip(mesh, ext):

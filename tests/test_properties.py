@@ -1,8 +1,9 @@
 """Property tests: the discrete solution does not depend on how the mesh is
-numbered."""
+numbered, and mirrors a mirrored mesh."""
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from conftest import dense_oracle_solve
 from lsfem import fem
 from lsfem.assembly import assemble_ls
 from lsfem.bench import error_norms, get_problem, sample_solution
+from lsfem.bench.problems import _manufactured
 from lsfem.bench.studies import DEFAULT_PERTURB
 from lsfem.mesh import Mesh, build_topology, generate_structured
 
@@ -55,9 +57,41 @@ def test_solution_invariant_under_renumbering(case):
     problem = get_problem("smooth", 1e-2)
     u_ref, reports_ref = _solve(mesh, k, mode, problem)
     u_new, reports_new = _solve(relabelled, k, mode, problem)
+    _assert_agree(u_ref, reports_ref, u_new[vperm], reports_new)
 
+
+def _symmetric_problem(k, eps=1e-2):
+    """beta = (1, 1), c = 1 and u = s^p + t^p + x y, with s, t = 2x - 1, 2y - 1
+    and p = k + 2: the problem is symmetric in x and y, and every integrand
+    a polynomial that the assembly, face and error rules integrate exactly."""
+    p = k + 2
+    return _manufactured(
+        "symmetric", eps,
+        lambda x, y: (2 * x - 1) ** p + (2 * y - 1) ** p + x * y,
+        lambda x, y: np.stack([2 * p * (2 * x - 1) ** (p - 1) + y,
+                               2 * p * (2 * y - 1) ** (p - 1) + x], axis=-1),
+        lambda x, y: 4 * p * (p - 1) * ((2 * x - 1) ** (p - 2) + (2 * y - 1) ** (p - 2)),
+        c=lambda x, y: np.ones(np.shape(x)),
+    )
+
+
+@pytest.mark.parametrize("mode", ["weak", "strong", "alt-weak"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_solution_mirrors_under_reflection(k, mode):
+    # (x, y) -> (y, x) maps the problem and both regions to themselves. Mesh
+    # turns the mirrored triangles counterclockwise by swapping their local
+    # vertices 1 and 2, which moves the quadrature points in each element;
+    # with exact integrals only round-off differs.
+    mesh = generate_structured(3, DEFAULT_PERTURB)
+    mirror = Mesh(mesh.vertices[:, ::-1], mesh.triangles, mesh.region_id)
+    problem = _symmetric_problem(k)
+    _assert_agree(*_solve(mesh, k, mode, problem), *_solve(mirror, k, mode, problem))
+
+
+def _assert_agree(u_ref, reports_ref, u_new, reports_new):
+    """Vertex values and every ErrorReport field agree to 1e-10, relative."""
     scale = np.abs(u_ref).max()
-    assert np.abs(u_new[vperm] - u_ref).max() <= 1e-10 * scale
+    assert np.abs(u_new - u_ref).max() <= 1e-10 * scale
     for ref, new in zip(reports_ref, reports_new):
         for field in dataclasses.fields(ref):
             a, b = getattr(ref, field.name), getattr(new, field.name)
