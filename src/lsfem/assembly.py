@@ -163,31 +163,17 @@ def assemble_ls(
     bc_mode: str = "weak",
     condense: bool = False,
 ) -> LinearSystem:
-    """Assemble the least-squares system, at eps == 0 the scalar-only
-    transport system; with ``condense``, its element interiors condensed out."""
-    if problem.epsilon < 0.0:
-        raise ValueError(f"epsilon must be >= 0, got {problem.epsilon:g}")
-    return _assemble(problem, mesh, topo, dofmap, bc_mode, condense)
-
-
-def assemble_transport(problem: ProblemSpec, mesh: Mesh, topo: Topology, dofmap: fem.DofMap,
-                       condense: bool = False) -> LinearSystem:
-    """``assemble_ls`` at eps == 0 only; the benchmark's tracer names it."""
-    if problem.epsilon != 0.0:
-        raise ValueError("transport assembly requires epsilon == 0")
-    return _assemble(problem, mesh, topo, dofmap, "weak", condense)
-
-
-def _assemble(problem, mesh, topo, dofmap, bc_mode, condense):
-    """The system, with ``condense`` every element's interior DOFs eliminated
-    through a batched Cholesky factor of its interior block; without, the
-    interior set is empty and the local systems pass through unchanged.
-    eps == 0 has no Q block.
+    """Assemble the least-squares system, at eps == 0 the transport system on
+    the W block alone. With ``condense`` each element's interior DOFs are
+    eliminated through a batched Cholesky factor of its interior block;
+    without, the interior set is empty and the local systems pass through.
 
     Interior DOFs couple only inside their element, and the face, slit and
     strong-BC terms, which the local systems already hold, touch only W
     traces, so the interior blocks are those of the volume form alone.
     """
+    if problem.epsilon < 0.0:
+        raise ValueError(f"epsilon must be >= 0, got {problem.epsilon:g}")
     if problem.epsilon == 0.0:  # transport: the W block alone
         dofmap = dataclasses.replace(dofmap, n_q=0, q_index=dofmap.q_index[:, :0],
                                      q_sign=dofmap.q_sign[:, :0], nloc_q_skel=0)
@@ -216,6 +202,14 @@ def _assemble(problem, mesh, topo, dofmap, bc_mode, condense):
         chol=chol, coupling=coupling, interior_rhs=interior_rhs,
         order=_dissection_order(dofmap.geo, skeleton, n_skel),
     )
+
+
+def assemble_transport(problem: ProblemSpec, mesh: Mesh, topo: Topology, dofmap: fem.DofMap,
+                       condense: bool = False) -> LinearSystem:
+    """``assemble_ls`` at eps == 0 only; the benchmark's tracer names it."""
+    if problem.epsilon != 0.0:
+        raise ValueError("transport assembly requires epsilon == 0")
+    return assemble_ls(problem, mesh, topo, dofmap, "weak", condense)
 
 
 def _dissection_order(geo, skeleton, n):

@@ -131,21 +131,18 @@ def error_norms(
 
 
 def interpolate_solution(problem: ProblemSpec, mesh: Mesh, topo: Topology, dofmap: fem.DofMap):
-    """Nodal/moment interpolant of (q, u) = (-sqrt(eps) grad u, u).
-
-    Returns the full [Q | W] coefficient vector; for transport problems the
-    Q block carries the interpolant of the zero field. ``mesh`` and ``topo``
-    are not read: the DOF map holds the geometry and the numbering.
+    """Nodal/moment interpolant of (q, u) = (-sqrt(eps) grad u, u), in the
+    layout ``solve_problem`` returns: the [Q | W] coefficient vector, or for
+    transport (eps == 0) the W block alone. ``mesh`` and ``topo`` are not
+    read: the DOF map holds the geometry and the numbering.
     """
     if problem.exact_u is None or problem.exact_grad is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
+    w = interpolate_scalar(problem.exact_u, dofmap)
+    if problem.epsilon == 0.0:
+        return w
     se = np.sqrt(problem.epsilon)
-    coef = np.zeros(dofmap.n_total)
-    xw = dofmap.w_coords
-    coef[dofmap.n_q:] = _scalar_field(problem.exact_u, xw[:, 0], xw[:, 1])
-    if se > 0.0:
-        coef[: dofmap.n_q] = _q_moments(lambda x, y: -se * problem.exact_grad(x, y), dofmap)
-    return coef
+    return np.concatenate([_q_moments(lambda x, y: -se * problem.exact_grad(x, y), dofmap), w])
 
 
 def interpolate_scalar(fn, dofmap: fem.DofMap) -> np.ndarray:

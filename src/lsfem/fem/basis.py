@@ -164,10 +164,8 @@ def rt_dofs(order: int, degree: int, field) -> np.ndarray:
             dofs.append(ptrace @ (edge_moment_weight(j, t) * erule.weights * REF_EDGE_LENGTHS[e]))
     trule = triangle_rule(degree)
     vals = field(trule.xy)
-    tests = rt_interior_tests(order, trule.xy)
-    for i in range(len(tests)):
-        comp = 0 if i < len(tests) // 2 else 1
-        dofs.append(vals[..., comp] @ (tests[i, :, comp] * trule.weights))
+    tests = _interior_scalar_tests(order, trule.xy) * trule.weights
+    dofs += [vals[..., comp] @ t for comp in (0, 1) for t in tests]
     return np.stack(dofs, axis=-1)
 
 

@@ -231,8 +231,11 @@ def build_topology(mesh: Mesh, slit=None) -> Topology:
 
     # hanging-node guard: an edge midpoint coinciding with a mesh vertex
     # (other than its endpoints) means the neighbour was refined. Points are
-    # compared as complex numbers; coincident vertices resolve to the last.
-    points = np.round(np.concatenate([mesh.vertices, midpoints]), 12)
+    # compared as complex numbers, relative to the bounding box's corner and
+    # largest side, in any units; coincident vertices resolve to the last.
+    lo = mesh.vertices.min(axis=0, initial=np.inf)
+    extent = max((mesh.vertices.max(axis=0, initial=-np.inf) - lo).max(), np.finfo(float).tiny)
+    points = np.round((np.concatenate([mesh.vertices, midpoints]) - lo) / extent, 12)
     _, place = np.unique(points[:, 0] + 1j * points[:, 1], return_inverse=True)
     vertex_at = np.full(V + E, -1)
     np.maximum.at(vertex_at, place[:V], np.arange(V))
@@ -248,7 +251,8 @@ def build_topology(mesh: Mesh, slit=None) -> Topology:
     twin = np.flatnonzero(vertex_at[place[:V]] != np.arange(V))
     if twin.size:
         i, j = np.flatnonzero(place[:V] == place[twin[0]])[:2]
-        raise MeshError(f"vertices {i} and {j} coincide at ({points[i, 0]:g}, {points[i, 1]:g})")
+        x, y = mesh.vertices[i]
+        raise MeshError(f"vertices {i} and {j} coincide at ({x:g}, {y:g})")
 
     # a vertex that no triangle holds would carry a W DOF with a zero row
     stray = np.setdiff1d(np.arange(V), t)

@@ -97,21 +97,25 @@ def topology_oracle(mesh, slit=None, tol=1e-12):
     toward = mids[b] - V[t].mean(axis=1)[edge_to_tri[b, 0]]
     outward_sign[b] = np.where((normals[b] * toward).sum(axis=1) > 0, 1.0, -1.0)
 
+    # coordinates rounded relative to the bounding box's corner and largest side
+    lo = V.min(axis=0, initial=np.inf)
+    extent = max((V.max(axis=0, initial=-np.inf) - lo).max(), np.finfo(float).tiny)
+    rounded = np.round((V - lo) / extent, 12)
     lookup = {}
-    for idx, v in enumerate(np.round(V, 12)):
+    for idx, v in enumerate(rounded):
         lookup[(v[0], v[1])] = idx
-    for e, m in enumerate(np.round(mids, 12)):
+    for e, m in enumerate(np.round((mids - lo) / extent, 12)):
         hit = lookup.get((m[0], m[1]))
         if hit is not None and hit not in (edges[e, 0], edges[e, 1]):
             raise MeshError(
                 f"non-conforming mesh: vertex {hit} hangs on an edge of triangle {edge_to_tri[e, 0]}"
             )
     sharing = {}
-    for idx, v in enumerate(np.round(V, 12)):
+    for idx, v in enumerate(rounded):
         sharing.setdefault((v[0], v[1]), []).append(idx)
     twins = min((ids for ids in sharing.values() if len(ids) > 1), default=None)
     if twins is not None:
-        x, y = np.round(V[twins[0]], 12)
+        x, y = V[twins[0]]
         raise MeshError(f"vertices {twins[0]} and {twins[1]} coincide at ({x:g}, {y:g})")
     held = set(t.ravel().tolist())
     for v in range(len(V)):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -233,6 +234,23 @@ def test_bc_modes_share_one_pattern(slit, k, condense):
     for other in (alt, strong):
         assert np.array_equal(other.indptr, weak.indptr)
         assert np.array_equal(other.indices, weak.indices)
+
+
+@pytest.mark.parametrize(
+    "action, message",
+    [
+        pytest.param(lambda: get_problem("interior-layer").residual(0.5, 0.5),
+                     "problem 'interior-layer' has no exact solution", id="residual-without-exact"),
+        pytest.param(lambda: assemble_ls(get_problem("smooth"), *make_case(2, 0), "robin"),
+                     r"bc_mode must be one of \('weak', 'strong', 'alt-weak'\), got 'robin'",
+                     id="unknown-bc-mode"),
+    ],
+)
+def test_rejection_names_its_cause(action, message):
+    with pytest.raises(ValueError) as info:
+        action()
+    assert type(info.value) is ValueError
+    assert re.fullmatch(message, str(info.value))
 
 
 def test_transport_requires_zero_epsilon():

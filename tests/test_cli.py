@@ -125,6 +125,8 @@ def test_repeated_eps_exits_one(tmp_path, capsys):
                       "--region", "nan,1,0,1"), "finite", id="nan"),
         pytest.param(("compare", "--problem", "boundary-layer", "--mesh-n", "8",
                       "--region", "0.5,0.51,0,1"), "no element", id="empty-strip"),
+        pytest.param(("convergence", "--problem", "smooth", "--levels", "2",
+                      "--region", "0,1,0"), "must be xmin,xmax,ymin,ymax", id="three-values"),
     ],
 )
 def test_bad_region_exits_one(tmp_path, capsys, argv, message):
@@ -211,6 +213,35 @@ def test_numerical_failure_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "numerical failure" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, mesh_n, head",
+    [
+        pytest.param(("--problem", "boundary-layer", "--eps", "1", "--mesh-n", "4"), 4, "",
+                     id="boundary-layer"),
+        pytest.param(("--problem", "interior-layer"), 14,
+                     "using nearest generated mesh: n=14 (392 elements)\n", id="interior-layer"),
+    ],
+)
+def test_compare_prints_the_study(tmp_path, capsys, argv, mesh_n, head):
+    # the subdomain errors and their ratio where an exact solution exists,
+    # the overshoot of both modes always
+    from lsfem.bench import compare_bc_modes
+
+    code, out, err = run(capsys, "--out-dir", str(tmp_path), "compare", *argv)
+    assert code == 0 and err == ""
+    comp = compare_bc_modes(argv[1], 0, mesh_n, epsilon=1.0 if "--eps" in argv else None)
+    expect = head + "".join(f"note: {note}\n" for note in comp.notes)
+    expect += f"{argv[1]} eps={comp.epsilon:g} P1, {2 * mesh_n**2} elements\n"
+    if comp.weak is not None:
+        expect += (f"subdomain [0,0.9]x[0,0.9] L2: weak {comp.weak.e_L2:.4e} "
+                   f"strong {comp.strong.e_L2:.4e} ratio {comp.error_ratio:.3e}\n")
+    expect += (f"overshoot beyond data range: weak {comp.weak_overshoot:.4e} "
+               f"strong {comp.strong_overshoot:.4e}\n")
+    assert out == expect
+    assert ("subdomain" in out) == (argv[1] == "boundary-layer")
     assert not list(tmp_path.iterdir())
 
 

@@ -5,6 +5,7 @@ from conftest import make_case, polynomial_problem
 from lsfem import fem
 from lsfem.bench import error_norms, get_problem, interpolate_solution, sample_solution
 from lsfem.bench.errors import _q_moments, region_elements
+from lsfem.bench.studies import build_case, solve_problem
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -140,6 +141,29 @@ def test_transport_vector_accepted():
     assert report.e_q == 0.0
     assert report.n_dofs == dm.n_w
     assert report.e_L2 == pytest.approx(0.5, abs=1e-6)
+
+
+def test_interpolant_without_exact_solution_rejected():
+    mesh, topo, dm = make_case(2, 0)
+    with pytest.raises(ValueError) as info:
+        interpolate_solution(get_problem("interior-layer"), mesh, topo, dm)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "problem 'interior-layer' has no exact solution"
+
+
+def test_transport_interpolant_has_the_layout_of_the_solve():
+    # both are the W block alone: same length, same n_dofs, no q samples
+    problem = get_problem("transport")
+    mesh, topo, dm = build_case(4, 1)
+    solution, _ = solve_problem(problem, mesh, topo, dm)
+    interp = interpolate_solution(problem, mesh, topo, dm)
+    assert len(interp) == len(solution) == dm.n_w
+    xw = dm.w_coords
+    assert np.array_equal(interp, problem.exact_u(xw[:, 0], xw[:, 1]))
+    reports = [error_norms(x, mesh, topo, dm, problem) for x in (solution, interp)]
+    assert reports[0].n_dofs == reports[1].n_dofs == dm.n_w
+    assert sample_solution(interp, mesh, dm)[1] is None
+    assert sample_solution(solution, mesh, dm)[1] is None
 
 
 def test_sample_solution_shapes():

@@ -1,8 +1,10 @@
 import os
+import re
 
 import numpy as np
 import pytest
 
+from conftest import topology_oracle
 from lsfem.mesh import (
     Mesh,
     MeshError,
@@ -230,3 +232,96 @@ def test_h_sizes():
         mesh.vertices[topo.edges[:, 1]] - mesh.vertices[topo.edges[:, 0]], axis=1
     )
     assert np.allclose(topo.h_F, lengths)
+
+
+@pytest.mark.parametrize(
+    "scale, shift",
+    [(1e-13, 0.0), (1e13, 0.0), (1.0, 1e6)],
+    ids=["scaled-1e-13", "scaled-1e13", "shifted-1e6"],
+)
+def test_topology_does_not_depend_on_units(scale, shift):
+    # the conformity checks compare points relative to the mesh's extent
+    mesh = generate_structured(4, 0.1)
+    ref = build_topology(mesh)
+    moved = Mesh(mesh.vertices * scale + shift, mesh.triangles, mesh.region_id)
+    for topo in (build_topology(moved), topology_oracle(moved)):
+        for name in ("edges", "edge_to_tri", "is_boundary"):
+            assert np.array_equal(getattr(topo, name), getattr(ref, name))
+
+
+@pytest.mark.parametrize(
+    "verts, tris, message",
+    [
+        pytest.param([(0, 0), (1, 0), (0, 1), (0.5, 0.0), (0.5, -0.5)],
+                     [[0, 3, 2], [3, 1, 2], [1, 0, 4]],
+                     "non-conforming mesh: vertex 3 hangs on an edge of triangle 2",
+                     id="hanging-node"),
+        pytest.param([(0, 0), (1, 0), (1, 1), (0, 1), (1, 1)], [[0, 1, 2], [0, 4, 3]],
+                     r"vertices 2 and 4 coincide at \(1e-13, 1e-13\)", id="crack"),
+    ],
+)
+def test_small_non_conforming_mesh_rejected(verts, tris, message):
+    mesh = Mesh(np.array(verts, dtype=float) * 1e-13, np.array(tris), np.zeros(len(tris), int))
+    for build in (build_topology, topology_oracle):
+        with pytest.raises(MeshError, match=message):
+            build(mesh)
+
+
+def _triangle_pair(tmp_path, node, ele=None):
+    (tmp_path / "m.node").write_text(node)
+    if ele is not None:
+        (tmp_path / "m.ele").write_text(ele)
+    return load_mesh(str(tmp_path / "m.node"))
+
+
+def _native(tmp_path, text):
+    (tmp_path / "m.mesh").write_text(text)
+    return load_mesh(str(tmp_path / "m.mesh"))
+
+
+SQUARE_NODE = "4 2 0 0\n1 0 0\n2 1 0\n3 1 1\n4 0 1\n"
+
+
+def _interior_normal():
+    topo = build_topology(generate_structured(2, 0.0))
+    return topo.outward_normals(np.flatnonzero(~topo.is_boundary)[:1])
+
+
+# (action on tmp_path, error type, message with {dir} standing for tmp_path)
+REJECTIONS = [
+    pytest.param(lambda tmp: Mesh(np.zeros((3, 3)), [[0, 1, 2]], [0]), MeshError,
+                 r"vertices must be a \(V, 2\) array", id="vertices-not-V-by-2"),
+    pytest.param(lambda tmp: Mesh(np.eye(3, 2), [[0, 1]], [0]), MeshError,
+                 r"triangles must be a \(T, 3\) array", id="triangles-not-T-by-3"),
+    pytest.param(lambda tmp: Mesh(np.eye(3, 2), [[0, 1, 2]], [0, 0]), MeshError,
+                 "region_id must have one entry per triangle", id="region-id-length"),
+    pytest.param(lambda tmp: _interior_normal(), ValueError,
+                 "outward normal requested for an interior edge", id="interior-edge-normal"),
+    pytest.param(lambda tmp: _native(tmp, "lsfem-mesh 1\n-1 0\n"), MeshError,
+                 r"{dir}/m\.mesh:2: bad 'V T' count line", id="negative-count"),
+    pytest.param(lambda tmp: _native(tmp, "lsfem-mesh 2\n0 0\n"), MeshError,
+                 r"{dir}/m\.mesh:1: expected header 'lsfem-mesh 1'", id="native-header"),
+    pytest.param(lambda tmp: _triangle_pair(tmp, SQUARE_NODE), MeshError,
+                 r"missing file {dir}/m\.ele", id="missing-ele"),
+    pytest.param(lambda tmp: _triangle_pair(tmp, SQUARE_NODE, "1 3 0\n1 1 2 9\n"), MeshError,
+                 r"{dir}/m\.ele:2: element references unknown node 9", id="unknown-node"),
+    pytest.param(lambda tmp: _triangle_pair(tmp, "3 2 0 0\n1 0 0\n2 1 0\n3 2 0\n",
+                                            "1 3 0\n1 1 2 3\n"), MeshError,
+                 r"{dir}/m\.ele: triangle 0 has non-positive area 0\.000e\+00",
+                 id="degenerate-element"),
+    pytest.param(lambda tmp: build_topology(generate_structured(2, 0.0),
+                                            slit=((0.5, 0.0), (0.5, 0.0))), ValueError,
+                 "slit segment has zero length", id="zero-length-slit"),
+    pytest.param(lambda tmp: build_topology(generate_structured(2, 0.0),
+                                            slit=((0.0, 0.0), (0.5, 0.0))), MeshError,
+                 "slit segment touches a boundary edge; interior edges required",
+                 id="slit-on-boundary"),
+]
+
+
+@pytest.mark.parametrize("action, error, message", REJECTIONS)
+def test_rejection_names_its_cause(tmp_path, action, error, message):
+    with pytest.raises(ValueError) as info:
+        action(tmp_path)
+    assert type(info.value) is error
+    assert re.fullmatch(message.format(dir=re.escape(str(tmp_path))), str(info.value))
