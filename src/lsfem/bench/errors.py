@@ -38,19 +38,15 @@ class ErrorReport:
     eoc_stream: Optional[float] = None
 
 
-def region_elements(mesh: Mesh, region, tol: float = 1e-12) -> np.ndarray:
+def region_elements(mesh: Mesh, region) -> np.ndarray:
     """Elements whose every vertex lies inside the closed box region."""
     if region is None:
         return np.arange(mesh.num_triangles)
     xmin, xmax, ymin, ymax = region
+    tol = 1e-12 * mesh.bounding_box()[1]
     p = mesh.vertices[mesh.triangles]
-    inside = (
-        (p[..., 0] >= xmin - tol)
-        & (p[..., 0] <= xmax + tol)
-        & (p[..., 1] >= ymin - tol)
-        & (p[..., 1] <= ymax + tol)
-    )
-    return np.flatnonzero(inside.all(axis=1))
+    inside = (p >= np.array([xmin, ymin]) - tol) & (p <= np.array([xmax, ymax]) + tol)
+    return np.flatnonzero(inside.all(axis=(1, 2)))
 
 
 def nonempty_region(mesh: Mesh, region) -> np.ndarray:

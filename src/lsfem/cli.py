@@ -61,8 +61,8 @@ def _build_parser() -> _Parser:
     # shared options, each declared only by the commands that read it
     case = argparse.ArgumentParser(add_help=False)
     case.add_argument("--problem", required=True, choices=bench.PROBLEM_NAMES)
-    case.add_argument("--k", type=int, default=0, choices=(0, 1, 2),
-                      help="method index; polynomial degree is k+1 (P1..P3)")
+    case.add_argument("--k", type=int, default=0, choices=range(fem.basis.MAX_ORDER),
+                      help=f"method index; polynomial degree is k+1 (P1..P{fem.basis.MAX_ORDER})")
     bc = argparse.ArgumentParser(add_help=False)
     bc.add_argument("--bc", default="weak", choices=("weak", "strong", "alt-weak"))
     solves = argparse.ArgumentParser(add_help=False)

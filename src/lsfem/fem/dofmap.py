@@ -16,8 +16,6 @@ import numpy as np
 from ..mesh import Mesh, Topology
 from . import basis, geometry
 
-MAX_K = 2
-
 
 @dataclass(frozen=True)
 class DofMap:
@@ -68,8 +66,7 @@ class DofMap:
 def build_dofmap(mesh: Mesh, topo: Topology, k: int) -> DofMap:
     """Deterministic numbering: edge DOFs first (mesh edge order), then
     element interiors; Lagrange vertices, then edge nodes, then interiors."""
-    if not 0 <= k <= MAX_K:
-        raise ValueError(f"method index k must be in 0..{MAX_K}, got {k}")
+    basis.check_degree(k + 1)
     m = k + 1
     T = mesh.num_triangles
     V = mesh.num_vertices

@@ -81,6 +81,13 @@ class Mesh:
     def areas(self) -> np.ndarray:
         return _signed_areas(self.vertices, self.triangles)
 
+    def bounding_box(self):
+        """Lower corner and largest side (at least the smallest normal float) of
+        the box around the vertices: the length that tolerances scale with."""
+        lo = self.vertices.min(axis=0, initial=np.inf)
+        extent = max((self.vertices.max(axis=0, initial=-np.inf) - lo).max(), np.finfo(float).tiny)
+        return lo, extent
+
     def min_angle(self) -> float:
         """Smallest interior angle over all triangles, in radians."""
         p = self.vertices[self.triangles]
@@ -229,12 +236,10 @@ def build_topology(mesh: Mesh, slit=None) -> Topology:
     toward = midpoints[b] - centroids[edge_to_tri[b, 0]]
     outward_sign[b] = np.where((normals[b] * toward).sum(axis=1) > 0, 1.0, -1.0)
 
-    # hanging-node guard: an edge midpoint coinciding with a mesh vertex
-    # (other than its endpoints) means the neighbour was refined. Points are
-    # compared as complex numbers, relative to the bounding box's corner and
-    # largest side, in any units; coincident vertices resolve to the last.
-    lo = mesh.vertices.min(axis=0, initial=np.inf)
-    extent = max((mesh.vertices.max(axis=0, initial=-np.inf) - lo).max(), np.finfo(float).tiny)
+    # hanging-node guard: an edge midpoint at a vertex other than its ends
+    # means the neighbour was refined. Points are compared as complex numbers
+    # relative to the bounding box; coincident vertices resolve to the last.
+    lo, extent = mesh.bounding_box()
     points = np.round((np.concatenate([mesh.vertices, midpoints]) - lo) / extent, 12)
     _, place = np.unique(points[:, 0] + 1j * points[:, 1], return_inverse=True)
     vertex_at = np.full(V + E, -1)
@@ -435,7 +440,8 @@ def _load_triangle(base: str) -> Mesh:
         raise MeshError(f"{ele_path}: {exc}") from None
 
 
-def _resolve_slit(mesh, edges, is_boundary, slit, tol=1e-12):
+def _resolve_slit(mesh, edges, is_boundary, slit):
+    tol = 1e-12 * mesh.bounding_box()[1]
     (x0, y0), (x1, y1) = slit
     a = np.array([x0, y0], dtype=float)
     d = np.array([x1, y1], dtype=float) - a

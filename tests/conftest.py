@@ -66,7 +66,7 @@ def make_case(n, k, perturb=0.0, slit=None):
     return mesh, topo, dofmap
 
 
-def topology_oracle(mesh, slit=None, tol=1e-12):
+def topology_oracle(mesh, slit=None):
     """Reference topology built with per-edge Python loops: the neighbour
     fill in (local edge, triangle) order, a dict from rounded coordinates to
     the last vertex there, another to all the vertices there, and a scan of
@@ -124,6 +124,7 @@ def topology_oracle(mesh, slit=None, tol=1e-12):
 
     slit_edges = np.empty(0, dtype=np.int64)
     if slit is not None:
+        tol = 1e-12 * extent
         a = np.asarray(slit[0], dtype=float)
         length = np.linalg.norm(np.asarray(slit[1], dtype=float) - a)
         d = (np.asarray(slit[1], dtype=float) - a) / length
@@ -188,11 +189,14 @@ def polynomial_problem(eps, k, c_coeff=1.0):
         )
         lap = lambda x, y: np.full(np.shape(x), 8.0)
     else:
-        u = lambda x, y: x**3 - y**3 + 2.0 * x * y * y - x * x + y + 2.0
+        m = k + 1  # m = 3 gives x^3 - y^3 + 2xy^2 - x^2 + y + 2
+        u = lambda x, y: x**m - y**m + 2.0 * x * y ** (m - 1) - x * x + y + 2.0
         grad = lambda x, y: np.stack(
-            [3.0 * x * x + 2.0 * y * y - 2.0 * x, -3.0 * y * y + 4.0 * x * y + 1.0], axis=-1
+            [m * x ** (m - 1) + 2.0 * y ** (m - 1) - 2.0 * x,
+             -m * y ** (m - 1) + 2.0 * (m - 1) * x * y ** (m - 2) + 1.0], axis=-1
         )
-        lap = lambda x, y: 10.0 * x - 6.0 * y - 2.0
+        lap = lambda x, y: (m * (m - 1) * (x ** (m - 2) - y ** (m - 2))
+                            + 2.0 * (m - 1) * (m - 2) * x * y ** (m - 3) - 2.0)
     c = lambda x, y: np.full(np.shape(x), c_coeff)
     zero = lambda x, y: np.zeros(np.shape(x))
     beta = lambda x, y: np.stack([np.ones(np.shape(x)), np.ones(np.shape(x))], axis=-1)

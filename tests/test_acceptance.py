@@ -36,7 +36,7 @@ from lsfem.bench.studies import (
 from lsfem.fem import basis
 from lsfem.solver import cg_solve
 
-LADDERS = {0: (8, 16, 32, 64), 1: (8, 16, 32), 2: (4, 8, 16, 32)}
+LADDERS = {0: (8, 16, 32, 64), 1: (8, 16, 32), 2: (4, 8, 16, 32), 3: (8, 16, 32)}
 EPSILONS = (1.0, 1e-3, 1e-9)
 SUBDOMAIN = (0.0, 0.9, 0.0, 0.9)
 
@@ -66,7 +66,7 @@ def smooth_studies():
     return studies
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_criterion_1_smooth_convergence(smooth_studies, k):
     lines = []
     ok = True
@@ -144,27 +144,40 @@ def test_criterion_3_kappa_epsilon_band(kappa_rows):
     )
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_polynomial_problem_has_degree_k_plus_1(k):
+    # least-squares fits of u in the monomials of total degree <= d at
+    # scattered points: d = k + 1 reproduces u, d = k does not
+    x, y = np.random.default_rng(0).uniform(size=(2, 60))
+    u = polynomial_problem(0.1, k).exact_u(x, y)
+
+    def misfit(d):
+        mono = np.stack([x**a * y ** (t - a) for t in range(d + 1) for a in range(t + 1)], axis=1)
+        coef = np.linalg.lstsq(mono, u, rcond=None)[0]
+        return np.abs(mono @ coef - u).max() / np.abs(u).max()
+
+    assert misfit(k + 1) <= 1e-12
+    assert misfit(k) >= 1e-3
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 @pytest.mark.parametrize("mode", ["weak", "strong"])
 def test_criterion_4_polynomial_exactness(k, mode):
     worst = 0.0
     for eps in (0.9, 0.37, 1e-2):
         problem = polynomial_problem(eps, k)
         mesh, topo, dm = make_case(3, k, perturb=0.2)
-        system = assemble_ls(problem, mesh, topo, dm, mode)
-        # tol bounds the true residual b - Ax, whose rounding floor on the P3
-        # systems lies near 2e-13
-        x, _ = cg_solve(system.matrix, system.rhs, tol=1e-12)
+        x, _ = solve_problem(problem, mesh, topo, dm, mode, tol=1e-12)
         rep = error_norms(x, mesh, topo, dm, problem)
         worst = max(worst, rep.e_L2, rep.e_grad, rep.e_q, rep.e_stream, rep.e_bdry)
     ok = worst <= 1e-8
     assert report(4, ok, f"k={k} {mode}: worst norm of degree-{k + 1} reproduction {worst:.2e} <= 1e-8")
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 @pytest.mark.parametrize("mode", ["weak", "strong", "alt-weak"])
 def test_criterion_4_symmetry_and_spd(k, mode):
-    n = {0: 4, 1: 3, 2: 2}[k]  # keeps every system under the dense cutoff
+    n = {0: 4, 1: 3, 2: 2, 3: 2}[k]  # keeps every system under the dense cutoff
     problem = polynomial_problem(0.1, k)
     mesh, topo, dm = make_case(n, k, perturb=0.15)
     system = assemble_ls(problem, mesh, topo, dm, mode)
@@ -180,7 +193,7 @@ def test_criterion_4_symmetry_and_spd(k, mode):
 def test_criterion_5_conformity_suite():
     t = fem.edge_rule(8).points[:, 0]
     worst_hdiv = worst_h1 = worst_piola = 0.0
-    for k in (0, 1, 2):
+    for k in (0, 1, 2, 3):
         mesh, topo, dm = make_case(3, k, perturb=0.25)
         for e in np.flatnonzero(~topo.is_boundary):
             sides = edge_traces(mesh, topo, dm, e, t)

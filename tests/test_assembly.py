@@ -81,7 +81,7 @@ def dense_form_oracle(problem, mesh, topo, dofmap, mode="weak"):
     return A
 
 
-@pytest.mark.parametrize("k", [0, 1, 2], ids=["P1", "P2", "P3"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3], ids=["P1", "P2", "P3", "P4"])
 @pytest.mark.parametrize("mode", ["weak", "alt-weak"])
 @pytest.mark.parametrize("n", [1, 2])
 def test_oracle_equivalence_small_meshes(n, mode, k):
@@ -130,7 +130,7 @@ def test_system_dimension_single_triangle():
     assert system.matrix.n == 11
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 @pytest.mark.parametrize("mode", ["weak", "strong", "alt-weak"])
 def test_polynomial_exactness(k, mode):
     problem = polynomial_problem(0.37, k)
@@ -216,7 +216,7 @@ def test_strong_mode_records_eliminations(slit, k):
 
 
 @pytest.mark.parametrize("condense", [False, True], ids=["full", "condensed"])
-@pytest.mark.parametrize("k", [0, 1, 2], ids=["P1", "P2", "P3"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3], ids=["P1", "P2", "P3", "P4"])
 @pytest.mark.parametrize("slit", [None, SLIT], ids=["jittered", "slit"])
 def test_bc_modes_share_one_pattern(slit, k, condense):
     # strong elimination keeps the zeroed couplings stored, so the pattern is
@@ -496,7 +496,7 @@ def _needle_case(k):
     return mesh, topo, fem.build_dofmap(mesh, topo, k)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_reference_contraction_matches_physical_tables(k):
     # local matrices from reference Gram matrices and 2x2 element factors,
     # and quantities contracted on the reference element before mapping,

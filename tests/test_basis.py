@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,14 @@ from lsfem.fem import basis
 from lsfem.fem.quadrature import edge_rule, triangle_rule
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_lagrange_nodal_duality(degree):
     nodes = basis.lagrange_nodes(degree)
     vals, _ = basis.lagrange_basis(degree, nodes)
     assert np.abs(vals - np.eye(len(nodes))).max() < 1e-12
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_lagrange_partition_of_unity(degree):
     pts = triangle_rule(8).xy
     vals, grads = basis.lagrange_basis(degree, pts)
@@ -31,26 +33,27 @@ def test_p2_edge_midpoint_duality():
 
 
 def test_lagrange_rejects_degrees():
-    with pytest.raises(ValueError):
-        basis.lagrange_basis(0, np.zeros((1, 2)))
-    with pytest.raises(ValueError):
-        basis.lagrange_basis(4, np.zeros((1, 2)))
+    for degree in (0, basis.MAX_ORDER + 1):
+        message = f"polynomial degree must be in 1..{basis.MAX_ORDER}, got {degree}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            basis.lagrange_basis(degree, np.zeros((1, 2)))
 
 
-@pytest.mark.parametrize("order,dim,edge,interior", [(1, 8, 6, 2), (2, 15, 9, 6), (3, 24, 12, 12)])
+@pytest.mark.parametrize("order,dim,edge,interior",
+                         [(1, 8, 6, 2), (2, 15, 9, 6), (3, 24, 12, 12), (4, 35, 15, 20)])
 def test_rt_dimensions(order, dim, edge, interior):
     assert basis.rt_dimension(order) == dim
     assert 3 * basis.rt_edge_dofs(order) == edge
     assert dim - edge == interior
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_rt_dof_matrix_is_identity(order):
     D = basis.rt_dofs(order, 2 * order + 2, lambda pts: basis.rt_basis(order, pts)[0])
     assert np.abs(D - np.eye(len(D))).max() < 1e-12
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_rt_trace_vanishes_on_other_edges(order):
     t = edge_rule(2 * order + 2).points[:, 0]
     n_edge = basis.rt_edge_dofs(order)
@@ -68,7 +71,7 @@ def test_rt_trace_vanishes_on_other_edges(order):
             assert np.abs(block).max() < 1e-12
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_rt_interior_dofs_have_zero_trace(order):
     t = edge_rule(2 * order + 2).points[:, 0]
     for target in range(3):
@@ -81,7 +84,7 @@ def test_rt_interior_dofs_have_zero_trace(order):
         assert np.abs(trace[3 * basis.rt_edge_dofs(order):]).max() < 1e-12
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_rt_divergence_matches_finite_differences(order):
     pts = np.array([[0.31, 0.27], [0.11, 0.52]])
     h = 1e-7
@@ -92,7 +95,7 @@ def test_rt_divergence_matches_finite_differences(order):
     assert np.abs(fd - d0).max() < 1e-5 * max(1.0, np.abs(d0).max())
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_rt_space_contains_vector_polynomials(order):
     # P_order^2 must be reproduced exactly by interpolation onto the basis:
     # build DOF values of a polynomial field and compare pointwise

@@ -7,6 +7,7 @@ import pytest
 
 import lsfem
 from lsfem.cli import main
+from lsfem.fem.basis import MAX_ORDER
 
 
 def run(capsys, *argv):
@@ -142,6 +143,7 @@ def test_bad_region_exits_one(tmp_path, capsys, argv, message):
     [
         pytest.param(("solve", "--mesh-n", "4", "--tol", "-1"), id="negative-tol"),
         pytest.param(("convergence", "--levels", "0"), id="zero-levels"),
+        pytest.param(("solve", "--mesh-n", "4", "--k", str(MAX_ORDER)), id="k-above-cap"),
     ],
 )
 def test_out_of_range_option_is_usage_error(tmp_path, capsys, argv):
@@ -288,14 +290,16 @@ def test_condition_csv_names_the_bc_mode(tmp_path, capsys):
 
 
 def test_solve_writes_vtk(tmp_path, capsys):
-    code, out, _ = run(
-        capsys, "--out-dir", str(tmp_path),
-        "solve", "--problem", "interior-layer", "--eps", "1e-3",
-        "--k", "1", "--mesh-n", "4", "--bc", "weak",
-    )
-    assert code == 0
-    vtks = [f for f in os.listdir(tmp_path) if f.endswith(".vtk")]
-    assert vtks == ["interior-layer_P2_weak_32.vtk"]
+    for k in (1, MAX_ORDER - 1):
+        out_dir = tmp_path / f"k{k}"
+        code, out, _ = run(
+            capsys, "--out-dir", str(out_dir),
+            "solve", "--problem", "interior-layer", "--eps", "1e-3",
+            "--k", str(k), "--mesh-n", "4", "--bc", "weak",
+        )
+        assert code == 0
+        vtks = [f for f in os.listdir(out_dir) if f.endswith(".vtk")]
+        assert vtks == [f"interior-layer_P{k + 1}_weak_32.vtk"]
 
 
 def test_solve_from_mesh_file(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,7 +40,7 @@ def test_two_triangle_counts():
     assert dm1.n_w == 4 + 5  # vertices plus one node per edge
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_global_counts_formula(k):
     mesh, topo, dm = make_case(3, k, perturb=0.1)
     m = k + 1
@@ -47,7 +49,7 @@ def test_global_counts_formula(k):
     assert dm.n_w == V + E * (m - 1) + T * (m - 1) * (m - 2) // 2
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_shared_edge_dofs_have_identical_indices(k):
     mesh, topo, dm = make_case(2, k, perturb=0.15)
     n_edge = basis.rt_edge_dofs(k + 1)
@@ -60,7 +62,7 @@ def test_shared_edge_dofs_have_identical_indices(k):
         assert np.array_equal(g0, g1)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(mesh=jittered_relabelled_meshes())
 def test_hdiv_normal_trace_continuity(k, mesh):
@@ -79,7 +81,7 @@ def test_hdiv_normal_trace_continuity(k, mesh):
     assert worst < 1e-11
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_h1_continuity(k):
     mesh, topo, dm = make_case(3, k, perturb=0.2)
     t = fem.edge_rule(2 * (k + 1) + 2).points[:, 0]
@@ -94,7 +96,7 @@ def test_h1_continuity(k):
     assert worst < 1e-12
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_piola_divergence_identity(k):
     # physical divergence equals reference divergence / det(J)
     mesh, topo, dm = make_case(2, k, perturb=0.25)
@@ -117,7 +119,7 @@ def test_piola_divergence_identity(k):
     assert np.abs(fd - divs[0]).max() < 1e-4 * max(1.0, np.abs(divs[0]).max())
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_inverse_inequality_constants_stable_under_refinement(k):
     # the trace and divergence inverse constants are mesh-level quantities;
     # congruent refinement must keep them within 10%
@@ -171,12 +173,15 @@ def test_w_coords_match_vertex_positions():
 
 
 def test_rejects_bad_k():
+    # k indexes the degree k + 1, so basis's degree check bounds it
     mesh, topo, _ = make_case(1, 0)
-    with pytest.raises(ValueError):
-        fem.build_dofmap(mesh, topo, 3)
+    for k in (-1, basis.MAX_ORDER):
+        message = f"polynomial degree must be in 1..{basis.MAX_ORDER}, got {k + 1}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fem.build_dofmap(mesh, topo, k)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_edge_quadrature_table(k):
     # every edge of a jittered mesh, so the faces sit on all three local
     # edges of their owners

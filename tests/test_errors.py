@@ -6,9 +6,10 @@ from lsfem import fem
 from lsfem.bench import error_norms, get_problem, interpolate_solution, sample_solution
 from lsfem.bench.errors import _q_moments, region_elements
 from lsfem.bench.studies import build_case, solve_problem
+from lsfem.mesh import Mesh, generate_structured
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_interpolant_of_polynomial_has_zero_error(k):
     problem = polynomial_problem(0.2, k)
     mesh, topo, dm = make_case(3, k, perturb=0.2)
@@ -18,7 +19,7 @@ def test_interpolant_of_polynomial_has_zero_error(k):
         assert getattr(report, field) <= 1e-10
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_q_interpolant_reproduces_the_local_space(k):
     # a random field of the whole local space P_m^2 + x P_m (m = k + 1), whose
     # x P_m part no gradient of a polynomial reaches
@@ -85,6 +86,16 @@ def test_region_filter_excludes_touching_elements():
     assert (pts[outside].reshape(len(outside), -1, 2).max(axis=1) > 0.9 - 1e-12).any(axis=1).all()
 
 
+@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+def test_region_does_not_depend_on_units(scale):
+    # the box is widened relative to the mesh's extent
+    mesh = generate_structured(10, 0.0)
+    moved = Mesh(mesh.vertices * scale, mesh.triangles, mesh.region_id)
+    sel = region_elements(moved, (0.0, 0.5 * scale, 0.0, 0.5 * scale))
+    assert np.array_equal(sel, region_elements(mesh, (0.0, 0.5, 0.0, 0.5)))
+    assert sel.size == 50
+
+
 def test_subdomain_error_never_exceeds_full():
     problem = get_problem("smooth", 1e-3)
     mesh, topo, dm = make_case(8, 0, perturb=0.1)
@@ -119,7 +130,7 @@ def test_missing_exact_solution_rejected():
         error_norms(np.zeros(dm.n_total), mesh, topo, dm, problem)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_interpolant_error_decays_at_optimal_rate(k):
     # isolates the discrete spaces from the solver: nodal interpolation of
     # the smooth solution must converge at least at rate k+1.8 in L2

@@ -15,6 +15,8 @@ from lsfem.mesh import (
     save_mesh,
 )
 
+SLIT = ((0.5, 0.0), (0.5, 0.5))
+
 
 def test_unit_square_split():
     mesh = generate_structured(1, 0.0)
@@ -210,7 +212,7 @@ def test_cw_input_is_reoriented():
 
 def test_slit_flags_edges():
     mesh = generate_structured(8, 0.0)
-    topo = build_topology(mesh, slit=((0.5, 0.0), (0.5, 0.5)))
+    topo = build_topology(mesh, slit=SLIT)
     assert len(topo.slit_edges) == 4
     for e in topo.slit_edges:
         assert not topo.is_boundary[e]
@@ -235,17 +237,22 @@ def test_h_sizes():
 
 
 @pytest.mark.parametrize(
-    "scale, shift",
-    [(1e-13, 0.0), (1e13, 0.0), (1.0, 1e6)],
-    ids=["scaled-1e-13", "scaled-1e13", "shifted-1e6"],
+    "scale, shift, slit",
+    [(1e-13, 0.0, None), (1e13, 0.0, None), (1.0, 1e6, None),
+     (1e-13, 0.0, SLIT), (1.0, 0.0, SLIT), (1e13, 0.0, SLIT)],
+    ids=["scaled-1e-13", "scaled-1e13", "shifted-1e6",
+         "slit-scaled-1e-13", "slit-unscaled", "slit-scaled-1e13"],
 )
-def test_topology_does_not_depend_on_units(scale, shift):
-    # the conformity checks compare points relative to the mesh's extent
-    mesh = generate_structured(4, 0.1)
-    ref = build_topology(mesh)
+def test_topology_does_not_depend_on_units(scale, shift, slit):
+    # the conformity checks and the slit search compare points relative to
+    # the mesh's extent; the slit needs the unjittered x = 1/2 gridline
+    mesh = generate_structured(4, 0.0 if slit else 0.1)
+    ref = build_topology(mesh, slit=slit)
     moved = Mesh(mesh.vertices * scale + shift, mesh.triangles, mesh.region_id)
-    for topo in (build_topology(moved), topology_oracle(moved)):
-        for name in ("edges", "edge_to_tri", "is_boundary"):
+    moved_slit = None if slit is None else np.asarray(slit) * scale + shift
+    assert ref.slit_edges.size == (0 if slit is None else 2)
+    for topo in (build_topology(moved, slit=moved_slit), topology_oracle(moved, slit=moved_slit)):
+        for name in ("edges", "edge_to_tri", "is_boundary", "slit_edges"):
             assert np.array_equal(getattr(topo, name), getattr(ref, name))
 
 

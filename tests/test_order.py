@@ -64,7 +64,7 @@ def dof_cells(linsys, geo):
     return first, last
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 @settings(max_examples=8, deadline=None, derandomize=True, database=None)
 @given(mesh=jittered_relabelled_meshes(sizes=st.sampled_from([2, 4, 6]), fixed_x=0.5))
 def test_order_is_a_postorder_of_mesh_cells(k, mesh):

@@ -49,12 +49,9 @@ def test_degree_four_misses_x5():
 
 
 def test_unsupported_degree():
-    with pytest.raises(ValueError):
-        triangle_rule(21)
-    with pytest.raises(ValueError):
-        triangle_rule(-1)
-    with pytest.raises(ValueError):
-        edge_rule(21)
+    for rule, kind in ((triangle_rule, "triangle"), (edge_rule, "edge")):
+        with pytest.raises(ValueError, match=f"^{kind} rule degree must be >= 0, got -1$"):
+            rule(-1)
 
 
 @pytest.mark.parametrize("degree", range(0, 21))

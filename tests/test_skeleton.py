@@ -34,7 +34,7 @@ def case(kind, k):
 
 
 CASES = [pytest.param(kind, k, id=f"{kind}-P{k + 1}")
-         for kind in (*MODES, "slit", "transport") for k in (0, 1, 2)]
+         for kind in (*MODES, "slit", "transport") for k in (0, 1, 2, 3)]
 
 
 @pytest.mark.parametrize("k", [1, 2], ids=["P2", "P3"])

@@ -93,7 +93,7 @@ def test_arpack_bounds_hold_up_to_2000_dofs():
 
 
 @pytest.mark.parametrize("mode", ["weak", "strong", "alt-weak"])
-@pytest.mark.parametrize("k", [0, 1, 2], ids=["P1", "P2", "P3"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3], ids=["P1", "P2", "P3", "P4"])
 def test_condition_rows_converge_through_arpack(k, mode):
     # every (n, eps) row of the condition study on small meshes: each
     # extreme within its residual bound of a dense eigensolve, or within
@@ -216,7 +216,7 @@ def test_repeated_iterative_estimates_identical():
     assert first == again
 
 
-@pytest.mark.parametrize("k", [0, 1, 2], ids=["P1", "P2", "P3"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3], ids=["P1", "P2", "P3", "P4"])
 def test_eps_to_zero_limit_is_the_transport_solution(k):
     # the least-squares solution tends to the transport one linearly in eps:
     # the max-norm gap of the W part falls by about 100 per factor 100 in eps
