@@ -52,8 +52,8 @@ class ProblemSpec:
 
     All coefficient callables take numpy arrays (x, y) and broadcast;
     ``beta`` and ``exact_grad`` return arrays with a trailing axis of 2.
-    ``epsilon == 0`` marks pure transport. ``slit_g`` holds data prescribed
-    on flagged interior edges, where applicable.
+    ``epsilon == 0`` marks pure transport. ``slit_g`` holds the data on the
+    interior segment ``slit``, ((x0, y0), (x1, y1)), which the topology flags.
     """
 
     name: str
@@ -67,6 +67,7 @@ class ProblemSpec:
     exact_grad: Optional[Callable] = None
     exact_lap: Optional[Callable] = None
     slit_g: Optional[Callable] = None
+    slit: Optional[tuple] = None
     notes: tuple = ()
 
     def residual(self, x, y):
@@ -407,7 +408,10 @@ def _system_blocks(problem, mesh, topo, dofmap, bc_mode):
     idx = np.concatenate([dofmap.q_index, n_q + dofmap.w_index], axis=1)
     modes = [] if bc_mode == "strong" else [bc_mode]
     # slit terms enter before strong elimination, so eliminated rows stay identity rows
-    if topo.slit_edges.size and problem.slit_g is not None:
+    if problem.slit_g is not None:
+        if not topo.slit_edges.size:
+            raise ValueError(f"problem {problem.name!r} has data on the slit {problem.slit}, but "
+                             "the topology flags no slit edge (build_topology(mesh, slit=...))")
         modes.append("slit")
     trace = dofmap.q_index.shape[1] + np.arange(dofmap.nloc_w_skel)  # local W-trace positions
     for mode in modes:

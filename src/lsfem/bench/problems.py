@@ -123,6 +123,7 @@ def _rotating(eps: float) -> ProblemSpec:
         f=_zero,
         g=_zero,
         slit_g=slit_g,
+        slit=((0.5, 0.0), (0.5, 0.5)),
         notes=(
             "convection field has closed streamlines, so the sufficient "
             "condition for the weighted stability bound fails; run treated "

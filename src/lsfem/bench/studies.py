@@ -132,7 +132,7 @@ def convergence_study(
         raise ValueError(f"problem {problem_name!r} has no exact solution")
     reports = []
     for level, n in enumerate(levels):
-        mesh, topo, dofmap = build_case(n, k, perturb)
+        mesh, topo, dofmap = build_case(n, k, perturb, problem.slit)
         nonempty_region(mesh, region)  # fail before the solve, not after it
         solution, _ = solve_problem(problem, mesh, topo, dofmap, bc_mode, tol=tol)
         report = error_norms(solution, mesh, topo, dofmap, problem, region=region, level=level)
@@ -161,7 +161,8 @@ def condition_study(
 
     The meshes are not jittered: the kappa ratio per halving of h is checked
     in a band around 4, and on the uniform family it changes with h alone,
-    not with a distortion that differs from level to level. A repeated
+    not with a distortion that differs from level to level; they flag the
+    problem's slit (MeshError where no gridline resolves it). A repeated
     epsilon raises ValueError: its second row would divide a kappa by itself.
     """
     if problem_name == "transport":
@@ -169,13 +170,13 @@ def condition_study(
     for i, eps in enumerate(epsilons):
         if eps in epsilons[:i]:
             raise ValueError(f"eps {eps:g} is listed twice")
+    problems = [get_problem(problem_name, eps) for eps in epsilons]
     rows = []
     prev: dict[float, float] = {}
     for level, n in enumerate(levels):
-        mesh, topo, dofmap = build_case(n, k, 0.0)
+        mesh, topo, dofmap = build_case(n, k, 0.0, problems[0].slit)
         mass = mass_diagonal(mesh, dofmap)
-        for eps in epsilons:
-            problem = get_problem(problem_name, eps)
+        for eps, problem in zip(epsilons, problems):
             system = assemble_ls(problem, mesh, topo, dofmap, bc_mode)
             est = estimate_extremes(system.matrix, mass, system.order)
             row = ConditionRow(
@@ -211,7 +212,7 @@ def compare_bc_modes(
     if problem_name not in ("boundary-layer", "interior-layer"):
         raise ValueError("mode comparison is defined for the layer problems")
     problem = get_problem(problem_name, epsilon)
-    mesh, topo, dofmap = build_case(mesh_n, k, perturb)
+    mesh, topo, dofmap = build_case(mesh_n, k, perturb, problem.slit)
     if problem.exact_u is not None:
         nonempty_region(mesh, region)  # fail before the solves, not after them
     reports = {}

@@ -27,7 +27,7 @@ from .solver import SolverError  # noqa: E402
 
 OUTDIR_ENV = "LSFEM_OUTDIR"
 
-SLITS = {"rotating": ((0.5, 0.0), (0.5, 0.5))}
+SLITS = {"rotating": bench.get_problem("rotating").slit}  # kept for perfbench/workloads.py
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,19 +138,18 @@ def _parse_region(text):
 
 
 def _cmd_solve(args) -> int:
-    slit = SLITS.get(args.problem)
+    problem = bench.get_problem(args.problem, args.eps)
     unread = [opt for opt, value in (("--mesh-n", args.mesh_n), ("--perturb", args.perturb))
               if value is not None and args.mesh_file is not None]
     if unread:
         raise ValueError(f"{' and '.join(unread)} cannot be used with --mesh-file")
-    if slit is not None and args.perturb:
+    if problem.slit is not None and args.perturb:
         raise ValueError(f"--perturb {args.perturb:g} does not apply to {args.problem}, "
                          f"whose slit mesh is not jittered")
-    problem = bench.get_problem(args.problem, args.eps)
-    perturb = 0.0 if slit else DEFAULT_PERTURB if args.perturb is None else args.perturb
+    perturb = 0.0 if problem.slit else DEFAULT_PERTURB if args.perturb is None else args.perturb
     mesh = (load_mesh(args.mesh_file) if args.mesh_file is not None
             else generate_structured(16 if args.mesh_n is None else args.mesh_n, perturb))
-    topo = build_topology(mesh, slit=slit)
+    topo = build_topology(mesh, slit=problem.slit)
     dofmap = fem.build_dofmap(mesh, topo, args.k)
     for note in problem.notes:
         print(f"note: {note}")

@@ -68,7 +68,8 @@ class SparseSym:
         is found at most SYMMETRY_RTOL times its largest |entry|. When the
         stored pattern is symmetric, the CSC arrays of A are the CSR arrays
         of A^T on that pattern, so the entries compare position by position;
-        otherwise A - A^T is formed."""
+        otherwise A - A^T is formed. The index and value arrays are copied
+        last, as a conversion from COO leaves them views of COO-sized buffers."""
         mat = mat.tocsr()
         mat.sum_duplicates()
         mat.sort_indices()
@@ -82,7 +83,8 @@ class SparseSym:
             raise NotSymmetricError(
                 f"matrix asymmetry {gap.max():.3e} exceeds {SYMMETRY_RTOL:g} * {scale:.3e}"
             )
-        return cls(mat.shape[0], mat.indptr, mat.indices, mat.data)
+        del csc, gap  # freed first, so that the copies stay below the check's peak
+        return cls(mat.shape[0], mat.indptr, mat.indices.copy(), mat.data.copy())
 
     def to_scipy(self) -> sp.csr_matrix:
         return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))

@@ -331,11 +331,10 @@ def test_criterion_8_transport_rates(k):
 
 def test_criterion_9_rotating_flow_completes_deterministically():
     n = 18  # the even n nearest 592 elements (648): the slit needs the x=1/2 gridline
-    slit = ((0.5, 0.0), (0.5, 0.5))
+    problem = get_problem("rotating")
     solutions = []
     for _ in range(2):
-        mesh, topo, dm = build_case(n, 0, perturb=0.0, slit=slit)
-        problem = get_problem("rotating")
+        mesh, topo, dm = build_case(n, 0, perturb=0.0, slit=problem.slit)
         x, stats = solve_problem(problem, mesh, topo, dm, "weak", tol=1e-8)
         solutions.append(x)
         assert stats.converged

@@ -185,7 +185,7 @@ def test_boundary_weight_values():
         face_weight("strong", eps, np.array([1.0]), h)
 
 
-SLIT = ((0.5, 0.0), (0.5, 0.5))
+SLIT = get_problem("rotating").slit
 
 
 @pytest.mark.parametrize(
@@ -333,16 +333,23 @@ def _transport_volume_only(problem, mesh, topo, dm):
     return A
 
 
-def test_slit_noop_without_flags():
-    # a slit-free topology adds no slit term, whatever the problem's slit data
-    mesh, topo, dm = make_case(2, 0)
-    system = assemble_ls(get_problem("rotating", 1e-6), mesh, topo, dm, "weak")
-    bare_problem = dataclasses.replace(get_problem("rotating", 1e-6), slit_g=None)
-    bare = assemble_ls(bare_problem, mesh, topo, dm, "weak")
-    for a, b in ((system.matrix.indptr, bare.matrix.indptr),
-                 (system.matrix.indices, bare.matrix.indices),
-                 (system.matrix.data, bare.matrix.data), (system.rhs, bare.rhs)):
-        assert np.array_equal(a, b)
+@pytest.mark.parametrize("condense", [False, True], ids=["full", "condensed"])
+@pytest.mark.parametrize("mode", ["weak", "strong", "alt-weak"])
+def test_slit_data_needs_slit_edges(mode, condense):
+    # slit data on a topology that flags no slit edge is refused, naming the
+    # problem and the segment, instead of assembled without its slit terms
+    mesh, topo, dm = make_case(4, 0)
+    with pytest.raises(ValueError) as err:
+        assemble_ls(get_problem("rotating"), mesh, topo, dm, mode, condense)
+    assert str(err.value) == (
+        "problem 'rotating' has data on the slit ((0.5, 0.0), (0.5, 0.5)), but the "
+        "topology flags no slit edge (build_topology(mesh, slit=...))"
+    )
+
+
+def without_slit(problem):
+    """``problem`` with no slit data, so that a slit-free topology takes it."""
+    return dataclasses.replace(problem, slit=None, slit_g=None)
 
 
 def test_slit_penalty_nonnegative_shift():
@@ -353,7 +360,7 @@ def test_slit_penalty_nonnegative_shift():
     zero_slit = dataclasses.replace(get_problem("rotating", 1e-6),
                                     slit_g=lambda x, y: np.zeros(np.shape(x)))
     plain_topo = build_topology(mesh)  # same mesh, no slit flags
-    without = assemble_ls(zero_slit, mesh, plain_topo, dm, "weak")
+    without = assemble_ls(without_slit(zero_slit), mesh, plain_topo, dm, "weak")
     with_slit = assemble_ls(zero_slit, mesh, topo, dm, "weak")
     assert np.allclose(with_slit.rhs, without.rhs)
     assert not np.allclose(with_slit.matrix.toarray(), without.matrix.toarray())
@@ -370,7 +377,7 @@ def test_slit_penalty_matches_edge_loop():
     mesh, topo, dm = make_case(4, 1, slit=SLIT)
     problem = get_problem("rotating", 1e-3)
     with_slit = assemble_ls(problem, mesh, topo, dm, "weak")
-    without = assemble_ls(problem, mesh, build_topology(mesh), dm, "weak")
+    without = assemble_ls(without_slit(problem), mesh, build_topology(mesh), dm, "weak")
     pen = with_slit.matrix.toarray() - without.matrix.toarray()
     pen_rhs = with_slit.rhs - without.rhs
 
@@ -391,6 +398,16 @@ def test_slit_penalty_matches_edge_loop():
         ref_rhs[g] += tv @ (scale * problem.slit_g(pts[:, 0], pts[:, 1]))
     assert np.abs(pen - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.abs(pen_rhs - ref_rhs).max() <= 1e-12 * np.abs(ref_rhs).max()
+
+
+@pytest.mark.parametrize("condense", [False, True], ids=["full", "condensed"])
+def test_matrix_owns_exactly_its_entries(condense):
+    # the CSR arrays are compact, not views into the scatter's COO-sized
+    # buffers, which a kept system would hold through the factor
+    mesh, topo, dm = make_case(4, 2, perturb=0.1)
+    matrix = assemble_ls(get_problem("smooth"), mesh, topo, dm, "weak", condense).matrix
+    for arr in (matrix.indices, matrix.data):
+        assert arr.base is None and arr.size == matrix.indptr[-1]
 
 
 def test_symmetry_and_spd_at_2048_elements():
@@ -502,13 +519,12 @@ def test_reference_contraction_matches_physical_tables(k):
     # and quantities contracted on the reference element before mapping,
     # agree with the same quantities formed from the physical tables
     from lsfem.bench.errors import sample_solution
-    from lsfem.cli import SLITS
 
     case = make_case(5, k, perturb=0.1)
     cases = [
         (get_problem("smooth", 1e-3), case),
         (get_problem("boundary-layer", 1e-2), case),
-        (get_problem("rotating", 1e-6), make_case(6, k, slit=SLITS["rotating"])),
+        (get_problem("rotating", 1e-6), make_case(6, k, slit=SLIT)),
         (get_problem("transport"), case),
         (get_problem("smooth", 1e-3), _needle_case(k)),
     ]

@@ -207,6 +207,16 @@ def test_condition_transport_names_the_reason(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_condition_rotating_needs_a_gridline_on_the_slit(tmp_path, capsys):
+    # the study builds rotating on its slit, which an odd n leaves unresolved
+    code, out, err = run(capsys, "--out-dir", str(tmp_path), "condition",
+                         "--problem", "rotating", "--levels", "1", "--base-n", "3")
+    assert code == 1
+    assert err == ("error [condition]: slit not resolved by the mesh: "
+                   "no edge covers [0, 1] of the segment\n")
+    assert not list(tmp_path.iterdir())
+
+
 def test_numerical_failure_exits_two(tmp_path, capsys):
     # a tolerance far below the rounding floor: CG stagnates and gives up
     code, out, err = run(

@@ -15,7 +15,7 @@ from lsfem.bench import get_problem
 from lsfem.mesh import build_topology
 from lsfem.solver import factorize
 
-SLIT = ((0.5, 0.0), (0.5, 0.5))
+SLIT = get_problem("rotating").slit
 KINDS = ("weak", "strong", "slit", "transport")
 
 

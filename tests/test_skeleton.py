@@ -13,7 +13,7 @@ from lsfem.bench import get_problem, solve_problem, studies
 from lsfem.bench.studies import build_case
 from lsfem.solver import STALL_ITERS, ConvergenceError, NotSPDError
 
-SLIT = ((0.5, 0.0), (0.5, 0.5))
+SLIT = get_problem("rotating").slit
 MODES = ("weak", "alt-weak", "strong")
 TOL = 1e-10
 

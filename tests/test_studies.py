@@ -58,6 +58,18 @@ def test_condition_study_rows_and_ratio():
     assert all(r.estimate.lambda_min > 0 for r in rows)
 
 
+def test_condition_study_builds_the_slit_system():
+    # rotating's kappa is that of the system its solves factor: the mesh
+    # flags the catalogue's slit and the slit terms are assembled
+    problem = get_problem("rotating", 1e-3)
+    mesh, topo, dm = build_case(4, 0, perturb=0.0, slit=problem.slit)
+    assert topo.slit_edges.size == 2
+    system = assemble_ls(problem, mesh, topo, dm, "weak")
+    est = estimate_extremes(system.matrix, mass_diagonal(mesh, dm), system.order)
+    rows = condition_study("rotating", 0, levels=(4,), epsilons=(1e-3,))
+    assert rows[0].estimate == est
+
+
 def test_condition_two_triangle_matches_direct_eigensolve():
     mesh, topo, dm = build_case(1, 0, perturb=0.0)
     problem = get_problem("smooth", 1e-3)
