@@ -40,7 +40,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 
 from . import fem
-from .mesh import Mesh, Topology
+from .mesh import Mesh, Topology, _resolve_slit
 from .solver import NotSPDError, SparseSym
 
 BC_MODES = ("weak", "strong", "alt-weak")
@@ -409,9 +409,13 @@ def _system_blocks(problem, mesh, topo, dofmap, bc_mode):
     modes = [] if bc_mode == "strong" else [bc_mode]
     # slit terms enter before strong elimination, so eliminated rows stay identity rows
     if problem.slit_g is not None:
-        if not topo.slit_edges.size:
+        # a mesh that does not resolve the segment raises MeshError here
+        resolved = _resolve_slit(mesh, topo.edges, topo.is_boundary, problem.slit)
+        if not np.array_equal(topo.slit_edges, resolved):
+            flagged = (f"{topo.slit_edges.size} slit edges, not those that resolve it"
+                       if topo.slit_edges.size else "no slit edge")
             raise ValueError(f"problem {problem.name!r} has data on the slit {problem.slit}, but "
-                             "the topology flags no slit edge (build_topology(mesh, slit=...))")
+                             f"the topology flags {flagged} (build_topology(mesh, slit=...))")
         modes.append("slit")
     trace = dofmap.q_index.shape[1] + np.arange(dofmap.nloc_w_skel)  # local W-trace positions
     for mode in modes:

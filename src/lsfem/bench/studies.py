@@ -26,10 +26,6 @@ from .errors import ErrorReport, error_norms, nonempty_region
 from .problems import get_problem
 
 DEFAULT_PERTURB = 0.15
-# CG iterations a factor-preconditioned solve may take. It converges in one
-# or two, whatever n; the cap sits above 3 * STALL_ITERS, so a stagnating run
-# meets its failed checks, at most STALL_ITERS apart, before the cap
-FACTOR_CG_MAXIT = 50
 
 
 def nearest_generated_n(elements: int) -> int:
@@ -90,8 +86,8 @@ def solve_problem(
 ):
     """Condense the element interiors, factor the skeleton system in its
     nested-dissection order and solve it by CG preconditioned with the
-    factor, which converges in one or two iterations whatever h and eps,
-    within FACTOR_CG_MAXIT; returns (full coefficient vector, CgStats).
+    factor, which converges in one iteration whatever h and eps; returns
+    (full coefficient vector, CgStats).
 
     The stats' residual is the full system's ||b - Ax|| / ||b||. A
     ConvergenceError carries the full-length iterate, and its message names
@@ -101,8 +97,8 @@ def solve_problem(
     skel = assemble_ls(problem, mesh, topo, dofmap, bc_mode, condense=True)
     matrix = skel.matrix
     try:
-        x, stats = cg_solve(matrix, skel.rhs, tol=tol, maxit=FACTOR_CG_MAXIT,
-                            precond=factorize(matrix, skel.order), norm_b=skel.norm_b)
+        x, stats = cg_solve(matrix, skel.rhs, factorize(matrix, skel.order), tol=tol,
+                            norm_b=skel.norm_b)
     except ConvergenceError as err:
         mode = "transport" if problem.epsilon == 0.0 else bc_mode
         last = ", ".join(f"{r:.3e}" for r in err.stats.residual_history[-3:])

@@ -21,7 +21,7 @@ from .quadrature import edge_rule, triangle_rule
 # The one degree cap; the DOF map and the command line read it. The bases are
 # built from monomials, whose round-off grows about 3x per degree: at degree 5
 # the partition of unity (1.4e-13) and the edge quadrature table (3.9e-13) miss
-# the tests' 1e-13, and Jacobi-CG at tol 1e-12 stalls at 1.2e-12.
+# the tests' 1e-13.
 MAX_ORDER = 4
 
 # directed local edges and their outward unit normals on the reference triangle

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from lsfem import fem
 from lsfem.assembly import ProblemSpec
 from lsfem.mesh import Mesh, MeshError, Topology, build_topology, generate_structured
-from lsfem.solver import SingularMatrixError, SparseSym
+from lsfem.solver import SingularMatrixError, SparseSym, cg_solve, factorize
 
 # largest system the dense oracle solves: O(n^3) work and n^2 storage
 DENSE_ORACLE_MAX_N = 2000
@@ -37,6 +37,13 @@ def dense_oracle_solve(A, b):
     if not np.isfinite(x).all():
         raise SingularMatrixError("factorization produced non-finite entries")
     return x
+
+
+def factor_solve(system, tol=1e-10):
+    """Coefficient vector of an assembled ``LinearSystem``, by CG
+    preconditioned with the factor of its matrix, as the solves run."""
+    solve = factorize(system.matrix, system.order)
+    return cg_solve(system.matrix, system.rhs, solve, tol=tol)[0]
 
 
 @st.composite

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_case, polynomial_problem
+from conftest import factor_solve, make_case, polynomial_problem
 from lsfem import assembly, fem
 from lsfem.assembly import (
     assemble_ls,
@@ -17,7 +17,8 @@ from lsfem.assembly import (
 from lsfem.bench import get_problem
 from lsfem.bench.errors import error_norms
 from lsfem.bench.studies import build_case
-from lsfem.solver import cg_solve
+from lsfem.mesh import MeshError
+from lsfem.solver import factorize
 import scipy.linalg
 
 
@@ -138,7 +139,7 @@ def test_polynomial_exactness(k, mode):
     system = assemble_ls(problem, mesh, topo, dm, mode)
     # tol bounds the true residual b - Ax, whose rounding floor on the P3
     # systems lies near 2e-13
-    x, _ = cg_solve(system.matrix, system.rhs, tol=1e-12)
+    x = factor_solve(system, tol=1e-12)
     report = error_norms(x, mesh, topo, dm, problem)
     assert report.e_L2 <= 1e-8
     assert report.e_q <= 1e-8
@@ -211,7 +212,7 @@ def test_strong_mode_records_eliminations(slit, k):
     rows = system.matrix.to_scipy()[idx].toarray()
     assert np.array_equal(rows, np.eye(dm.n_total)[idx])
     assert np.array_equal(system.rhs[idx], values)
-    x, _ = cg_solve(system.matrix, system.rhs)
+    x = factor_solve(system)
     assert np.abs(x[idx] - values).max() <= 1e-10 * max(np.abs(values).max(), 1.0)
 
 
@@ -281,7 +282,7 @@ def test_transport_exact_linear_solution():
     mesh, topo, dm = make_case(4, 0, perturb=0.15)
     system = assemble_transport(problem, mesh, topo, dm)
     assert system.matrix.n == dm.n_w
-    x, _ = cg_solve(system.matrix, system.rhs, tol=1e-12)
+    x = factor_solve(system, tol=1e-12)
     report = error_norms(x, mesh, topo, dm, problem)
     assert report.e_L2 <= 1e-9
     assert report.e_stream <= 1e-9
@@ -345,6 +346,28 @@ def test_slit_data_needs_slit_edges(mode, condense):
         "problem 'rotating' has data on the slit ((0.5, 0.0), (0.5, 0.5)), but the "
         "topology flags no slit edge (build_topology(mesh, slit=...))"
     )
+
+
+@pytest.mark.parametrize("mode", ["weak", "strong", "alt-weak"])
+def test_slit_data_needs_the_edges_of_its_slit(mode):
+    # edges flagged along another segment are refused, not given the data;
+    # a mesh with no edges on the problem's segment fails to resolve it
+    wrong = ((0.25, 0.0), (0.25, 0.5))
+    with pytest.raises(ValueError) as err:
+        assemble_ls(get_problem("rotating"), *build_case(8, 0, 0.0, wrong), mode)
+    assert str(err.value) == (
+        "problem 'rotating' has data on the slit ((0.5, 0.0), (0.5, 0.5)), but the topology "
+        "flags 4 slit edges, not those that resolve it (build_topology(mesh, slit=...))"
+    )
+    odd = ((1 / 3, 0.0), (1 / 3, 2 / 3))
+    with pytest.raises(MeshError) as err:
+        assemble_ls(get_problem("rotating"), *build_case(3, 0, 0.0, odd), mode)
+    assert str(err.value) == "slit not resolved by the mesh: no edge covers [0, 1] of the segment"
+    # the same segment with its ends swapped flags the same edges
+    a, b = SLIT
+    forward = assemble_ls(get_problem("rotating"), *build_case(8, 0, 0.0, SLIT), mode)
+    backward = assemble_ls(get_problem("rotating"), *build_case(8, 0, 0.0, (b, a)), mode)
+    assert np.array_equal(forward.matrix.data, backward.matrix.data)
 
 
 def without_slit(problem):
@@ -411,20 +434,16 @@ def test_matrix_owns_exactly_its_entries(condense):
 
 
 def test_symmetry_and_spd_at_2048_elements():
-    # largest mesh the invariant names; SPD evidenced by CG running with no
-    # negative-curvature signal (the dense path is out of reach here)
+    # largest mesh the invariant names; SPD witnessed by the factor, which
+    # raises NotSPDError unless every pivot is positive (the dense path is
+    # out of reach here)
     mesh, topo, dm = make_case(32, 0, perturb=0.1)
     assert mesh.num_triangles == 2048
     system = assemble_ls(get_problem("smooth", 1e-3), mesh, topo, dm, "weak")
     A = system.matrix.to_scipy()
     gap = abs(A - A.T)
     assert gap.nnz == 0 or gap.data.max() <= 1e-12 * np.abs(A.data).max()
-    from lsfem.solver import ConvergenceError
-
-    try:
-        cg_solve(system.matrix, system.rhs, tol=1e-30, maxit=60)
-    except ConvergenceError:
-        pass  # iteration cap is fine; NotSPDError would have surfaced instead
+    factorize(system.matrix, system.order)
 
 
 def test_mass_diagonal_positive_and_partitioned():

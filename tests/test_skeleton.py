@@ -2,16 +2,17 @@
 DOFs factored, the interiors recovered element by element. Every check is
 against the full system that ``assemble_ls`` builds."""
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
 from conftest import dense_oracle_solve, make_case
-from lsfem import assembly
+from lsfem import assembly, solver
 from lsfem.assembly import LinearSystem, assemble_ls
 from lsfem.bench import get_problem, solve_problem, studies
 from lsfem.bench.studies import build_case
-from lsfem.solver import STALL_ITERS, ConvergenceError, NotSPDError
+from lsfem.solver import ConvergenceError, NotSPDError
 
 SLIT = get_problem("rotating").slit
 MODES = ("weak", "alt-weak", "strong")
@@ -93,7 +94,7 @@ def test_reported_residual_is_the_full_systems(kind, k, monkeypatch):
     assert full_residual(full, x) <= TOL
     # with no iteration the skeleton residual is g, far above rounding: it
     # must be the full residual of the full-length iterate, relative to ||b||
-    monkeypatch.setattr(studies, "FACTOR_CG_MAXIT", 0)
+    monkeypatch.setattr(studies, "cg_solve", functools.partial(solver.cg_solve, maxit=0))
     with pytest.raises(ConvergenceError) as info:
         solve_problem(problem, mesh, topo, dm, mode, tol=TOL)
     err = info.value
@@ -104,7 +105,7 @@ def test_reported_residual_is_the_full_systems(kind, k, monkeypatch):
 def test_convergence_error_names_the_system(monkeypatch):
     problem, mesh, topo, dm, mode = case("strong", 1)
     n_skel = assemble_ls(problem, mesh, topo, dm, mode, condense=True).matrix.n
-    monkeypatch.setattr(studies, "FACTOR_CG_MAXIT", 0)
+    monkeypatch.setattr(studies, "cg_solve", functools.partial(solver.cg_solve, maxit=0))
     with pytest.raises(ConvergenceError) as info:
         solve_problem(problem, mesh, topo, dm, mode)
     message = str(info.value)
@@ -123,13 +124,12 @@ def test_convergence_error_names_the_system(monkeypatch):
 
 def test_factor_preconditioned_solve_has_a_fixed_budget(monkeypatch):
     # without the factor CG would need far more than the budget, which does
-    # not grow with n and sits above the iterations stagnation takes
-    assert studies.FACTOR_CG_MAXIT > 3 * STALL_ITERS
+    # not grow with n
     monkeypatch.setattr(studies, "factorize", lambda A, order: lambda r: r)
     problem = get_problem("smooth", 1e-3)
     with pytest.raises(ConvergenceError, match="did not reach tol") as info:
         solve_problem(problem, *build_case(8, 0))
-    assert info.value.stats.iterations == studies.FACTOR_CG_MAXIT
+    assert info.value.stats.iterations == solver.CG_MAXIT
 
 
 def test_negative_epsilon_rejected():
