@@ -54,38 +54,21 @@ class ProblemSpec:
     ``beta`` and ``exact_grad`` return arrays with a trailing axis of 2.
     ``epsilon == 0`` marks pure transport. ``slit_g`` holds the data on the
     interior segment ``slit``, ((x0, y0), (x1, y1)), which the topology flags.
+    The stability bounds assume c - div(beta)/2 >= 0. Neither that nor an
+    exact solution's fit to f is checked here; the catalogue's tests check both.
     """
 
     name: str
     epsilon: float
     beta: Callable
-    div_beta: Callable
     c: Callable
     f: Callable
     g: Callable
     exact_u: Optional[Callable] = None
     exact_grad: Optional[Callable] = None
-    exact_lap: Optional[Callable] = None
     slit_g: Optional[Callable] = None
     slit: Optional[tuple] = None
     notes: tuple = ()
-
-    def residual(self, x, y):
-        """PDE residual of the exact solution; zero for manufactured f."""
-        if self.exact_u is None or self.exact_grad is None or self.exact_lap is None:
-            raise ValueError(f"problem {self.name!r} has no exact solution")
-        grad = self.exact_grad(x, y)
-        conv = (self.beta(x, y) * grad).sum(axis=-1)
-        return (
-            -self.epsilon * self.exact_lap(x, y)
-            + conv
-            + self.c(x, y) * self.exact_u(x, y)
-            - self.f(x, y)
-        )
-
-    def reaction_margin(self, x, y):
-        """c - div(beta)/2, nonnegative under the coercivity assumption."""
-        return self.c(x, y) - 0.5 * self.div_beta(x, y)
 
 
 @dataclass

@@ -1,7 +1,8 @@
 """Catalog of benchmark problems on the unit square.
 
-Entries with an exact solution carry analytic gradient and Laplacian so the
-source term is manufactured consistently and error norms are available.
+Entries with an exact solution manufacture their source term from its
+analytic gradient and Laplacian, and keep the solution and its gradient for
+the error norms.
 The reaction coefficient is zero wherever the catalog does not need it
 (admissible since c - div(beta)/2 = 0 for the divergence-free or constant
 convection fields used here); the transport case uses c = 1.
@@ -72,13 +73,11 @@ def _manufactured(name, eps, u, grad, lap, c=_zero) -> ProblemSpec:
         name=name,
         epsilon=eps,
         beta=beta,
-        div_beta=_zero,
         c=c,
         f=f,
         g=u,
         exact_u=u,
         exact_grad=grad,
-        exact_lap=lap,
     )
 
 
@@ -118,7 +117,6 @@ def _rotating(eps: float) -> ProblemSpec:
         name="rotating",
         epsilon=eps,
         beta=beta,
-        div_beta=_zero,
         c=_zero,
         f=_zero,
         g=_zero,
@@ -146,7 +144,6 @@ def _interior_layer(eps: float) -> ProblemSpec:
         name="interior-layer",
         epsilon=eps,
         beta=_const_beta(0.5, np.sqrt(3.0) / 2.0),
-        div_beta=_zero,
         c=_zero,
         f=_zero,
         g=g,

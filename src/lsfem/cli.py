@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure (CG short of tol
-at its iteration cap, non-SPD or singular system, spectral breakdown).
+Exit codes: 0 success, 1 usage error, 2 numerical failure (CG short of its
+tolerance at its iteration cap, non-SPD or singular system, spectral breakdown).
 Identical arguments produce identical stdout and output files; the RNG
 seeds behind mesh jitter and eigenvalue start vectors are fixed.
 """
@@ -65,16 +65,13 @@ def _build_parser() -> _Parser:
                       help=f"method index; polynomial degree is k+1 (P1..P{fem.basis.MAX_ORDER})")
     bc = argparse.ArgumentParser(add_help=False)
     bc.add_argument("--bc", default="weak", choices=("weak", "strong", "alt-weak"))
-    solves = argparse.ArgumentParser(add_help=False)
-    solves.add_argument("--tol", type=_bounded(float, 0.0, strict=True), default=1e-10,
-                        help="CG relative residual")
     jitter = argparse.ArgumentParser(add_help=False)
     jitter.add_argument("--perturb", type=float, default=DEFAULT_PERTURB,
                         help="vertex jitter fraction of the cell size")
 
     # solve's --mesh-n and --perturb default to None, so that _cmd_solve can
     # reject them where it would not read them
-    p = sub.add_parser("solve", parents=[case, bc, solves], help="single solve, VTK output")
+    p = sub.add_parser("solve", parents=[case, bc], help="single solve, VTK output")
     p.add_argument("--eps", type=float, default=None, help="diffusion coefficient")
     p.add_argument("--mesh-n", type=int, default=None, help="cells per side (default: 16)")
     p.add_argument("--perturb", type=float, default=None, help="vertex jitter fraction of the "
@@ -83,7 +80,7 @@ def _build_parser() -> _Parser:
                    "pair if the name ends in .node or .ele, else the native format")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("convergence", parents=[case, bc, solves, jitter],
+    p = sub.add_parser("convergence", parents=[case, bc, jitter],
                        help="EOC study, CSV output")
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--levels", type=_bounded(int, 1), default=4,
@@ -100,7 +97,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--base-n", type=int, default=4)
     p.set_defaults(func=_cmd_condition)
 
-    p = sub.add_parser("compare", parents=[case, solves, jitter],
+    p = sub.add_parser("compare", parents=[case, jitter],
                        help="weak vs strong imposition on one mesh")
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--mesh-n", type=int, default=None,
@@ -113,13 +110,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _bounded(kind, low, strict=False):
-    """Argument type: a ``kind`` value above ``low`` (strict) or at least ``low``."""
+def _bounded(kind, low):
+    """Argument type: a ``kind`` value at least ``low``."""
     def parse(text):
         value = kind(text)
-        if not (value > low if strict else value >= low):  # NaN fails both
-            bound = f"{'>' if strict else '>='} {low:g}"
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low:g}, got {text}")
         return value
     parse.__name__ = kind.__name__  # argparse names the type in its own errors
     return parse
@@ -153,7 +149,7 @@ def _cmd_solve(args) -> int:
     dofmap = fem.build_dofmap(mesh, topo, args.k)
     for note in problem.notes:
         print(f"note: {note}")
-    solution, stats = bench.solve_problem(problem, mesh, topo, dofmap, args.bc, tol=args.tol)
+    solution, stats = bench.solve_problem(problem, mesh, topo, dofmap, args.bc)
     u_v, q_c = bench.sample_solution(solution, mesh, dofmap)
     out = os.path.join(
         args.out_dir, f"{args.problem}_P{args.k + 1}_{args.bc}_{mesh.num_triangles}.vtk"
@@ -183,7 +179,6 @@ def _cmd_convergence(args) -> int:
         epsilon=args.eps,
         perturb=args.perturb,
         region=region,
-        tol=args.tol,
     )
     out = os.path.join(args.out_dir, f"convergence_{args.problem}_P{args.k + 1}_{args.bc}.csv")
     bench.write_convergence_csv(reports, out)
@@ -219,7 +214,7 @@ def _cmd_compare(args) -> int:
         print(f"using nearest generated mesh: n={mesh_n} ({2 * mesh_n**2} elements)")
     comp = bench.compare_bc_modes(
         args.problem, args.k, mesh_n, epsilon=args.eps,
-        region=_parse_region(args.region), perturb=args.perturb, tol=args.tol,
+        region=_parse_region(args.region), perturb=args.perturb,
     )
     for note in comp.notes:
         print(f"note: {note}")

@@ -93,10 +93,12 @@ class SparseSym:
 
 @dataclass
 class CgStats:
+    """CG's iteration count, the true relative residual ||b - Ax|| / norm_b
+    of the iterate it returned or raised with, and whether that met tol."""
+
     iterations: int
-    residual: float            # final true relative residual ||b - Ax|| / ||b||
+    residual: float
     converged: bool
-    residual_history: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -187,14 +189,16 @@ def cg_solve(
     CG stops when the true relative residual ||b - Ax|| / norm_b is at most
     tol. It computes b - Ax when the recursive residual r reaches tol, and
     goes on from it if it misses, since r drifts from b - Ax by rounding.
-    Raises NotSPDError on non-positive curvature, and ConvergenceError, with
-    the last iterate and its true residual, after maxit iterations, as at a
-    tol below the rounding floor.
+    Raises NotSPDError on non-positive curvature, and ConvergenceError after
+    maxit iterations, as at a tol below the rounding floor; the error carries
+    the last iterate, and its message and stats give that iterate's true
+    residual. The recursive residuals are not kept: below the floor they
+    fall far under the true one.
     """
     mat = A.to_scipy()
     b = np.asarray(b, dtype=float)
     if not b.any():
-        return np.zeros(A.n), CgStats(0, 0.0, True, np.zeros(1))
+        return np.zeros(A.n), CgStats(0, 0.0, True)
     if norm_b is None:
         norm_b = np.linalg.norm(b)
 
@@ -203,7 +207,6 @@ def cg_solve(
     z = precond(r)
     p = z.copy()
     rz = r @ z
-    history = [np.linalg.norm(r) / norm_b]
 
     for it in range(1, maxit + 1):
         Ap = mat @ p
@@ -218,9 +221,7 @@ def cg_solve(
             r = b - mat @ x
             rel = np.linalg.norm(r) / norm_b
             if rel <= tol:
-                history.append(rel)
-                return x, CgStats(it, rel, True, np.asarray(history))
-        history.append(rel)
+                return x, CgStats(it, rel, True)
         z = precond(r)
         rz_new = r @ z
         p = z + (rz_new / rz) * p
@@ -229,7 +230,7 @@ def cg_solve(
     rel = np.linalg.norm(b - mat @ x) / norm_b
     raise ConvergenceError(
         f"CG did not reach tol {tol:g} in {maxit} iterations (residual {rel:.3e})",
-        x=x, stats=CgStats(maxit, rel, False, np.asarray(history)),
+        x=x, stats=CgStats(maxit, rel, False),
     )
 
 

@@ -205,7 +205,6 @@ def polynomial_problem(eps, k, c_coeff=1.0):
         lap = lambda x, y: (m * (m - 1) * (x ** (m - 2) - y ** (m - 2))
                             + 2.0 * (m - 1) * (m - 2) * x * y ** (m - 3) - 2.0)
     c = lambda x, y: np.full(np.shape(x), c_coeff)
-    zero = lambda x, y: np.zeros(np.shape(x))
     beta = lambda x, y: np.stack([np.ones(np.shape(x)), np.ones(np.shape(x))], axis=-1)
 
     def f(x, y):
@@ -216,13 +215,11 @@ def polynomial_problem(eps, k, c_coeff=1.0):
         name=f"poly-k{k}",
         epsilon=eps,
         beta=beta,
-        div_beta=zero,
         c=c,
         f=f,
         g=u,
         exact_u=u,
         exact_grad=grad,
-        exact_lap=lap,
     )
 
 

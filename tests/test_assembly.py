@@ -240,8 +240,6 @@ def test_bc_modes_share_one_pattern(slit, k, condense):
 @pytest.mark.parametrize(
     "action, message",
     [
-        pytest.param(lambda: get_problem("interior-layer").residual(0.5, 0.5),
-                     "problem 'interior-layer' has no exact solution", id="residual-without-exact"),
         pytest.param(lambda: assemble_ls(get_problem("smooth"), *make_case(2, 0), "robin"),
                      r"bc_mode must be one of \('weak', 'strong', 'alt-weak'\), got 'robin'",
                      id="unknown-bc-mode"),
@@ -264,20 +262,17 @@ def test_transport_exact_linear_solution():
     # u = x + y lies in P1: the residual minimum is zero and the inflow
     # penalty pins the boundary values
     one = lambda x, y: np.ones(np.shape(x))
-    zero = lambda x, y: np.zeros(np.shape(x))
     from lsfem.assembly import ProblemSpec
 
     problem = ProblemSpec(
         name="linear-transport",
         epsilon=0.0,
         beta=lambda x, y: np.stack([one(x, y), one(x, y)], axis=-1),
-        div_beta=zero,
         c=one,
         f=lambda x, y: 2.0 + x + y,
         g=lambda x, y: x + y,
         exact_u=lambda x, y: x + y,
         exact_grad=lambda x, y: np.stack([one(x, y), one(x, y)], axis=-1),
-        exact_lap=zero,
     )
     mesh, topo, dm = make_case(4, 0, perturb=0.15)
     system = assemble_transport(problem, mesh, topo, dm)

@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 
 import lsfem
+from lsfem import solver
+from lsfem.bench import studies
 from lsfem.cli import main
 from lsfem.fem.basis import MAX_ORDER
 
@@ -141,7 +144,6 @@ def test_bad_region_exits_one(tmp_path, capsys, argv, message):
 @pytest.mark.parametrize(
     "argv",
     [
-        pytest.param(("solve", "--mesh-n", "4", "--tol", "-1"), id="negative-tol"),
         pytest.param(("convergence", "--levels", "0"), id="zero-levels"),
         pytest.param(("solve", "--mesh-n", "4", "--k", str(MAX_ORDER)), id="k-above-cap"),
     ],
@@ -168,6 +170,11 @@ def test_out_of_range_option_is_usage_error(tmp_path, capsys, argv):
         # format follows from its name
         ("solve", "--maxit", "10"),
         ("solve", "--mesh-format", "triangle"),
+        # under the factor a looser tol gives the same solution, and one
+        # below the rounding floor only fails
+        ("solve", "--tol", "1e-12"),
+        ("convergence", "--tol", "1e-12"),
+        ("compare", "--tol", "1e-12"),
     ],
 )
 def test_option_the_command_does_not_read_is_usage_error(tmp_path, capsys, command, option,
@@ -217,11 +224,12 @@ def test_condition_rotating_needs_a_gridline_on_the_slit(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_numerical_failure_exits_two(tmp_path, capsys):
-    # a tolerance far below the rounding floor: CG stagnates and gives up
+def test_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):
+    # CG allowed no iteration cannot reach its tolerance
+    monkeypatch.setattr(studies, "cg_solve", functools.partial(solver.cg_solve, maxit=0))
     code, out, err = run(
         capsys, "--out-dir", str(tmp_path),
-        "solve", "--problem", "smooth", "--eps", "1e-3", "--mesh-n", "8", "--tol", "1e-300",
+        "solve", "--problem", "smooth", "--eps", "1e-3", "--mesh-n", "8",
     )
     assert code == 2
     assert "numerical failure" in err

@@ -3,6 +3,7 @@ DOFs factored, the interiors recovered element by element. Every check is
 against the full system that ``assemble_ls`` builds."""
 import dataclasses
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -111,15 +112,27 @@ def test_convergence_error_names_the_system(monkeypatch):
     message = str(info.value)
     assert "eps=0.001" in message and "strong" in message
     assert f"{dm.n_total} DOFs" in message and f"{n_skel} on the skeleton" in message
-    assert "preconditioner: sparse factor" in message
-    history = info.value.stats.residual_history
-    assert f"last residuals: {history[-1]:.3e}]" in message
+    assert message.endswith("preconditioner: sparse factor of the skeleton matrix]")
     # the skeleton columns of the index tables hold the leading indices of each block
     q_skel = np.unique(dm.q_index[:, :dm.nloc_q_skel])
     w_skel = np.unique(dm.w_index[:, :dm.nloc_w_skel])
     assert np.array_equal(q_skel, np.arange(len(q_skel)))
     assert np.array_equal(w_skel, np.arange(len(w_skel)))
     assert n_skel == len(q_skel) + len(w_skel) < dm.n_total
+
+
+def test_convergence_error_below_the_rounding_floor_names_the_true_residual():
+    # no iterate reaches 1e-300; the one residual the message names is the
+    # true one of the iterate the error carries, not a recursive one
+    problem = get_problem("smooth", 1e-3)
+    mesh, topo, dm = build_case(8, 0)
+    full = assemble_ls(problem, mesh, topo, dm)
+    with pytest.raises(ConvergenceError) as info:
+        solve_problem(problem, mesh, topo, dm, tol=1e-300)
+    err = info.value
+    named = re.findall(r"\d\.\d{3}e[-+]\d+", str(err))
+    assert named == [f"{err.stats.residual:.3e}"]
+    assert err.stats.residual == pytest.approx(full_residual(full, err.x), rel=1e-9)
 
 
 def test_factor_preconditioned_solve_has_a_fixed_budget(monkeypatch):

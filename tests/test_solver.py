@@ -101,7 +101,6 @@ def test_residual_relative_to_given_norm():
     norm_b = 1e3 * np.linalg.norm(b)
     x, stats = plain_cg(A, b, tol=1e-12, norm_b=norm_b)
     assert stats.residual == np.linalg.norm(b - A.to_scipy() @ x) / norm_b <= 1e-12
-    assert stats.residual_history[0] == pytest.approx(1e-3, rel=1e-15)
     with pytest.raises(ConvergenceError) as err:
         plain_cg(A, b, norm_b=norm_b, maxit=0)
     assert err.value.stats.residual == pytest.approx(1e-3, rel=1e-15)
