@@ -7,9 +7,9 @@ with themselves and adds a boundary penalty whose weight is
     weak:     (eps + max(-beta.n, 0)) / h_F
     alt-weak: eps / h_F + max(-beta.n, 0)
 
-so outflow faces are constrained only at O(eps). Flagged slit edges get
-the penalty (eps + |beta.n|) / h_F. Strong mode drops the boundary penalty
-and, after the slit terms, eliminates boundary scalar DOFs symmetrically.
+so outflow faces are constrained only at O(eps). The slit's edges get the
+penalty (eps + |beta.n|) / h_F. Strong mode drops the boundary penalty and,
+after the slit terms, eliminates boundary scalar DOFs symmetrically.
 The pure-transport specialization keeps only the scalar residual and the
 inflow part of the penalty.
 
@@ -40,7 +40,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 
 from . import fem
-from .mesh import Mesh, Topology, _resolve_slit
+from .mesh import Mesh, Topology, resolve_slit
 from .solver import NotSPDError, SparseSym
 
 BC_MODES = ("weak", "strong", "alt-weak")
@@ -53,7 +53,7 @@ class ProblemSpec:
     All coefficient callables take numpy arrays (x, y) and broadcast;
     ``beta`` and ``exact_grad`` return arrays with a trailing axis of 2.
     ``epsilon == 0`` marks pure transport. ``slit_g`` holds the data on the
-    interior segment ``slit``, ((x0, y0), (x1, y1)), which the topology flags.
+    interior segment ``slit``, ((x0, y0), (x1, y1)); each needs the other.
     The stability bounds assume c - div(beta)/2 >= 0. Neither that nor an
     exact solution's fit to f is checked here; the catalogue's tests check both.
     """
@@ -69,6 +69,10 @@ class ProblemSpec:
     slit_g: Optional[Callable] = None
     slit: Optional[tuple] = None
     notes: tuple = ()
+
+    def __post_init__(self):
+        if (self.slit is None) != (self.slit_g is None):
+            raise ValueError(f"problem {self.name!r} needs both slit and slit_g, or neither")
 
 
 @dataclass
@@ -128,7 +132,7 @@ def _scalar_field(fn, x, y) -> np.ndarray:
 
 def face_weight(mode: str, eps: float, beta_n: np.ndarray, h_f) -> np.ndarray:
     """Face penalty weight at quadrature points: boundary faces in weak or
-    alt-weak mode, flagged interior faces in slit mode."""
+    alt-weak mode, the slit's interior faces in slit mode."""
     if mode == "slit":
         return (eps + np.abs(beta_n)) / h_f
     inflow = np.maximum(-beta_n, 0.0)
@@ -229,19 +233,20 @@ def _dissection_order(geo, skeleton, n):
     return np.lexsort((h, end))
 
 
-def apply_slit(problem: ProblemSpec, topo: Topology, dofmap: fem.DofMap):
-    """Interior-face penalty enforcing ``problem.slit_g`` on the flagged slit
-    edges, for the least-squares system numbered by ``dofmap``; returns
-    (CSR matrix, rhs). Nothing in the package or its tests calls it: the
-    assembly adds the same face terms into the local systems of the elements
-    that own the slit edges (``_system_blocks``). It stays only because
-    ``perfbench/tracing.py`` names it, and goes with the benchmark change of
-    ROADMAP item 1.
+def apply_slit(problem: ProblemSpec, mesh: Mesh, topo: Topology, dofmap: fem.DofMap):
+    """Interior-face penalty enforcing ``problem.slit_g`` on the edges that
+    resolve ``problem.slit``, for the least-squares system numbered by
+    ``dofmap``; returns (CSR matrix, rhs). Nothing in the package or its
+    tests calls it: the assembly adds the same face terms into the local
+    systems of the elements that own the slit edges (``_system_blocks``). It
+    stays only because ``perfbench/tracing.py`` names it, and goes with the
+    benchmark change of ROADMAP item 1.
 
     The weight is (eps + |beta . n_F|) / h_F with n_F the stored oriented
     normal; the absolute value keeps the term symmetric and side-agnostic.
     """
-    owners, a, b = _face_terms(problem, topo, dofmap, "slit")
+    edges = resolve_slit(mesh, topo, problem.slit)
+    owners, a, b = _face_terms(problem, topo, dofmap, "slit", edges)
     idx = dofmap.n_q + dofmap.w_index[owners, :dofmap.nloc_w_skel]
     return _scatter(a, b, idx, dofmap.n_total)
 
@@ -373,12 +378,12 @@ def _affine_factors(F, scale, ref, weights):
 def _system_blocks(problem, mesh, topo, dofmap, bc_mode):
     """One local system per element of the least-squares form, a (T, l, l),
     b (T, l) and idx (T, l) in the numbering of the full system, with the
-    boundary and slit face terms added into the W-trace block of the element
-    that owns each face. Strong mode fixes the boundary W DOFs to g: b holds
-    b - A x_fixed, a and b are zero in the rows and columns of fixed DOFs,
-    but for 1 on the diagonal and g in b of the first element holding each,
-    so the summed row is e_i with rhs g. Transport (eps == 0) takes a DOF
-    map without the Q block.
+    boundary and slit face terms (MeshError if the mesh does not resolve the
+    slit) in the W-trace block of the element that owns each face. Strong
+    mode fixes the boundary W DOFs to g: b holds b - A x_fixed, a and b are
+    zero in the rows and columns of fixed DOFs, but for 1 on the diagonal
+    and g in b of the first element holding each, so the summed row is e_i
+    with rhs g. Transport (eps == 0) takes a DOF map without the Q block.
     """
     if dofmap.q_index.shape[0] != mesh.num_triangles:
         raise ValueError("dofmap was built for a different mesh")
@@ -389,21 +394,14 @@ def _system_blocks(problem, mesh, topo, dofmap, bc_mode):
     n_q = dofmap.n_q
     a, b = _local_systems(problem, dofmap)
     idx = np.concatenate([dofmap.q_index, n_q + dofmap.w_index], axis=1)
-    modes = [] if bc_mode == "strong" else [bc_mode]
+    faces = [] if bc_mode == "strong" else [(bc_mode, topo.boundary_edges)]
     # slit terms enter before strong elimination, so eliminated rows stay identity rows
-    if problem.slit_g is not None:
-        # a mesh that does not resolve the segment raises MeshError here
-        resolved = _resolve_slit(mesh, topo.edges, topo.is_boundary, problem.slit)
-        if not np.array_equal(topo.slit_edges, resolved):
-            flagged = (f"{topo.slit_edges.size} slit edges, not those that resolve it"
-                       if topo.slit_edges.size else "no slit edge")
-            raise ValueError(f"problem {problem.name!r} has data on the slit {problem.slit}, but "
-                             f"the topology flags {flagged} (build_topology(mesh, slit=...))")
-        modes.append("slit")
+    if problem.slit is not None:
+        faces.append(("slit", resolve_slit(mesh, topo, problem.slit)))
     trace = dofmap.q_index.shape[1] + np.arange(dofmap.nloc_w_skel)  # local W-trace positions
-    for mode in modes:
+    for mode, edges in faces:
         # a corner element owns two boundary faces, hence add.at
-        owners, a_face, b_face = _face_terms(problem, topo, dofmap, mode)
+        owners, a_face, b_face = _face_terms(problem, topo, dofmap, mode, edges)
         np.add.at(a, (owners[:, None, None], trace[:, None], trace), a_face)
         np.add.at(b, (owners[:, None], trace), b_face)
     if bc_mode != "strong":
@@ -482,21 +480,19 @@ def _gather(a, rows, cols):
     return np.take(a.reshape(len(a), -1), flat, axis=1).reshape(len(a), len(rows), len(cols))
 
 
-def _face_terms(problem, topo, dofmap, mode):
-    """Face penalty int_F w (u - d)^2 as local blocks on the W traces
-    (vertex and edge nodes) of the element that owns each face: returns
-    the owners (E,), a (E, l, l) and b (E, l), with l = nloc_w_skel, one
-    row per face of the ``edge_quadrature`` table, in the order of the edges.
+def _face_terms(problem, topo, dofmap, mode, edges):
+    """Face penalty int_F w (u - d)^2 on the faces ``edges`` as local blocks on
+    the W traces (vertex and edge nodes) of the element that owns each face:
+    returns the owners (E,), a (E, l, l) and b (E, l), with l = nloc_w_skel,
+    one row per face of the ``edge_quadrature`` table, in the order of ``edges``.
 
-    Slit mode runs over the flagged slit edges with their stored normals and
-    d = slit_g; the other modes over the boundary with outward normals and
+    Slit mode takes the slit's edges with their stored normals and
+    d = slit_g; the other modes boundary edges with outward normals and
     d = g. w is face_weight(mode, eps, beta.n, h_F).
     """
     if mode == "slit":
-        edges = topo.slit_edges
         normals, data = topo.normals[edges], problem.slit_g
     else:
-        edges = topo.boundary_edges
         normals, data = topo.outward_normals(edges), problem.g
     owners, pts, trace, weights, h = fem.edge_quadrature(
         topo, dofmap, edges, fem.assembly_degree(dofmap.k)

@@ -26,6 +26,7 @@ from .errors import ErrorReport, error_norms, nonempty_region
 from .problems import get_problem
 
 DEFAULT_PERTURB = 0.15
+COMPARE_REGION = (0.0, 0.9, 0.0, 0.9)  # the error subdomain of ``compare_bc_modes``
 
 
 def nearest_generated_n(elements: int) -> int:
@@ -60,9 +61,9 @@ class ModeComparison:
     notes: tuple = ()
 
 
-def build_case(n: int, k: int, perturb: float = DEFAULT_PERTURB, slit=None):
+def build_case(n: int, k: int, perturb: float = DEFAULT_PERTURB):
     """Mesh, topology, and DOF map for one study cell or one level of a
-    refinement study.
+    refinement study, for every problem: the assembly resolves a slit.
 
     Each level is generated directly; the coordinate-hashed jitter keeps
     lattice points shared between levels displaced consistently. Refining a
@@ -71,7 +72,7 @@ def build_case(n: int, k: int, perturb: float = DEFAULT_PERTURB, slit=None):
     vanishing-diffusion regime.
     """
     mesh = generate_structured(n, perturb)
-    topo = build_topology(mesh, slit=slit)
+    topo = build_topology(mesh)
     dofmap = fem.build_dofmap(mesh, topo, k)
     return mesh, topo, dofmap
 
@@ -127,7 +128,7 @@ def convergence_study(
         raise ValueError(f"problem {problem_name!r} has no exact solution")
     reports = []
     for level, n in enumerate(levels):
-        mesh, topo, dofmap = build_case(n, k, perturb, problem.slit)
+        mesh, topo, dofmap = build_case(n, k, perturb)
         nonempty_region(mesh, region)  # fail before the solve, not after it
         solution, _ = solve_problem(problem, mesh, topo, dofmap, bc_mode)
         report = error_norms(solution, mesh, topo, dofmap, problem, region=region, level=level)
@@ -156,9 +157,10 @@ def condition_study(
 
     The meshes are not jittered: the kappa ratio per halving of h is checked
     in a band around 4, and on the uniform family it changes with h alone,
-    not with a distortion that differs from level to level; they flag the
-    problem's slit (MeshError where no gridline resolves it). A repeated
-    epsilon raises ValueError: its second row would divide a kappa by itself.
+    not with a distortion that differs from level to level; and rotating's
+    slit lies on their x = 1/2 gridline where n is even (at odd n the
+    assembly raises MeshError). A repeated epsilon raises ValueError: its
+    second row would divide a kappa by itself.
     """
     if problem_name == "transport":
         raise ValueError("the condition study needs eps > 0; transport has eps == 0")
@@ -169,7 +171,7 @@ def condition_study(
     rows = []
     prev: dict[float, float] = {}
     for level, n in enumerate(levels):
-        mesh, topo, dofmap = build_case(n, k, 0.0, problems[0].slit)
+        mesh, topo, dofmap = build_case(n, k, 0.0)
         mass = mass_diagonal(mesh, dofmap)
         for eps, problem in zip(epsilons, problems):
             system = assemble_ls(problem, mesh, topo, dofmap, bc_mode)
@@ -193,7 +195,7 @@ def compare_bc_modes(
     k: int,
     mesh_n: int,
     epsilon: Optional[float] = None,
-    region=(0.0, 0.9, 0.0, 0.9),
+    region=COMPARE_REGION,
     perturb: float = DEFAULT_PERTURB,
 ) -> ModeComparison:
     """Weak vs strong imposition on one mesh.
@@ -201,12 +203,14 @@ def compare_bc_modes(
     For problems with an exact solution the comparison reports subdomain
     errors and their ratio; the interior-layer case (no exact solution)
     reports over/undershoot of the scalar nodal values beyond the data
-    range instead.
+    range instead, and a region other than the default raises ValueError.
     """
     if problem_name not in ("boundary-layer", "interior-layer"):
         raise ValueError("mode comparison is defined for the layer problems")
     problem = get_problem(problem_name, epsilon)
-    mesh, topo, dofmap = build_case(mesh_n, k, perturb, problem.slit)
+    if problem.exact_u is None and region != COMPARE_REGION:
+        raise ValueError(f"problem {problem_name!r} has no exact solution, so it takes no region")
+    mesh, topo, dofmap = build_case(mesh_n, k, perturb)
     if problem.exact_u is not None:
         nonempty_region(mesh, region)  # fail before the solves, not after them
     reports = {}

@@ -20,8 +20,8 @@ import sys
 for _pool in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_pool, "1")
 
-from . import bench, fem  # noqa: E402
-from .bench.studies import DEFAULT_PERTURB  # noqa: E402
+from . import assembly, bench, fem  # noqa: E402
+from .bench.studies import COMPARE_REGION, DEFAULT_PERTURB  # noqa: E402
 from .mesh import MeshError, build_topology, generate_structured, load_mesh  # noqa: E402
 from .solver import SolverError  # noqa: E402
 
@@ -64,7 +64,7 @@ def _build_parser() -> _Parser:
     case.add_argument("--k", type=int, default=0, choices=range(fem.basis.MAX_ORDER),
                       help=f"method index; polynomial degree is k+1 (P1..P{fem.basis.MAX_ORDER})")
     bc = argparse.ArgumentParser(add_help=False)
-    bc.add_argument("--bc", default="weak", choices=("weak", "strong", "alt-weak"))
+    bc.add_argument("--bc", default="weak", choices=assembly.BC_MODES)
     jitter = argparse.ArgumentParser(add_help=False)
     jitter.add_argument("--perturb", type=float, default=DEFAULT_PERTURB,
                         help="vertex jitter fraction of the cell size")
@@ -102,7 +102,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--mesh-n", type=int, default=None,
                    help="cells per side (default: nearest to the reference size)")
-    p.add_argument("--region", default="0,0.9,0,0.9")
+    p.add_argument("--region", default=None)  # None: the study's own subdomain
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("list-problems", help="catalog entries and notes")
@@ -145,11 +145,11 @@ def _cmd_solve(args) -> int:
     perturb = 0.0 if problem.slit else DEFAULT_PERTURB if args.perturb is None else args.perturb
     mesh = (load_mesh(args.mesh_file) if args.mesh_file is not None
             else generate_structured(16 if args.mesh_n is None else args.mesh_n, perturb))
-    topo = build_topology(mesh, slit=problem.slit)
+    topo = build_topology(mesh)
     dofmap = fem.build_dofmap(mesh, topo, args.k)
-    for note in problem.notes:
-        print(f"note: {note}")
     solution, stats = bench.solve_problem(problem, mesh, topo, dofmap, args.bc)
+    for note in problem.notes:  # after the solve, which may fail, as compare prints them
+        print(f"note: {note}")
     u_v, q_c = bench.sample_solution(solution, mesh, dofmap)
     out = os.path.join(
         args.out_dir, f"{args.problem}_P{args.k + 1}_{args.bc}_{mesh.num_triangles}.vtk"
@@ -208,14 +208,15 @@ def _cmd_condition(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if args.region is not None and bench.get_problem(args.problem).exact_u is None:
+        raise ValueError(f"--region does not apply to {args.problem}, which has no exact solution")
     mesh_n = args.mesh_n
     if mesh_n is None:
         mesh_n = bench.nearest_generated_n(416)
         print(f"using nearest generated mesh: n={mesh_n} ({2 * mesh_n**2} elements)")
-    comp = bench.compare_bc_modes(
-        args.problem, args.k, mesh_n, epsilon=args.eps,
-        region=_parse_region(args.region), perturb=args.perturb,
-    )
+    region = COMPARE_REGION if args.region is None else _parse_region(args.region)
+    comp = bench.compare_bc_modes(args.problem, args.k, mesh_n, epsilon=args.eps,
+                                  region=region, perturb=args.perturb)
     for note in comp.notes:
         print(f"note: {note}")
     print(f"{comp.problem} eps={comp.epsilon:g} P{comp.k + 1}, "

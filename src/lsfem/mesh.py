@@ -5,7 +5,7 @@ assembly loops need (element sizes, face sizes, boundary normals).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,7 +102,7 @@ class Mesh:
 
 @dataclass(frozen=True)
 class Topology:
-    """Edge-level connectivity derived from a Mesh.
+    """Edge-level connectivity derived from a Mesh, and nothing of a problem.
 
     Edges are stored with global orientation: lower vertex index first.
     ``normals[e]`` is the unit normal obtained by rotating the oriented edge
@@ -118,7 +118,6 @@ class Topology:
     outward_sign: np.ndarray     # (E,) float
     h_K: np.ndarray              # (T,) float, sqrt of triangle area
     h_F: np.ndarray              # (E,) float, edge length
-    slit_edges: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     @property
     def num_edges(self) -> int:
@@ -196,8 +195,8 @@ def refine_uniform(mesh: Mesh) -> Mesh:
 def build_topology(mesh: Mesh, slit=None) -> Topology:
     """Deduplicate edges, orient them low->high, and attach geometry.
 
-    ``slit`` is an optional segment ((x0, y0), (x1, y1)) that must be a union
-    of interior mesh edges; those edges are flagged as constraint faces.
+    ``slit``, a segment ((x0, y0), (x1, y1)), is only checked to be a union of
+    interior mesh edges (``resolve_slit``); only the benchmark passes it.
     """
     t = mesh.triangles
     V, T = mesh.num_vertices, mesh.num_triangles
@@ -267,11 +266,7 @@ def build_topology(mesh: Mesh, slit=None) -> Topology:
     areas = _signed_areas(mesh.vertices, t)
     h_K = np.sqrt(areas)
 
-    slit_edges = np.empty(0, dtype=np.int64)
-    if slit is not None:
-        slit_edges = _resolve_slit(mesh, edges, is_boundary, slit)
-
-    return Topology(
+    topo = Topology(
         edges=edges,
         edge_to_tri=edge_to_tri,
         tri_to_edge=tri_to_edge,
@@ -280,8 +275,10 @@ def build_topology(mesh: Mesh, slit=None) -> Topology:
         outward_sign=outward_sign,
         h_K=h_K,
         h_F=h_F,
-        slit_edges=slit_edges,
     )
+    if slit is not None:
+        resolve_slit(mesh, topo, slit)
+    return topo
 
 
 def load_mesh(path: str) -> Mesh:
@@ -440,7 +437,8 @@ def _load_triangle(base: str) -> Mesh:
         raise MeshError(f"{ele_path}: {exc}") from None
 
 
-def _resolve_slit(mesh, edges, is_boundary, slit):
+def resolve_slit(mesh: Mesh, topo: Topology, slit) -> np.ndarray:
+    """Ascending indices of the interior edges of ``topo`` that make up ``slit``."""
     tol = 1e-12 * mesh.bounding_box()[1]
     (x0, y0), (x1, y1) = slit
     a = np.array([x0, y0], dtype=float)
@@ -454,10 +452,10 @@ def _resolve_slit(mesh, edges, is_boundary, slit):
     rel = mesh.vertices - a
     s = rel @ d
     on = (np.abs(rel[:, 0] * d[1] - rel[:, 1] * d[0]) <= tol) & (s >= -tol) & (s <= length + tol)
-    found = np.flatnonzero(on[edges[:, 0]] & on[edges[:, 1]])
-    if is_boundary[found].any():
+    found = np.flatnonzero(on[topo.edges[:, 0]] & on[topo.edges[:, 1]])
+    if topo.is_boundary[found].any():
         raise MeshError("slit segment touches a boundary edge; interior edges required")
-    ends = np.sort(s[edges[found]], axis=1)
+    ends = np.sort(s[topo.edges[found]], axis=1)
     lo, hi = ends[np.argsort(ends[:, 0])].T
     # reach[i]: how far the edges before the i-th cover the segment from 0
     reach = np.maximum.accumulate(np.concatenate([[0.0], hi]))

@@ -66,18 +66,17 @@ def jittered_relabelled_meshes(draw, sizes=st.integers(2, 3), fixed_x=None):
     return Mesh(vertices[np.argsort(vperm)], vperm[mesh.triangles], mesh.region_id)
 
 
-def make_case(n, k, perturb=0.0, slit=None):
+def make_case(n, k, perturb=0.0):
     mesh = generate_structured(n, perturb)
-    topo = build_topology(mesh, slit=slit)
+    topo = build_topology(mesh)
     dofmap = fem.build_dofmap(mesh, topo, k)
     return mesh, topo, dofmap
 
 
-def topology_oracle(mesh, slit=None):
+def topology_oracle(mesh):
     """Reference topology built with per-edge Python loops: the neighbour
     fill in (local edge, triangle) order, a dict from rounded coordinates to
-    the last vertex there, another to all the vertices there, and a scan of
-    every edge against the slit.
+    the last vertex there, and another to all the vertices there.
     ``build_topology`` must agree with it field for field and error for
     error."""
     t, V = mesh.triangles, mesh.vertices
@@ -129,44 +128,6 @@ def topology_oracle(mesh, slit=None):
         if v not in held:
             raise MeshError(f"vertex {v} belongs to no triangle")
 
-    slit_edges = np.empty(0, dtype=np.int64)
-    if slit is not None:
-        tol = 1e-12 * extent
-        a = np.asarray(slit[0], dtype=float)
-        length = np.linalg.norm(np.asarray(slit[1], dtype=float) - a)
-        d = (np.asarray(slit[1], dtype=float) - a) / length
-
-        def param(p):
-            rel = p - a
-            off = abs(rel[0] * d[1] - rel[1] * d[0])
-            s = rel @ d
-            if off > tol or s < -tol or s > length + tol:
-                return None
-            return s
-
-        found = []
-        for e in range(len(edges)):
-            s0, s1 = param(V[edges[e, 0]]), param(V[edges[e, 1]])
-            if s0 is not None and s1 is not None:
-                if is_boundary[e]:
-                    raise MeshError("slit segment touches a boundary edge; interior edges required")
-                found.append((min(s0, s1), max(s0, s1), e))
-        found.sort()
-        cursor = 0.0
-        for lo, hi, _ in found:
-            if lo > cursor + tol:
-                raise MeshError(
-                    f"slit not resolved by the mesh: no edge covers "
-                    f"[{cursor / length:.6g}, {lo / length:.6g}] of the segment"
-                )
-            cursor = max(cursor, hi)
-        if cursor < length - tol:
-            raise MeshError(
-                f"slit not resolved by the mesh: no edge covers "
-                f"[{cursor / length:.6g}, 1] of the segment"
-            )
-        slit_edges = np.array(sorted(e for _, _, e in found), dtype=np.int64)
-
     return Topology(
         edges=edges,
         edge_to_tri=edge_to_tri,
@@ -176,8 +137,51 @@ def topology_oracle(mesh, slit=None):
         outward_sign=outward_sign,
         h_K=np.sqrt(mesh.areas()),
         h_F=h_F,
-        slit_edges=slit_edges,
     )
+
+
+def slit_oracle(mesh, topo, slit):
+    """Reference for ``resolve_slit``: a scan of every edge of ``topo``
+    against the segment ``slit``, then a walk along the edges found in order
+    of arc length. ``resolve_slit`` must agree with it edge for edge and
+    error for error."""
+    V, edges = mesh.vertices, topo.edges
+    lo = V.min(axis=0, initial=np.inf)
+    tol = 1e-12 * max((V.max(axis=0, initial=-np.inf) - lo).max(), np.finfo(float).tiny)
+    a = np.asarray(slit[0], dtype=float)
+    length = np.linalg.norm(np.asarray(slit[1], dtype=float) - a)
+    d = (np.asarray(slit[1], dtype=float) - a) / length
+
+    def param(p):
+        rel = p - a
+        off = abs(rel[0] * d[1] - rel[1] * d[0])
+        s = rel @ d
+        if off > tol or s < -tol or s > length + tol:
+            return None
+        return s
+
+    found = []
+    for e in range(len(edges)):
+        s0, s1 = param(V[edges[e, 0]]), param(V[edges[e, 1]])
+        if s0 is not None and s1 is not None:
+            if topo.is_boundary[e]:
+                raise MeshError("slit segment touches a boundary edge; interior edges required")
+            found.append((min(s0, s1), max(s0, s1), e))
+    found.sort()
+    cursor = 0.0
+    for start, stop, _ in found:
+        if start > cursor + tol:
+            raise MeshError(
+                f"slit not resolved by the mesh: no edge covers "
+                f"[{cursor / length:.6g}, {start / length:.6g}] of the segment"
+            )
+        cursor = max(cursor, stop)
+    if cursor < length - tol:
+        raise MeshError(
+            f"slit not resolved by the mesh: no edge covers "
+            f"[{cursor / length:.6g}, 1] of the segment"
+        )
+    return np.array(sorted(e for _, _, e in found), dtype=np.int64)
 
 
 def polynomial_problem(eps, k, c_coeff=1.0):

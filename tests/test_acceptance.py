@@ -334,7 +334,7 @@ def test_criterion_9_rotating_flow_completes_deterministically():
     problem = get_problem("rotating")
     solutions = []
     for _ in range(2):
-        mesh, topo, dm = build_case(n, 0, perturb=0.0, slit=problem.slit)
+        mesh, topo, dm = build_case(n, 0, perturb=0.0)
         x, stats = solve_problem(problem, mesh, topo, dm, "weak", tol=1e-8)
         solutions.append(x)
         assert stats.converged

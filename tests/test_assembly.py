@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import factor_solve, make_case, polynomial_problem
+from conftest import factor_solve, make_case, polynomial_problem, slit_oracle
 from lsfem import assembly, fem
 from lsfem.assembly import (
+    BC_MODES,
     assemble_ls,
     assemble_transport,
     boundary_w_dofs,
@@ -17,7 +18,7 @@ from lsfem.assembly import (
 from lsfem.bench import get_problem
 from lsfem.bench.errors import error_norms
 from lsfem.bench.studies import build_case
-from lsfem.mesh import MeshError
+from lsfem.mesh import MeshError, build_topology, generate_structured
 from lsfem.solver import factorize
 import scipy.linalg
 
@@ -200,7 +201,7 @@ def test_strong_mode_records_eliminations(slit, k):
         problem = polynomial_problem(0.25, k)
     else:
         # the slit ends on the boundary node (0.5, 0), which strong mode eliminates
-        mesh, topo, dm = make_case(8, k, slit=slit)
+        mesh, topo, dm = make_case(8, k)
         problem = get_problem("rotating")
     system = assemble_ls(problem, mesh, topo, dm, "strong")
     wdofs = boundary_w_dofs(mesh, topo, dm)
@@ -226,7 +227,7 @@ def test_bc_modes_share_one_pattern(slit, k, condense):
         mesh, topo, dm = make_case(3, k, perturb=0.1)
         problem = get_problem("boundary-layer", 1e-2)
     else:
-        mesh, topo, dm = make_case(8, k, slit=slit)
+        mesh, topo, dm = make_case(8, k)
         problem = get_problem("rotating")
     weak, alt, strong = (
         assemble_ls(problem, mesh, topo, dm, mode, condense).matrix.to_scipy()
@@ -329,56 +330,56 @@ def _transport_volume_only(problem, mesh, topo, dm):
     return A
 
 
-@pytest.mark.parametrize("condense", [False, True], ids=["full", "condensed"])
-@pytest.mark.parametrize("mode", ["weak", "strong", "alt-weak"])
-def test_slit_data_needs_slit_edges(mode, condense):
-    # slit data on a topology that flags no slit edge is refused, naming the
-    # problem and the segment, instead of assembled without its slit terms
-    mesh, topo, dm = make_case(4, 0)
-    with pytest.raises(ValueError) as err:
-        assemble_ls(get_problem("rotating"), mesh, topo, dm, mode, condense)
-    assert str(err.value) == (
-        "problem 'rotating' has data on the slit ((0.5, 0.0), (0.5, 0.5)), but the "
-        "topology flags no slit edge (build_topology(mesh, slit=...))"
-    )
-
-
-@pytest.mark.parametrize("mode", ["weak", "strong", "alt-weak"])
+@pytest.mark.parametrize("mode", BC_MODES)
 def test_slit_data_needs_the_edges_of_its_slit(mode):
-    # edges flagged along another segment are refused, not given the data;
     # a mesh with no edges on the problem's segment fails to resolve it
-    wrong = ((0.25, 0.0), (0.25, 0.5))
-    with pytest.raises(ValueError) as err:
-        assemble_ls(get_problem("rotating"), *build_case(8, 0, 0.0, wrong), mode)
-    assert str(err.value) == (
-        "problem 'rotating' has data on the slit ((0.5, 0.0), (0.5, 0.5)), but the topology "
-        "flags 4 slit edges, not those that resolve it (build_topology(mesh, slit=...))"
-    )
-    odd = ((1 / 3, 0.0), (1 / 3, 2 / 3))
     with pytest.raises(MeshError) as err:
-        assemble_ls(get_problem("rotating"), *build_case(3, 0, 0.0, odd), mode)
+        assemble_ls(get_problem("rotating"), *build_case(3, 0, 0.0), mode)
     assert str(err.value) == "slit not resolved by the mesh: no edge covers [0, 1] of the segment"
-    # the same segment with its ends swapped flags the same edges
+    # the same segment with its ends swapped resolves to the same edges
     a, b = SLIT
-    forward = assemble_ls(get_problem("rotating"), *build_case(8, 0, 0.0, SLIT), mode)
-    backward = assemble_ls(get_problem("rotating"), *build_case(8, 0, 0.0, (b, a)), mode)
+    problem = get_problem("rotating")
+    forward = assemble_ls(problem, *build_case(8, 0, 0.0), mode)
+    backward = assemble_ls(dataclasses.replace(problem, slit=(b, a)), *build_case(8, 0, 0.0), mode)
     assert np.array_equal(forward.matrix.data, backward.matrix.data)
 
 
+@pytest.mark.parametrize("mode", BC_MODES)
+def test_slit_system_does_not_depend_on_the_topology_slit(mode):
+    # the assembly resolves the problem's own slit: a topology built with no
+    # slit, or checked against another segment, gives the same system
+    mesh = generate_structured(8, 0.0)
+    problem = get_problem("rotating")
+
+    def system(slit):
+        topo = build_topology(mesh, slit=slit)
+        return assemble_ls(problem, mesh, topo, fem.build_dofmap(mesh, topo, 0), mode)
+
+    own = system(SLIT)
+    for other in (system(None), system(((0.25, 0.0), (0.25, 0.5)))):
+        assert np.array_equal(other.matrix.data, own.matrix.data)
+        assert np.array_equal(other.rhs, own.rhs)
+
+
+@pytest.mark.parametrize("missing", ["slit", "slit_g"])
+def test_half_a_slit_is_refused(missing):
+    # data without its segment, or a segment without data, names the problem
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(get_problem("rotating"), **{missing: None})
+    assert str(err.value) == "problem 'rotating' needs both slit and slit_g, or neither"
+
+
 def without_slit(problem):
-    """``problem`` with no slit data, so that a slit-free topology takes it."""
+    """``problem`` with neither slit nor slit data: its system has no slit terms."""
     return dataclasses.replace(problem, slit=None, slit_g=None)
 
 
 def test_slit_penalty_nonnegative_shift():
     # zero slit data: rhs unchanged and the smallest eigenvalue cannot drop
-    from lsfem.mesh import build_topology
-
-    mesh, topo, dm = make_case(4, 0, perturb=0.0, slit=SLIT)
+    mesh, topo, dm = make_case(4, 0, perturb=0.0)
     zero_slit = dataclasses.replace(get_problem("rotating", 1e-6),
                                     slit_g=lambda x, y: np.zeros(np.shape(x)))
-    plain_topo = build_topology(mesh)  # same mesh, no slit flags
-    without = assemble_ls(without_slit(zero_slit), mesh, plain_topo, dm, "weak")
+    without = assemble_ls(without_slit(zero_slit), mesh, topo, dm, "weak")
     with_slit = assemble_ls(zero_slit, mesh, topo, dm, "weak")
     assert np.allclose(with_slit.rhs, without.rhs)
     assert not np.allclose(with_slit.matrix.toarray(), without.matrix.toarray())
@@ -390,12 +391,10 @@ def test_slit_penalty_nonnegative_shift():
 
 def test_slit_penalty_matches_edge_loop():
     # reference: the slit face integral of (eps + |beta.n|) / h_F, edge by edge
-    from lsfem.mesh import build_topology
-
-    mesh, topo, dm = make_case(4, 1, slit=SLIT)
+    mesh, topo, dm = make_case(4, 1)
     problem = get_problem("rotating", 1e-3)
     with_slit = assemble_ls(problem, mesh, topo, dm, "weak")
-    without = assemble_ls(without_slit(problem), mesh, build_topology(mesh), dm, "weak")
+    without = assemble_ls(without_slit(problem), mesh, topo, dm, "weak")
     pen = with_slit.matrix.toarray() - without.matrix.toarray()
     pen_rhs = with_slit.rhs - without.rhs
 
@@ -403,7 +402,7 @@ def test_slit_penalty_matches_edge_loop():
     erule = fem.edge_rule(fem.assembly_degree(dm.k))
     te = erule.points[:, 0]
     ref, ref_rhs = np.zeros_like(pen), np.zeros_like(pen_rhs)
-    for e in topo.slit_edges:
+    for e in slit_oracle(mesh, topo, problem.slit):
         tri = topo.edge_to_tri[e, 0]
         le = int(np.flatnonzero(topo.tri_to_edge[tri] == e)[0])
         ref_pts = fem.edge_ref_points(le, te)
@@ -538,7 +537,7 @@ def test_reference_contraction_matches_physical_tables(k):
     cases = [
         (get_problem("smooth", 1e-3), case),
         (get_problem("boundary-layer", 1e-2), case),
-        (get_problem("rotating", 1e-6), make_case(6, k, slit=SLIT)),
+        (get_problem("rotating", 1e-6), make_case(6, k)),
         (get_problem("transport"), case),
         (get_problem("smooth", 1e-3), _needle_case(k)),
     ]

@@ -265,6 +265,18 @@ def test_compare_prints_the_study(tmp_path, capsys, argv, mesh_n, head):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("region", ["5,6,5,6", "0,0.9,0,0.9", "full"])
+def test_compare_region_needs_an_exact_solution(tmp_path, capsys, region):
+    # interior-layer has no error to measure on a region: a region given is
+    # a usage error, not ignored
+    code, out, err = run(capsys, "--out-dir", str(tmp_path), "compare",
+                         "--problem", "interior-layer", "--mesh-n", "4", "--region", region)
+    assert code == 1 and out == ""
+    assert err == ("error [compare]: --region does not apply to interior-layer, "
+                   "which has no exact solution\n")
+    assert not list(tmp_path.iterdir())
+
+
 def test_list_problems(capsys):
     code, out, _ = run(capsys, "list-problems")
     assert code == 0

@@ -181,7 +181,7 @@ def test_kernels_match_einsum_forms(case):
     a_ref, b_ref = local_systems_einsum(problem, dm)
     _close(a_loc, a_ref)
     _close(b_loc, b_ref)
-    _, a_face, b_face = assembly._face_terms(problem, topo, dm, "weak")
+    _, a_face, b_face = assembly._face_terms(problem, topo, dm, "weak", topo.boundary_edges)
     a_face_ref, b_face_ref = face_blocks_einsum(problem, topo, dm)
     _close(a_face, a_face_ref)
     _close(b_face, b_face_ref)

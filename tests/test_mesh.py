@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import topology_oracle
+from conftest import slit_oracle, topology_oracle
 from lsfem.mesh import (
     Mesh,
     MeshError,
@@ -12,6 +12,7 @@ from lsfem.mesh import (
     generate_structured,
     load_mesh,
     refine_uniform,
+    resolve_slit,
     save_mesh,
 )
 
@@ -212,18 +213,23 @@ def test_cw_input_is_reoriented():
 
 def test_slit_flags_edges():
     mesh = generate_structured(8, 0.0)
-    topo = build_topology(mesh, slit=SLIT)
-    assert len(topo.slit_edges) == 4
-    for e in topo.slit_edges:
+    topo = build_topology(mesh)
+    slit_edges = resolve_slit(mesh, topo, SLIT)
+    assert np.array_equal(slit_edges, slit_oracle(mesh, topology_oracle(mesh), SLIT))
+    assert len(slit_edges) == 4
+    for e in slit_edges:
         assert not topo.is_boundary[e]
         va, vb = mesh.vertices[topo.edges[e]]
         assert abs(va[0] - 0.5) < 1e-12 and abs(vb[0] - 0.5) < 1e-12
 
 
 def test_slit_unresolved_reports_gap():
+    # build_topology's slit keyword still checks the segment, storing nothing
     mesh = generate_structured(8, 0.0)
     with pytest.raises(MeshError, match="slit not resolved"):
         build_topology(mesh, slit=((0.55, 0.0), (0.55, 0.5)))
+    with pytest.raises(MeshError, match="slit not resolved"):
+        resolve_slit(mesh, build_topology(mesh), ((0.55, 0.0), (0.55, 0.5)))
 
 
 def test_h_sizes():
@@ -247,13 +253,17 @@ def test_topology_does_not_depend_on_units(scale, shift, slit):
     # the conformity checks and the slit search compare points relative to
     # the mesh's extent; the slit needs the unjittered x = 1/2 gridline
     mesh = generate_structured(4, 0.0 if slit else 0.1)
-    ref = build_topology(mesh, slit=slit)
+    ref = build_topology(mesh)
+    ref_slit = None if slit is None else resolve_slit(mesh, ref, slit)
+    assert slit is None or ref_slit.size == 2
     moved = Mesh(mesh.vertices * scale + shift, mesh.triangles, mesh.region_id)
     moved_slit = None if slit is None else np.asarray(slit) * scale + shift
-    assert ref.slit_edges.size == (0 if slit is None else 2)
-    for topo in (build_topology(moved, slit=moved_slit), topology_oracle(moved, slit=moved_slit)):
-        for name in ("edges", "edge_to_tri", "is_boundary", "slit_edges"):
+    for build, resolve in ((build_topology, resolve_slit), (topology_oracle, slit_oracle)):
+        topo = build(moved)
+        for name in ("edges", "edge_to_tri", "is_boundary"):
             assert np.array_equal(getattr(topo, name), getattr(ref, name))
+        if slit is not None:
+            assert np.array_equal(resolve(moved, topo, moved_slit), ref_slit)
 
 
 @pytest.mark.parametrize(
@@ -289,6 +299,11 @@ def _native(tmp_path, text):
 SQUARE_NODE = "4 2 0 0\n1 0 0\n2 1 0\n3 1 1\n4 0 1\n"
 
 
+def _resolve_on_grid(slit):
+    mesh = generate_structured(2, 0.0)
+    return resolve_slit(mesh, build_topology(mesh), slit)
+
+
 def _interior_normal():
     topo = build_topology(generate_structured(2, 0.0))
     return topo.outward_normals(np.flatnonzero(~topo.is_boundary)[:1])
@@ -316,11 +331,9 @@ REJECTIONS = [
                                             "1 3 0\n1 1 2 3\n"), MeshError,
                  r"{dir}/m\.ele: triangle 0 has non-positive area 0\.000e\+00",
                  id="degenerate-element"),
-    pytest.param(lambda tmp: build_topology(generate_structured(2, 0.0),
-                                            slit=((0.5, 0.0), (0.5, 0.0))), ValueError,
+    pytest.param(lambda tmp: _resolve_on_grid(((0.5, 0.0), (0.5, 0.0))), ValueError,
                  "slit segment has zero length", id="zero-length-slit"),
-    pytest.param(lambda tmp: build_topology(generate_structured(2, 0.0),
-                                            slit=((0.0, 0.0), (0.5, 0.0))), MeshError,
+    pytest.param(lambda tmp: _resolve_on_grid(((0.0, 0.0), (0.5, 0.0))), MeshError,
                  "slit segment touches a boundary edge; interior edges required",
                  id="slit-on-boundary"),
 ]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import topology_oracle
+from conftest import slit_oracle, topology_oracle
 from lsfem.mesh import (
     Mesh,
     MeshError,
@@ -17,6 +17,7 @@ from lsfem.mesh import (
     generate_structured,
     load_mesh,
     refine_uniform,
+    resolve_slit,
     save_mesh,
 )
 
@@ -52,9 +53,12 @@ def _glued(mesh):
     )
 
 
-def _topology_or_error(build, mesh, slit):
+def _topology_or_error(build, mesh, resolve=None, slit=None):
+    """The topology and the edges ``resolve`` finds for ``slit`` (None
+    without one), or the message of the MeshError raised on the way."""
     try:
-        return build(mesh, slit=slit)
+        topo = build(mesh)
+        return topo, None if slit is None else resolve(mesh, topo, slit)
     except MeshError as exc:
         return str(exc)
 
@@ -67,11 +71,14 @@ def test_topology_matches_loop_oracle(mesh, with_slit, glue):
     if glue:
         mesh = _glued(mesh)
     slit = SLIT if with_slit else None
-    ref = _topology_or_error(topology_oracle, mesh, slit)
-    new = _topology_or_error(build_topology, mesh, slit)
+    ref = _topology_or_error(topology_oracle, mesh, slit_oracle, slit)
+    new = _topology_or_error(build_topology, mesh, resolve_slit, slit)
     if isinstance(ref, str):
         assert new == ref
         return
+    (ref, ref_slit), (new, new_slit) = ref, new
+    if slit is not None:
+        assert ref_slit.dtype == new_slit.dtype and np.array_equal(ref_slit, new_slit)
     for field in dataclasses.fields(ref):
         a, b = getattr(ref, field.name), getattr(new, field.name)
         assert a.dtype == b.dtype and np.array_equal(a, b), field.name
@@ -93,9 +100,9 @@ def test_vertices_in_no_triangle_match_loop_oracle(extra, message):
     verts = np.vstack([mesh.vertices, extra])
     perm = np.random.default_rng(len(extra)).permutation(len(verts))
     stray = Mesh(verts[np.argsort(perm)], perm[mesh.triangles], mesh.region_id)
-    ref = _topology_or_error(topology_oracle, stray, None)
+    ref = _topology_or_error(topology_oracle, stray)
     assert isinstance(ref, str) and message in ref
-    assert _topology_or_error(build_topology, stray, None) == ref
+    assert _topology_or_error(build_topology, stray) == ref
 
 
 @pytest.mark.parametrize(
@@ -120,9 +127,9 @@ def test_coincident_vertices_match_loop_oracle(copies):
         verts.append(mesh.vertices[v])
     perm = np.random.default_rng(len(copies)).permutation(len(verts))
     cracked = Mesh(np.array(verts)[np.argsort(perm)], perm[tris], mesh.region_id)
-    ref = _topology_or_error(topology_oracle, cracked, None)
+    ref = _topology_or_error(topology_oracle, cracked)
     assert isinstance(ref, str) and "coincide" in ref
-    assert _topology_or_error(build_topology, cracked, None) == ref
+    assert _topology_or_error(build_topology, cracked) == ref
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -15,12 +15,11 @@ from lsfem.bench import get_problem
 from lsfem.mesh import build_topology
 from lsfem.solver import factorize
 
-SLIT = get_problem("rotating").slit
 KINDS = ("weak", "strong", "slit", "transport")
 
 
 def system(kind, mesh, k, condense):
-    topo = build_topology(mesh, slit=SLIT if kind == "slit" else None)
+    topo = build_topology(mesh)
     dm = fem.build_dofmap(mesh, topo, k)
     if kind == "transport":
         return assemble_transport(get_problem("transport"), mesh, topo, dm, condense), dm

@@ -55,11 +55,15 @@ def test_catalog_builds(name):
     ("transport", None),
 ])
 def test_manufactured_residual_vanishes(name, eps):
-    # f against -eps lap(u) + beta.grad(u) + c u at ten fixed sample points,
-    # relative to the local magnitude of f; lap(u) comes from differences of
-    # the gradient, not from the Laplacian the catalogue built f from
+    # f against -eps lap(u) + beta.grad(u) + c u at ten fixed sample points
+    # and one 3 eps from the outflow corner along the diagonal, where the
+    # boundary layer's term is O(1) at every eps (it underflows at the
+    # others for eps <= 1e-6), relative to the local magnitude of f; lap(u)
+    # comes from differences of the gradient, not from the Laplacian the
+    # catalogue built f from
     problem = get_problem(name, eps)
-    x, y = SAMPLE_POINTS[:, 0], SAMPLE_POINTS[:, 1]
+    corner = max(1.0 - 3.0 * problem.epsilon, 0.0)
+    x, y = np.vstack([SAMPLE_POINTS, [corner, corner]]).T
     grad = problem.exact_grad
     lap = divergence(grad, x, y)
     res = (-problem.epsilon * lap + (problem.beta(x, y) * grad(x, y)).sum(axis=-1)

@@ -15,7 +15,6 @@ from lsfem.bench import get_problem, solve_problem, studies
 from lsfem.bench.studies import build_case
 from lsfem.solver import ConvergenceError, NotSPDError
 
-SLIT = get_problem("rotating").slit
 MODES = ("weak", "alt-weak", "strong")
 TOL = 1e-10
 
@@ -28,7 +27,7 @@ def full_residual(system, x):
 def case(kind, k):
     """(problem, mesh, topo, dofmap, bc mode) of one small system."""
     if kind == "slit":
-        return (get_problem("rotating", 1e-3), *make_case(4, k, slit=SLIT), "weak")
+        return (get_problem("rotating", 1e-3), *make_case(4, k), "weak")
     if kind == "transport":
         return (get_problem("transport"), *build_case(4, k), "weak")
     # nonzero boundary data, so that strong mode moves values into the rhs

@@ -17,6 +17,7 @@ from lsfem.bench import (
 )
 from lsfem.bench import studies
 from lsfem.bench.studies import build_case
+from lsfem.mesh import resolve_slit
 from lsfem import solver
 from lsfem.solver import ConvergenceError, cg_solve, estimate_extremes
 
@@ -59,11 +60,11 @@ def test_condition_study_rows_and_ratio():
 
 
 def test_condition_study_builds_the_slit_system():
-    # rotating's kappa is that of the system its solves factor: the mesh
-    # flags the catalogue's slit and the slit terms are assembled
+    # rotating's kappa is that of the system its solves factor, with the
+    # terms on the catalogue's slit, which the n = 4 mesh resolves
     problem = get_problem("rotating", 1e-3)
-    mesh, topo, dm = build_case(4, 0, perturb=0.0, slit=problem.slit)
-    assert topo.slit_edges.size == 2
+    mesh, topo, dm = build_case(4, 0, perturb=0.0)
+    assert resolve_slit(mesh, topo, problem.slit).size == 2
     system = assemble_ls(problem, mesh, topo, dm, "weak")
     est = estimate_extremes(system.matrix, mass_diagonal(mesh, dm), system.order)
     rows = condition_study("rotating", 0, levels=(4,), epsilons=(1e-3,))
@@ -148,6 +149,19 @@ def test_compare_modes_interior_layer_reports_overshoot():
     assert comp.error_ratio is None
     assert comp.weak_overshoot >= 0.0
     assert comp.strong_overshoot >= 0.0
+
+
+def test_compare_modes_interior_layer_takes_no_region(monkeypatch):
+    # no exact solution, so no error to measure on a region: one given raises
+    # before any solve instead of being ignored
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the region was checked")
+
+    monkeypatch.setattr(studies, "solve_problem", no_solve)
+    for region in ((0.0, 0.5, 0.0, 0.5), None):
+        with pytest.raises(ValueError) as err:
+            compare_bc_modes("interior-layer", 0, mesh_n=4, region=region)
+        assert str(err.value) == "problem 'interior-layer' has no exact solution, so it takes no region"
 
 
 def test_compare_modes_rejects_other_problems():
