@@ -480,28 +480,32 @@ def _gather(a, rows, cols):
     return np.take(a.reshape(len(a), -1), flat, axis=1).reshape(len(a), len(rows), len(cols))
 
 
+def face_table(problem, topo, dofmap, mode, edges, degree):
+    """``edge_quadrature``'s table (owners, pts, trace, weights, h) of the faces
+    ``edges`` and w = face_weight(mode, eps, beta.n, h_F) at its points, with
+    the slit's stored normals in slit mode and outward normals otherwise. The
+    assembly's face terms and the boundary error norm both integrate on it."""
+    normals = topo.normals[edges] if mode == "slit" else topo.outward_normals(edges)
+    owners, pts, trace, weights, h = fem.edge_quadrature(topo, dofmap, edges, degree)
+    beta_n = (problem.beta(pts[..., 0], pts[..., 1]) @ normals[:, :, None])[..., 0]
+    return owners, pts, trace, weights, h, face_weight(mode, problem.epsilon, beta_n, h)
+
+
 def _face_terms(problem, topo, dofmap, mode, edges):
     """Face penalty int_F w (u - d)^2 on the faces ``edges`` as local blocks on
     the W traces (vertex and edge nodes) of the element that owns each face:
     returns the owners (E,), a (E, l, l) and b (E, l), with l = nloc_w_skel,
-    one row per face of the ``edge_quadrature`` table, in the order of ``edges``.
-
-    Slit mode takes the slit's edges with their stored normals and
-    d = slit_g; the other modes boundary edges with outward normals and
-    d = g. w is face_weight(mode, eps, beta.n, h_F).
+    one row per face of the ``face_table``, in the order of ``edges``.
+    Slit mode takes d = slit_g, the other modes d = g.
     """
-    if mode == "slit":
-        normals, data = topo.normals[edges], problem.slit_g
-    else:
-        normals, data = topo.outward_normals(edges), problem.g
-    owners, pts, trace, weights, h = fem.edge_quadrature(
-        topo, dofmap, edges, fem.assembly_degree(dofmap.k)
+    owners, pts, trace, weights, h, w = face_table(
+        problem, topo, dofmap, mode, edges, fem.assembly_degree(dofmap.k)
     )
     # the traces are the local Lagrange basis, whose vertex and edge nodes
     # (the skeleton columns of w_index) come first; the bubbles vanish on F
     trace = trace[:, :dofmap.nloc_w_skel]
-    beta_n = (problem.beta(pts[..., 0], pts[..., 1]) @ normals[:, :, None])[..., 0]
-    scale = face_weight(mode, problem.epsilon, beta_n, h) * weights * h
+    scale = w * weights * h
+    data = problem.slit_g if mode == "slit" else problem.g
     gval = _scalar_field(data, pts[..., 0], pts[..., 1])
     a = np.einsum("eaq,ebq,eq->eab", trace, trace, scale)
     return owners, a, np.einsum("eaq,eq->ea", trace, scale * gval)

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .. import fem
-from ..assembly import ProblemSpec, _scalar_field, face_weight
+from ..assembly import ProblemSpec, _scalar_field, face_table
 from ..mesh import Mesh, Topology
 
 
@@ -20,10 +20,10 @@ class ErrorReport:
 
     ``e_grad`` is scaled by sqrt(eps); ``e_bdry`` uses the boundary weight
     (eps + max(-beta.n, 0))^(1/2) with the face-size factor h_F^(-1/2).
-    EOC fields are filled by convergence_study once a previous level exists.
+    ``level`` and the EOCs are set by convergence_study, the EOCs once a
+    previous level exists.
     """
 
-    level: int
     h: float
     n_dofs: int
     e_L2: float
@@ -32,6 +32,7 @@ class ErrorReport:
     e_stream: float
     e_bdry: float
     region: str = "full"
+    level: int = 0
     eoc_L2: Optional[float] = None
     eoc_grad: Optional[float] = None
     eoc_q: Optional[float] = None
@@ -64,14 +65,13 @@ def error_norms(
     dofmap: fem.DofMap,
     problem: ProblemSpec,
     region=None,
-    level: int = 0,
 ) -> ErrorReport:
     """Evaluate the error norm components with elevated quadrature.
 
     ``solution`` is the full [Q | W] coefficient vector, or a W-only vector
     of length n_w for transport solves (then e_q and e_grad drop out of the
     vector part naturally since eps = 0). A ``region`` that keeps no element
-    raises ValueError.
+    raises ValueError. The report's ``level`` is left 0 for ``convergence_study``.
     """
     if problem.exact_u is None or problem.exact_grad is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
@@ -114,7 +114,6 @@ def error_norms(
     e_bdry = _boundary_error(coef_w, topo, dofmap, problem, sel)
 
     return ErrorReport(
-        level=level,
         h=float(topo.h_K.max()),
         n_dofs=dofmap.n_w if transport else dofmap.n_total,
         e_L2=float(e_l2),
@@ -183,17 +182,15 @@ def _q_moments(field, dofmap: fem.DofMap) -> np.ndarray:
 
 def _boundary_error(coef_w, topo, dofmap, problem, sel):
     """Weighted boundary norm over the boundary edges owned by elements in
-    ``sel``: one row of the ``edge_quadrature`` table per face, u_h from the
-    owner's W coefficients and traces, and the weak-mode face weight."""
+    ``sel``: one row of the weak-mode ``face_table`` per face, with u_h from
+    the owner's W coefficients and traces."""
     edges = topo.boundary_edges[np.isin(topo.edge_to_tri[topo.boundary_edges, 0], sel)]
-    normals = topo.outward_normals(edges)
-    owners, pts, trace, weights, h = fem.edge_quadrature(
-        topo, dofmap, edges, fem.error_degree(dofmap.k)
+    owners, pts, trace, weights, h, w = face_table(
+        problem, topo, dofmap, "weak", edges, fem.error_degree(dofmap.k)
     )
     u_h = (coef_w[dofmap.w_index[owners]][:, None, :] @ trace)[:, 0]
     du = _scalar_field(problem.exact_u, pts[..., 0], pts[..., 1]) - u_h
-    beta_n = (problem.beta(pts[..., 0], pts[..., 1]) @ normals[:, :, None])[..., 0]
-    return np.sqrt(np.sum(face_weight("weak", problem.epsilon, beta_n, h) * du**2 * weights * h))
+    return np.sqrt(np.sum(w * du**2 * weights * h))
 
 
 def _region_label(region) -> str:

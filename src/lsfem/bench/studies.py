@@ -48,17 +48,14 @@ class ConditionRow:
 
 @dataclass
 class ModeComparison:
-    problem: str
-    epsilon: float
-    k: int
-    mesh_n: int
+    """What ``compare_bc_modes`` measured; the caller holds its arguments."""
+
     n_elements: int
     weak: Optional[ErrorReport]
     strong: Optional[ErrorReport]
     error_ratio: Optional[float]         # weak / strong subdomain L2
     weak_overshoot: float
     strong_overshoot: float
-    notes: tuple = ()
 
 
 def build_case(n: int, k: int, perturb: float = DEFAULT_PERTURB):
@@ -122,7 +119,9 @@ def convergence_study(
     perturb: float = DEFAULT_PERTURB,
     region=None,
 ) -> list[ErrorReport]:
-    """Solve on each level and report norms with last-over-previous EOC."""
+    """Solve on each level and report norms with last-over-previous EOC, which
+    assumes h halves: a ladder whose n does not double raises ValueError."""
+    _check_ladder(levels)
     problem = get_problem(problem_name, epsilon)
     if problem.exact_u is None:  # fail before the solves, not after the first
         raise ValueError(f"problem {problem_name!r} has no exact solution")
@@ -131,7 +130,8 @@ def convergence_study(
         mesh, topo, dofmap = build_case(n, k, perturb)
         nonempty_region(mesh, region)  # fail before the solve, not after it
         solution, _ = solve_problem(problem, mesh, topo, dofmap, bc_mode)
-        report = error_norms(solution, mesh, topo, dofmap, problem, region=region, level=level)
+        report = error_norms(solution, mesh, topo, dofmap, problem, region=region)
+        report.level = level
         if reports:
             _fill_eoc(report, reports[-1])
         reports.append(report)
@@ -160,10 +160,12 @@ def condition_study(
     not with a distortion that differs from level to level; and rotating's
     slit lies on their x = 1/2 gridline where n is even (at odd n the
     assembly raises MeshError). A repeated epsilon raises ValueError: its
-    second row would divide a kappa by itself.
+    second row would divide a kappa by itself. So does a ladder whose n does
+    not double from level to level (``convergence_study``).
     """
     if problem_name == "transport":
         raise ValueError("the condition study needs eps > 0; transport has eps == 0")
+    _check_ladder(levels)
     for i, eps in enumerate(epsilons):
         if eps in epsilons[:i]:
             raise ValueError(f"eps {eps:g} is listed twice")
@@ -204,6 +206,7 @@ def compare_bc_modes(
     errors and their ratio; the interior-layer case (no exact solution)
     reports over/undershoot of the scalar nodal values beyond the data
     range instead, and a region other than the default raises ValueError.
+    The result holds what was measured, not the caller's arguments.
     """
     if problem_name not in ("boundary-layer", "interior-layer"):
         raise ValueError("mode comparison is defined for the layer problems")
@@ -225,18 +228,19 @@ def compare_bc_modes(
             )
     ratio = reports["weak"].e_L2 / reports["strong"].e_L2 if reports else None
     return ModeComparison(
-        problem=problem_name,
-        epsilon=problem.epsilon,
-        k=k,
-        mesh_n=mesh_n,
         n_elements=mesh.num_triangles,
         weak=reports.get("weak"),
         strong=reports.get("strong"),
         error_ratio=ratio,
         weak_overshoot=overshoot["weak"],
         strong_overshoot=overshoot["strong"],
-        notes=problem.notes,
     )
+
+
+def _check_ladder(levels: Sequence[int]):
+    """Raise ValueError unless each level's n is twice the previous one's."""
+    if any(fine != 2 * coarse for coarse, fine in zip(levels, levels[1:])):
+        raise ValueError(f"levels {', '.join(map(str, levels))} do not double from level to level")
 
 
 def _overshoot(values: np.ndarray, lo: float, hi: float) -> float:

@@ -25,8 +25,6 @@ from .bench.studies import COMPARE_REGION, DEFAULT_PERTURB  # noqa: E402
 from .mesh import MeshError, build_topology, generate_structured, load_mesh  # noqa: E402
 from .solver import SolverError  # noqa: E402
 
-OUTDIR_ENV = "LSFEM_OUTDIR"
-
 SLITS = {"rotating": bench.get_problem("rotating").slit}  # kept for perfbench/workloads.py
 
 
@@ -51,11 +49,8 @@ def main(argv=None) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lsfem", description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--out-dir",
-        default=os.environ.get(OUTDIR_ENV, "."),
-        help=f"output directory (default: ${OUTDIR_ENV} or current directory)",
-    )
+    parser.add_argument("--out-dir", default=".",
+                        help="output directory (default: current directory)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     # shared options, each declared only by the commands that read it
@@ -168,14 +163,18 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _ladder(args) -> list:
+    """``--levels`` mesh sizes n, doubling from ``--base-n``."""
+    return [args.base_n * 2**i for i in range(args.levels)]
+
+
 def _cmd_convergence(args) -> int:
-    levels = [args.base_n * 2**i for i in range(args.levels)]
     region = _parse_region(args.region)
     reports = bench.convergence_study(
         args.problem,
         args.k,
         args.bc,
-        levels=levels,
+        levels=_ladder(args),
         epsilon=args.eps,
         perturb=args.perturb,
         region=region,
@@ -194,8 +193,7 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_condition(args) -> int:
     epsilons = [float(v) for v in args.eps_list.split(",")]
-    levels = [args.base_n * 2**i for i in range(args.levels)]
-    rows = bench.condition_study(args.problem, args.k, args.bc, levels, epsilons)
+    rows = bench.condition_study(args.problem, args.k, args.bc, _ladder(args), epsilons)
     out = os.path.join(args.out_dir, f"condition_{args.problem}_P{args.k + 1}_{args.bc}.csv")
     bench.write_condition_csv(rows, out)
     print(f"{'level':>5} {'n':>4} {'eps':>8} {'ndofs':>8} {'kappa':>12} {'ratio':>8}")
@@ -208,7 +206,8 @@ def _cmd_condition(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if args.region is not None and bench.get_problem(args.problem).exact_u is None:
+    problem = bench.get_problem(args.problem, args.eps)
+    if args.region is not None and problem.exact_u is None:
         raise ValueError(f"--region does not apply to {args.problem}, which has no exact solution")
     mesh_n = args.mesh_n
     if mesh_n is None:
@@ -217,10 +216,9 @@ def _cmd_compare(args) -> int:
     region = COMPARE_REGION if args.region is None else _parse_region(args.region)
     comp = bench.compare_bc_modes(args.problem, args.k, mesh_n, epsilon=args.eps,
                                   region=region, perturb=args.perturb)
-    for note in comp.notes:
+    for note in problem.notes:
         print(f"note: {note}")
-    print(f"{comp.problem} eps={comp.epsilon:g} P{comp.k + 1}, "
-          f"{comp.n_elements} elements")
+    print(f"{args.problem} eps={problem.epsilon:g} P{args.k + 1}, {comp.n_elements} elements")
     if comp.weak is not None:
         print(f"subdomain {comp.weak.region} L2: weak {comp.weak.e_L2:.4e} "
               f"strong {comp.strong.e_L2:.4e} ratio {comp.error_ratio:.3e}")

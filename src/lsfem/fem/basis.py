@@ -167,8 +167,8 @@ def rt_dofs(order: int, degree: int, field) -> np.ndarray:
         for j in range(order + 1):
             dofs.append(ptrace @ (edge_moment_weight(j, t) * erule.weights * REF_EDGE_LENGTHS[e]))
     trule = triangle_rule(degree)
-    vals = field(trule.xy)
-    tests = _interior_scalar_tests(order, trule.xy) * trule.weights
+    vals = field(trule.points)
+    tests = _interior_scalar_tests(order, trule.points) * trule.weights
     dofs += [vals[..., comp] @ t for comp in (0, 1) for t in tests]
     return np.stack(dofs, axis=-1)
 
@@ -198,7 +198,7 @@ def _interior_scalar_tests(order: int, pts: np.ndarray) -> np.ndarray:
 def _interior_coefficients(order: int) -> np.ndarray:
     """Monomial coefficients (columns) of the orthonormal basis of P_{order-1}."""
     rule = triangle_rule(2 * order + 2)
-    vals, _ = _centred_monomials(order - 1, rule.xy)
+    vals, _ = _centred_monomials(order - 1, rule.points)
     gram = np.einsum("iq,jq,q->ij", vals, vals, rule.weights)
     return _read_only(np.linalg.inv(np.linalg.cholesky(gram)).T)
 
@@ -246,9 +246,9 @@ def reference_tables(k: int, degree: int) -> ReferenceTables:
     """Tables of the method with index ``k`` (both spaces of degree k+1) at
     the points of ``triangle_rule(degree)``, built once per (k, degree)."""
     rule = triangle_rule(degree)
-    w_vals, w_grads = lagrange_basis(k + 1, rule.xy)
-    q_vals, q_divs = rt_basis(k + 1, rule.xy)
-    arrays = (rule.xy, rule.weights, w_vals, w_grads, q_vals, q_divs)
+    w_vals, w_grads = lagrange_basis(k + 1, rule.points)
+    q_vals, q_divs = rt_basis(k + 1, rule.points)
+    arrays = (rule.points, rule.weights, w_vals, w_grads, q_vals, q_divs)
     return ReferenceTables(*map(_read_only, arrays))
 
 

@@ -11,25 +11,18 @@ import numpy as np
 
 @dataclass(frozen=True)
 class QuadRule:
-    """Points and positive weights; weights sum to the reference measure.
-
-    Triangle points are stored barycentric, shape (n, 3); edge points are
-    parametric in [0, 1], shape (n, 1). ``xy`` gives triangle points in
-    reference coordinates.
+    """Points in reference coordinates and positive weights that sum to the
+    reference measure: triangle points (x, y), shape (n, 2); edge points
+    parametric in [0, 1], shape (n, 1).
     """
 
     points: np.ndarray
     weights: np.ndarray
 
-    @property
-    def xy(self) -> np.ndarray:
-        if self.points.shape[1] == 3:
-            return self.points[:, 1:]
-        return self.points
-
 
 def triangle_rule(degree: int) -> QuadRule:
-    """Rule integrating all bivariate polynomials up to ``degree`` exactly."""
+    """Rule integrating all bivariate polynomials up to ``degree`` exactly,
+    at points (x, y) of the reference triangle."""
     if degree < 0:
         raise ValueError(f"triangle rule degree must be >= 0, got {degree}")
     # the collapse map sends x^a y^b to xi^a (1-eta)^(a+1) eta^b: one extra
@@ -41,8 +34,7 @@ def triangle_rule(degree: int) -> QuadRule:
     x = (xi * (1.0 - eta)).ravel()
     y = eta.ravel()
     weights = (wx * weta * (1.0 - eta)).ravel()
-    bary = np.column_stack([1.0 - x - y, x, y])
-    return QuadRule(bary, weights)
+    return QuadRule(np.column_stack([x, y]), weights)
 
 
 def edge_rule(degree: int) -> QuadRule:

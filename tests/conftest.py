@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal, lapack
 from hypothesis import strategies as st
 
 from lsfem import fem
@@ -39,6 +40,37 @@ def dense_oracle_solve(A, b):
     return x
 
 
+def dense_pencil_extremes(matrix, mass):
+    """Reference (lambda_min, lambda_max) of the pencil A x = lambda D x,
+    D = diag(mass), for the estimates of ``estimate_extremes``: each end is
+    the Rayleigh quotient, with A and S = D^-1/2 in np.longdouble, of the
+    dense eigenvector of S A S that LAPACK gives for it.
+
+    A dense eigenvalue errs by about u lambda_max, which at lambda_min is up
+    to u kappa relative and moves with the BLAS thread count; the quotient's
+    error is of the order of the square of the vector's. The vectors come
+    the way ``eigh`` computes them, a Householder reduction to a tridiagonal
+    T = Q^T S A S Q, T's end vectors and Q, but from one reduction for both
+    ends, where two calls of ``eigh`` with ``subset_by_index`` reduce twice.
+    """
+    n = len(mass)
+    scale = 1.0 / np.sqrt(mass)
+    lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
+    reflectors, d, e, tau, _ = lapack.dsytrd(matrix.toarray() * scale[:, None] * scale,
+                                             lower=1, lwork=lwork)
+    vecs = np.column_stack([eigh_tridiagonal(d, e, select="i", select_range=(i, i))[1][:, 0]
+                            for i in (0, n - 1)])
+    # Q = diag(1, Q'), Q' the QR-type product of the reflectors below the diagonal
+    vecs[1:] = lapack.dormqr("L", "N", reflectors[1:, :-1], tau, vecs[1:], lwork=2 * n)[0]
+    coo = matrix.to_scipy().tocoo()
+    entries, scale = coo.data.astype(np.longdouble), 1.0 / np.sqrt(mass.astype(np.longdouble))
+    ends = []
+    for v in vecs.T.astype(np.longdouble):
+        w = scale * v
+        ends.append(float(np.sum(entries * w[coo.row] * w[coo.col]) / (v @ v)))
+    return tuple(ends)
+
+
 def factor_solve(system, tol=1e-10):
     """Coefficient vector of an assembled ``LinearSystem``, by CG
     preconditioned with the factor of its matrix, as the solves run."""
@@ -64,13 +96,6 @@ def jittered_relabelled_meshes(draw, sizes=st.integers(2, 3), fixed_x=None):
     vertices = mesh.vertices + inside[:, None] * shift
     vperm = rng.permutation(mesh.num_vertices)  # vertex i becomes vertex vperm[i]
     return Mesh(vertices[np.argsort(vperm)], vperm[mesh.triangles], mesh.region_id)
-
-
-def make_case(n, k, perturb=0.0):
-    mesh = generate_structured(n, perturb)
-    topo = build_topology(mesh)
-    dofmap = fem.build_dofmap(mesh, topo, k)
-    return mesh, topo, dofmap
 
 
 def topology_oracle(mesh):

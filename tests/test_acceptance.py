@@ -15,7 +15,6 @@ from conftest import (
     dense_oracle_solve,
     edge_traces,
     edge_w_values,
-    make_case,
     polynomial_problem,
 )
 from lsfem import fem
@@ -165,7 +164,7 @@ def test_criterion_4_polynomial_exactness(k, mode):
     worst = 0.0
     for eps in (0.9, 0.37, 1e-2):
         problem = polynomial_problem(eps, k)
-        mesh, topo, dm = make_case(3, k, perturb=0.2)
+        mesh, topo, dm = build_case(3, k, perturb=0.2)
         x, _ = solve_problem(problem, mesh, topo, dm, mode, tol=1e-12)
         rep = error_norms(x, mesh, topo, dm, problem)
         worst = max(worst, rep.e_L2, rep.e_grad, rep.e_q, rep.e_stream, rep.e_bdry)
@@ -178,7 +177,7 @@ def test_criterion_4_polynomial_exactness(k, mode):
 def test_criterion_4_symmetry_and_spd(k, mode):
     n = {0: 4, 1: 3, 2: 2, 3: 2}[k]  # keeps every system under the dense cutoff
     problem = polynomial_problem(0.1, k)
-    mesh, topo, dm = make_case(n, k, perturb=0.15)
+    mesh, topo, dm = build_case(n, k, perturb=0.15)
     system = assemble_ls(problem, mesh, topo, dm, mode)
     A = system.matrix.to_scipy()
     gap = abs(A - A.T)
@@ -193,7 +192,7 @@ def test_criterion_5_conformity_suite():
     t = fem.edge_rule(8).points[:, 0]
     worst_hdiv = worst_h1 = worst_piola = 0.0
     for k in (0, 1, 2, 3):
-        mesh, topo, dm = make_case(3, k, perturb=0.25)
+        mesh, topo, dm = build_case(3, k, perturb=0.25)
         for e in np.flatnonzero(~topo.is_boundary):
             sides = edge_traces(mesh, topo, dm, e, t)
             (t0, d0), (t1, d1) = sides.items()
@@ -209,8 +208,8 @@ def test_criterion_5_conformity_suite():
                 worst_h1 = max(worst_h1, np.abs(a - b).max())
         geo = fem.element_geometry(mesh)
         rule = fem.triangle_rule(2 * (k + 1))
-        _, ref_divs = basis.rt_basis(k + 1, rule.xy)
-        _, divs = fem.q_tables(k + 1, rule.xy, geo)
+        _, ref_divs = basis.rt_basis(k + 1, rule.points)
+        _, divs = fem.q_tables(k + 1, rule.points, geo)
         expect = ref_divs[None, :, :] / geo.det[:, None, None]
         worst_piola = max(
             worst_piola,
@@ -219,7 +218,7 @@ def test_criterion_5_conformity_suite():
     worst_quad = 0.0
     for degree in range(0, 13):
         rule = fem.triangle_rule(degree)
-        x, y = rule.xy[:, 0], rule.xy[:, 1]
+        x, y = rule.points[:, 0], rule.points[:, 1]
         for a in range(degree + 1):
             for b in range(degree + 1 - a):
                 exact = factorial(a) * factorial(b) / factorial(a + b + 2)
@@ -237,7 +236,7 @@ def test_criterion_6_oracle_equivalence():
 
     worst = 0.0
     for n, perturb in ((1, 0.0), (2, 0.15)):
-        mesh, topo, dm = make_case(n, 0, perturb=perturb)
+        mesh, topo, dm = build_case(n, 0, perturb=perturb)
         assert mesh.num_triangles <= 8
         problem = polynomial_problem(0.05, 0)
         system = assemble_ls(problem, mesh, topo, dm, "weak")
@@ -246,7 +245,7 @@ def test_criterion_6_oracle_equivalence():
             worst,
             np.abs(system.matrix.toarray() - oracle).max() / np.abs(oracle).max(),
         )
-    mesh, topo, dm = make_case(8, 0, perturb=0.15)
+    mesh, topo, dm = build_case(8, 0, perturb=0.15)
     problem = get_problem("smooth", 1e-3)
     system = assemble_ls(problem, mesh, topo, dm, "weak")
     assert system.matrix.n <= 2000

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import factor_solve, make_case, polynomial_problem, slit_oracle
+from conftest import factor_solve, polynomial_problem, slit_oracle
 from lsfem import assembly, fem
 from lsfem.assembly import (
     BC_MODES,
@@ -35,13 +35,13 @@ def dense_form_oracle(problem, mesh, topo, dofmap, mode="weak"):
     geo = fem.element_geometry(mesh)
     m = dofmap.degree
     rule = fem.triangle_rule(fem.assembly_degree(dofmap.k))
-    X = geo.map_points(rule.xy)
+    X = geo.map_points(rule.points)
     wq = (rule.weights[None, :] * geo.det[:, None]).ravel()
     beta = problem.beta(X[..., 0], X[..., 1])
     cval = np.broadcast_to(problem.c(X[..., 0], X[..., 1]), X.shape[:2])
 
-    wvals, wgrads = fem.w_tables(m, rule.xy, geo)
-    qvals, qdivs = fem.q_tables(m, rule.xy, geo)
+    wvals, wgrads = fem.w_tables(m, rule.points, geo)
+    qvals, qdivs = fem.q_tables(m, rule.points, geo)
 
     T = mesh.num_triangles
     npts = len(rule.weights)
@@ -88,7 +88,7 @@ def dense_form_oracle(problem, mesh, topo, dofmap, mode="weak"):
 @pytest.mark.parametrize("n", [1, 2])
 def test_oracle_equivalence_small_meshes(n, mode, k):
     # at n = 1 each of the two elements owns two boundary faces
-    mesh, topo, dm = make_case(n, k, perturb=0.15 if n > 1 else 0.0)
+    mesh, topo, dm = build_case(n, k, perturb=0.15 if n > 1 else 0.0)
     assert mesh.num_triangles <= 8
     problem = polynomial_problem(0.05, k)
     system = assemble_ls(problem, mesh, topo, dm, mode)
@@ -101,7 +101,7 @@ def test_oracle_equivalence_small_meshes(n, mode, k):
 @pytest.mark.parametrize("mode", ["weak", "strong", "alt-weak"])
 @pytest.mark.parametrize("name,eps", [("smooth", 1e-3), ("boundary-layer", 1e-2)])
 def test_numeric_symmetry(mode, name, eps):
-    mesh, topo, dm = make_case(4, 0, perturb=0.2)
+    mesh, topo, dm = build_case(4, 0, perturb=0.2)
     system = assemble_ls(get_problem(name, eps), mesh, topo, dm, mode)
     A = system.matrix.to_scipy()
     gap = abs(A - A.T)
@@ -112,7 +112,7 @@ def test_numeric_symmetry(mode, name, eps):
 @pytest.mark.parametrize("mode", ["weak", "alt-weak"])
 def test_spd_small_meshes(mode):
     for name, eps in (("smooth", 1.0), ("smooth", 1e-9), ("interior-layer", 1e-3)):
-        mesh, topo, dm = make_case(2, 0, perturb=0.1)
+        mesh, topo, dm = build_case(2, 0, perturb=0.1)
         system = assemble_ls(get_problem(name, eps), mesh, topo, dm, mode)
         eigs = scipy.linalg.eigvalsh(system.matrix.toarray())
         assert eigs[0] > 0
@@ -136,7 +136,7 @@ def test_system_dimension_single_triangle():
 @pytest.mark.parametrize("mode", ["weak", "strong", "alt-weak"])
 def test_polynomial_exactness(k, mode):
     problem = polynomial_problem(0.37, k)
-    mesh, topo, dm = make_case(3, k, perturb=0.2)
+    mesh, topo, dm = build_case(3, k, perturb=0.2)
     system = assemble_ls(problem, mesh, topo, dm, mode)
     # tol bounds the true residual b - Ax, whose rounding floor on the P3
     # systems lies near 2e-13
@@ -152,7 +152,7 @@ def test_polynomial_exactness(k, mode):
 def test_ls_at_zero_epsilon_is_the_transport_system():
     # assemble_ls takes eps >= 0; at eps == 0 it builds assemble_transport's
     # system bit for bit, with the weak inflow penalty alone
-    mesh, topo, dm = make_case(2, 2)
+    mesh, topo, dm = build_case(2, 2, perturb=0.0)
     problem = get_problem("transport")
     for condense in (False, True):
         ls = assemble_ls(problem, mesh, topo, dm, "weak", condense)
@@ -169,8 +169,8 @@ def test_ls_at_zero_epsilon_is_the_transport_system():
 
 
 def test_rejects_mismatched_dofmap():
-    mesh, topo, dm = make_case(2, 0)
-    other_mesh, other_topo, _ = make_case(3, 0)
+    mesh, topo, dm = build_case(2, 0, perturb=0.0)
+    other_mesh, other_topo, _ = build_case(3, 0, perturb=0.0)
     with pytest.raises(ValueError, match="different mesh"):
         assemble_ls(polynomial_problem(0.1, 0), other_mesh, other_topo, dm)
 
@@ -197,11 +197,11 @@ SLIT = get_problem("rotating").slit
 )
 def test_strong_mode_records_eliminations(slit, k):
     if slit is None:
-        mesh, topo, dm = make_case(2, k, perturb=0.1)
+        mesh, topo, dm = build_case(2, k, perturb=0.1)
         problem = polynomial_problem(0.25, k)
     else:
         # the slit ends on the boundary node (0.5, 0), which strong mode eliminates
-        mesh, topo, dm = make_case(8, k)
+        mesh, topo, dm = build_case(8, k, perturb=0.0)
         problem = get_problem("rotating")
     system = assemble_ls(problem, mesh, topo, dm, "strong")
     wdofs = boundary_w_dofs(mesh, topo, dm)
@@ -224,10 +224,10 @@ def test_bc_modes_share_one_pattern(slit, k, condense):
     # strong elimination keeps the zeroed couplings stored, so the pattern is
     # that of the DOF map whatever the BC mode
     if slit is None:
-        mesh, topo, dm = make_case(3, k, perturb=0.1)
+        mesh, topo, dm = build_case(3, k, perturb=0.1)
         problem = get_problem("boundary-layer", 1e-2)
     else:
-        mesh, topo, dm = make_case(8, k)
+        mesh, topo, dm = build_case(8, k, perturb=0.0)
         problem = get_problem("rotating")
     weak, alt, strong = (
         assemble_ls(problem, mesh, topo, dm, mode, condense).matrix.to_scipy()
@@ -241,7 +241,7 @@ def test_bc_modes_share_one_pattern(slit, k, condense):
 @pytest.mark.parametrize(
     "action, message",
     [
-        pytest.param(lambda: assemble_ls(get_problem("smooth"), *make_case(2, 0), "robin"),
+        pytest.param(lambda: assemble_ls(get_problem("smooth"), *build_case(2, 0, perturb=0.0), "robin"),
                      r"bc_mode must be one of \('weak', 'strong', 'alt-weak'\), got 'robin'",
                      id="unknown-bc-mode"),
     ],
@@ -254,7 +254,7 @@ def test_rejection_names_its_cause(action, message):
 
 
 def test_transport_requires_zero_epsilon():
-    mesh, topo, dm = make_case(2, 0)
+    mesh, topo, dm = build_case(2, 0, perturb=0.0)
     with pytest.raises(ValueError):
         assemble_transport(polynomial_problem(0.1, 0), mesh, topo, dm)
 
@@ -275,7 +275,7 @@ def test_transport_exact_linear_solution():
         exact_u=lambda x, y: x + y,
         exact_grad=lambda x, y: np.stack([one(x, y), one(x, y)], axis=-1),
     )
-    mesh, topo, dm = make_case(4, 0, perturb=0.15)
+    mesh, topo, dm = build_case(4, 0, perturb=0.15)
     system = assemble_transport(problem, mesh, topo, dm)
     assert system.matrix.n == dm.n_w
     x = factor_solve(system, tol=1e-12)
@@ -289,7 +289,7 @@ def test_transport_outflow_rows_unweighted():
     # vanishes, so the penalty contributes nothing there: compare against a
     # system assembled with the boundary term removed by hand
     problem = get_problem("transport")
-    mesh, topo, dm = make_case(2, 0)
+    mesh, topo, dm = build_case(2, 0, perturb=0.0)
     full = assemble_transport(problem, mesh, topo, dm).matrix.toarray()
 
     mids = 0.5 * (
@@ -316,8 +316,8 @@ def test_transport_outflow_rows_unweighted():
 def _transport_volume_only(problem, mesh, topo, dm):
     geo = fem.element_geometry(mesh)
     rule = fem.triangle_rule(fem.assembly_degree(dm.k))
-    wvals, wgrads = fem.w_tables(dm.degree, rule.xy, geo)
-    X = geo.map_points(rule.xy)
+    wvals, wgrads = fem.w_tables(dm.degree, rule.points, geo)
+    X = geo.map_points(rule.points)
     wq = rule.weights[None, :] * geo.det[:, None]
     beta = problem.beta(X[..., 0], X[..., 1])
     cval = np.broadcast_to(problem.c(X[..., 0], X[..., 1]), X.shape[:2])
@@ -376,7 +376,7 @@ def without_slit(problem):
 
 def test_slit_penalty_nonnegative_shift():
     # zero slit data: rhs unchanged and the smallest eigenvalue cannot drop
-    mesh, topo, dm = make_case(4, 0, perturb=0.0)
+    mesh, topo, dm = build_case(4, 0, perturb=0.0)
     zero_slit = dataclasses.replace(get_problem("rotating", 1e-6),
                                     slit_g=lambda x, y: np.zeros(np.shape(x)))
     without = assemble_ls(without_slit(zero_slit), mesh, topo, dm, "weak")
@@ -391,7 +391,7 @@ def test_slit_penalty_nonnegative_shift():
 
 def test_slit_penalty_matches_edge_loop():
     # reference: the slit face integral of (eps + |beta.n|) / h_F, edge by edge
-    mesh, topo, dm = make_case(4, 1)
+    mesh, topo, dm = build_case(4, 1, perturb=0.0)
     problem = get_problem("rotating", 1e-3)
     with_slit = assemble_ls(problem, mesh, topo, dm, "weak")
     without = assemble_ls(without_slit(problem), mesh, topo, dm, "weak")
@@ -421,7 +421,7 @@ def test_slit_penalty_matches_edge_loop():
 def test_matrix_owns_exactly_its_entries(condense):
     # the CSR arrays are compact, not views into the scatter's COO-sized
     # buffers, which a kept system would hold through the factor
-    mesh, topo, dm = make_case(4, 2, perturb=0.1)
+    mesh, topo, dm = build_case(4, 2, perturb=0.1)
     matrix = assemble_ls(get_problem("smooth"), mesh, topo, dm, "weak", condense).matrix
     for arr in (matrix.indices, matrix.data):
         assert arr.base is None and arr.size == matrix.indptr[-1]
@@ -431,7 +431,7 @@ def test_symmetry_and_spd_at_2048_elements():
     # largest mesh the invariant names; SPD witnessed by the factor, which
     # raises NotSPDError unless every pivot is positive (the dense path is
     # out of reach here)
-    mesh, topo, dm = make_case(32, 0, perturb=0.1)
+    mesh, topo, dm = build_case(32, 0, perturb=0.1)
     assert mesh.num_triangles == 2048
     system = assemble_ls(get_problem("smooth", 1e-3), mesh, topo, dm, "weak")
     A = system.matrix.to_scipy()
@@ -441,7 +441,7 @@ def test_symmetry_and_spd_at_2048_elements():
 
 
 def test_mass_diagonal_positive_and_partitioned():
-    mesh, topo, dm = make_case(3, 1, perturb=0.1)
+    mesh, topo, dm = build_case(3, 1, perturb=0.1)
     diag = mass_diagonal(mesh, dm)
     assert (diag > 0).all()
     # P2 basis on a triangle K: int phi^2 is |K|/30 at a vertex, 8|K|/45 at an edge midpoint
@@ -463,9 +463,9 @@ def _table_oracle(problem, dm, x):
     sign = dm.q_sign
 
     def volume(rule):
-        X = geo.map_points(rule.xy)
-        wvals, wgrads = fem.w_tables(dm.degree, rule.xy, geo)
-        qvals, qdivs = fem.q_tables(dm.degree, rule.xy, geo)
+        X = geo.map_points(rule.points)
+        wvals, wgrads = fem.w_tables(dm.degree, rule.points, geo)
+        qvals, qdivs = fem.q_tables(dm.degree, rule.points, geo)
         qvals *= sign[:, :, None, None]
         qdivs *= sign[:, :, None]
         return X, rule.weights[None, :] * geo.det[:, None], wvals, wgrads, qvals, qdivs
@@ -515,7 +515,7 @@ def _needle_case(k):
     aspect ratio (longest edge over smallest height) of at least 1e2."""
     from lsfem.mesh import Mesh, build_topology
 
-    base = make_case(6, k, perturb=0.1)[0]
+    base = build_case(6, k, perturb=0.1)[0]
     mesh = Mesh(base.vertices * [1.0, 1e-3], base.triangles, base.region_id)
     p = mesh.vertices[mesh.triangles]
     lengths = np.linalg.norm(p - np.roll(p, 1, axis=1), axis=2).max(axis=1)
@@ -533,11 +533,11 @@ def test_reference_contraction_matches_physical_tables(k):
     # agree with the same quantities formed from the physical tables
     from lsfem.bench.errors import sample_solution
 
-    case = make_case(5, k, perturb=0.1)
+    case = build_case(5, k, perturb=0.1)
     cases = [
         (get_problem("smooth", 1e-3), case),
         (get_problem("boundary-layer", 1e-2), case),
-        (get_problem("rotating", 1e-6), make_case(6, k)),
+        (get_problem("rotating", 1e-6), build_case(6, k, perturb=0.0)),
         (get_problem("transport"), case),
         (get_problem("smooth", 1e-3), _needle_case(k)),
     ]

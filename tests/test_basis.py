@@ -16,7 +16,7 @@ def test_lagrange_nodal_duality(degree):
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_lagrange_partition_of_unity(degree):
-    pts = triangle_rule(8).xy
+    pts = triangle_rule(8).points
     vals, grads = basis.lagrange_basis(degree, pts)
     assert np.abs(vals.sum(axis=0) - 1.0).max() < 1e-13
     assert np.abs(grads.sum(axis=0)).max() < 1e-13
@@ -121,13 +121,13 @@ def test_rt_space_contains_vector_polynomials(order):
             w = basis.edge_moment_weight(j, t) * erule.weights * basis.REF_EDGE_LENGTHS[e]
             dof_vals.append(tr @ w)
     trule = triangle_rule(2 * order + 4)
-    tests = basis.rt_interior_tests(order, trule.xy)
-    fv = field(trule.xy)
+    tests = basis.rt_interior_tests(order, trule.points)
+    fv = field(trule.points)
     for i in range(len(tests)):
         dof_vals.append(np.einsum("qd,qd,q->", fv, tests[i], trule.weights))
     dof_vals = np.array(dof_vals)
 
-    check = triangle_rule(5).xy
+    check = triangle_rule(5).points
     vals, _ = basis.rt_basis(order, check)
     recon = np.einsum("i,iqd->qd", dof_vals, vals)
     assert np.abs(recon - field(check)).max() < 1e-11

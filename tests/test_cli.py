@@ -248,13 +248,15 @@ def test_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):
 def test_compare_prints_the_study(tmp_path, capsys, argv, mesh_n, head):
     # the subdomain errors and their ratio where an exact solution exists,
     # the overshoot of both modes always
-    from lsfem.bench import compare_bc_modes
+    from lsfem.bench import compare_bc_modes, get_problem
 
     code, out, err = run(capsys, "--out-dir", str(tmp_path), "compare", *argv)
     assert code == 0 and err == ""
-    comp = compare_bc_modes(argv[1], 0, mesh_n, epsilon=1.0 if "--eps" in argv else None)
-    expect = head + "".join(f"note: {note}\n" for note in comp.notes)
-    expect += f"{argv[1]} eps={comp.epsilon:g} P1, {2 * mesh_n**2} elements\n"
+    eps = 1.0 if "--eps" in argv else None
+    comp = compare_bc_modes(argv[1], 0, mesh_n, epsilon=eps)
+    problem = get_problem(argv[1], eps)
+    expect = head + "".join(f"note: {note}\n" for note in problem.notes)
+    expect += f"{argv[1]} eps={problem.epsilon:g} P1, {2 * mesh_n**2} elements\n"
     if comp.weak is not None:
         expect += (f"subdomain [0,0.9]x[0,0.9] L2: weak {comp.weak.e_L2:.4e} "
                    f"strong {comp.strong.e_L2:.4e} ratio {comp.error_ratio:.3e}\n")
@@ -502,15 +504,6 @@ def test_identical_argv_identical_output(tmp_path, capsys):
     csv2 = (tmp_path / "convergence_smooth_P1_weak.csv").read_bytes()
     assert (code1, out1) == (code2, out2)
     assert csv1 == csv2
-
-
-def test_outdir_env_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LSFEM_OUTDIR", str(tmp_path))
-    code, out, _ = run(
-        capsys, "solve", "--problem", "smooth", "--eps", "1e-3", "--mesh-n", "2",
-    )
-    assert code == 0
-    assert any(f.endswith(".vtk") for f in os.listdir(tmp_path))
 
 
 def test_rotating_solve_uses_slit(tmp_path, capsys):

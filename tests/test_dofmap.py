@@ -8,11 +8,11 @@ from conftest import (
     edge_traces,
     edge_w_values,
     jittered_relabelled_meshes,
-    make_case,
     polynomial_problem,
 )
 from lsfem import fem
 from lsfem.bench.errors import interpolate_scalar
+from lsfem.bench.studies import build_case
 from lsfem.fem import basis
 from lsfem.mesh import Mesh, build_topology, generate_structured, refine_uniform
 
@@ -32,7 +32,7 @@ def test_single_triangle_counts_k0():
 
 def test_two_triangle_counts():
     # shared edge carries shared vector DOFs: 2*8 local minus 2 shared = 14
-    mesh, topo, dm = make_case(1, 0)
+    mesh, topo, dm = build_case(1, 0, perturb=0.0)
     assert dm.n_q == 5 * 2 + 2 * 2
     assert dm.n_q == 14
     assert dm.n_w == 4
@@ -42,7 +42,7 @@ def test_two_triangle_counts():
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_global_counts_formula(k):
-    mesh, topo, dm = make_case(3, k, perturb=0.1)
+    mesh, topo, dm = build_case(3, k, perturb=0.1)
     m = k + 1
     E, T, V = topo.num_edges, mesh.num_triangles, mesh.num_vertices
     assert dm.n_q == E * (m + 1) + T * m * (m + 1)
@@ -51,7 +51,7 @@ def test_global_counts_formula(k):
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_shared_edge_dofs_have_identical_indices(k):
-    mesh, topo, dm = make_case(2, k, perturb=0.15)
+    mesh, topo, dm = build_case(2, k, perturb=0.15)
     n_edge = basis.rt_edge_dofs(k + 1)
     for e in np.flatnonzero(~topo.is_boundary):
         t0, t1 = topo.edge_to_tri[e]
@@ -83,7 +83,7 @@ def test_hdiv_normal_trace_continuity(k, mesh):
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_h1_continuity(k):
-    mesh, topo, dm = make_case(3, k, perturb=0.2)
+    mesh, topo, dm = build_case(3, k, perturb=0.2)
     t = fem.edge_rule(2 * (k + 1) + 2).points[:, 0]
     worst = 0.0
     for e in np.flatnonzero(~topo.is_boundary):
@@ -99,22 +99,22 @@ def test_h1_continuity(k):
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_piola_divergence_identity(k):
     # physical divergence equals reference divergence / det(J)
-    mesh, topo, dm = make_case(2, k, perturb=0.25)
+    mesh, topo, dm = build_case(2, k, perturb=0.25)
     geo = fem.element_geometry(mesh)
     rule = fem.triangle_rule(2 * (k + 1))
-    ref_vals, ref_divs = basis.rt_basis(k + 1, rule.xy)
-    _, divs = fem.q_tables(k + 1, rule.xy, geo)
+    ref_vals, ref_divs = basis.rt_basis(k + 1, rule.points)
+    _, divs = fem.q_tables(k + 1, rule.points, geo)
     expect = ref_divs[None, :, :] / geo.det[:, None, None]
     scale = max(1.0, np.abs(expect).max())
     assert np.abs(divs - expect).max() / scale < 1e-12
     # and against finite differences of the mapped values on one element
     h = 1e-7
-    vals0, _ = fem.q_tables(k + 1, rule.xy, geo)
-    geo_pts = geo.map_points(rule.xy)
+    vals0, _ = fem.q_tables(k + 1, rule.points, geo)
+    geo_pts = geo.map_points(rule.points)
     ref_dx = np.linalg.solve(geo.jac[0], np.array([h, 0.0]))
     ref_dy = np.linalg.solve(geo.jac[0], np.array([0.0, h]))
-    vx, _ = fem.q_tables(k + 1, rule.xy + ref_dx[None, :], geo)
-    vy, _ = fem.q_tables(k + 1, rule.xy + ref_dy[None, :], geo)
+    vx, _ = fem.q_tables(k + 1, rule.points + ref_dx[None, :], geo)
+    vy, _ = fem.q_tables(k + 1, rule.points + ref_dy[None, :], geo)
     fd = (vx[0, ..., 0] - vals0[0, ..., 0]) / h + (vy[0, ..., 1] - vals0[0, ..., 1]) / h
     assert np.abs(fd - divs[0]).max() < 1e-4 * max(1.0, np.abs(divs[0]).max())
 
@@ -140,7 +140,7 @@ def _inverse_constants(mesh, topo, k):
     rule = fem.triangle_rule(2 * m + 2)
     erule = fem.edge_rule(2 * m + 2)
     t = erule.points[:, 0]
-    vals, divs = fem.q_tables(m, rule.xy, geo)
+    vals, divs = fem.q_tables(m, rule.points, geo)
     wq = rule.weights[None, :] * geo.det[:, None]
     norm_k = np.sqrt(np.einsum("tiqd,tiqd,tq->ti", vals, vals, wq))
     norm_div = np.sqrt(np.einsum("tiq,tiq,tq->ti", divs, divs, wq))
@@ -161,7 +161,7 @@ def _inverse_constants(mesh, topo, k):
 
 
 def test_w_coords_match_vertex_positions():
-    mesh, topo, dm = make_case(3, 2, perturb=0.1)
+    mesh, topo, dm = build_case(3, 2, perturb=0.1)
     assert np.allclose(dm.w_coords[: mesh.num_vertices], mesh.vertices)
     # every element's local nodes map onto the stored global coordinates
     geo = fem.element_geometry(mesh)
@@ -174,7 +174,7 @@ def test_w_coords_match_vertex_positions():
 
 def test_rejects_bad_k():
     # k indexes the degree k + 1, so basis's degree check bounds it
-    mesh, topo, _ = make_case(1, 0)
+    mesh, topo, _ = build_case(1, 0, perturb=0.0)
     for k in (-1, basis.MAX_ORDER):
         message = f"polynomial degree must be in 1..{basis.MAX_ORDER}, got {k + 1}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -185,7 +185,7 @@ def test_rejects_bad_k():
 def test_edge_quadrature_table(k):
     # every edge of a jittered mesh, so the faces sit on all three local
     # edges of their owners
-    mesh, topo, dm = make_case(4, k, perturb=0.2)
+    mesh, topo, dm = build_case(4, k, perturb=0.2)
     edges = np.arange(topo.num_edges)
     owners, pts, trace, weights, h = fem.edge_quadrature(topo, dm, edges, fem.assembly_degree(k))
     local = np.argmax(topo.tri_to_edge[owners] == edges[:, None], axis=1)
@@ -212,7 +212,7 @@ def test_edge_quadrature_table(k):
 
 
 def test_edge_quadrature_of_no_edges_is_empty():
-    mesh, topo, dm = make_case(2, 1)
+    mesh, topo, dm = build_case(2, 1, perturb=0.0)
     owners, pts, trace, weights, h = fem.edge_quadrature(topo, dm, np.array([], int), 6)
     nq, nloc = len(weights), dm.w_index.shape[1]
     assert owners.shape == (0,) and pts.shape == (0, nq, 2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_case, polynomial_problem
+from conftest import polynomial_problem
 from lsfem import fem
 from lsfem.bench import error_norms, get_problem, interpolate_solution, sample_solution
 from lsfem.bench.errors import _q_moments, region_elements
@@ -12,7 +12,7 @@ from lsfem.mesh import Mesh, generate_structured
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_interpolant_of_polynomial_has_zero_error(k):
     problem = polynomial_problem(0.2, k)
-    mesh, topo, dm = make_case(3, k, perturb=0.2)
+    mesh, topo, dm = build_case(3, k, perturb=0.2)
     coef = interpolate_solution(problem, mesh, topo, dm)
     report = error_norms(coef, mesh, topo, dm, problem)
     for field in ("e_L2", "e_grad", "e_q", "e_stream", "e_bdry"):
@@ -24,7 +24,7 @@ def test_q_interpolant_reproduces_the_local_space(k):
     # a random field of the whole local space P_m^2 + x P_m (m = k + 1), whose
     # x P_m part no gradient of a polynomial reaches
     m = k + 1
-    mesh, topo, dm = make_case(4, k, perturb=0.2)
+    mesh, topo, dm = build_case(4, k, perturb=0.2)
     exps = [(a, b) for a in range(m + 1) for b in range(m + 1 - a)]
     coef = np.random.default_rng(k).standard_normal((len(exps), 3))
 
@@ -42,7 +42,7 @@ def test_q_interpolant_reproduces_the_local_space(k):
 def test_zero_solution_gives_exact_norm():
     # || sin(2 pi x) sin(2 pi y) ||_L2 = 1/2 by the closed-form integral
     problem = get_problem("smooth", 1e-3)
-    mesh, topo, dm = make_case(16, 0, perturb=0.0)
+    mesh, topo, dm = build_case(16, 0, perturb=0.0)
     zero = np.zeros(dm.n_total)
     report = error_norms(zero, mesh, topo, dm, problem)
     assert report.e_L2 == pytest.approx(0.5, abs=1e-9)
@@ -52,7 +52,7 @@ def test_boundary_error_matches_edge_loop():
     # reference: the weighted boundary norm edge by edge, on the boundary
     # edges of the elements a region keeps
     problem = get_problem("boundary-layer", 1e-2)
-    mesh, topo, dm = make_case(5, 1, perturb=0.15)
+    mesh, topo, dm = build_case(5, 1, perturb=0.15)
     x = np.random.default_rng(3).standard_normal(dm.n_total)
     region = (0.0, 0.6, 0.0, 1.0)
     report = error_norms(x, mesh, topo, dm, problem, region=region)
@@ -77,7 +77,7 @@ def test_boundary_error_matches_edge_loop():
 
 
 def test_region_filter_excludes_touching_elements():
-    mesh, topo, dm = make_case(10, 0, perturb=0.0)
+    mesh, topo, dm = build_case(10, 0, perturb=0.0)
     sel = region_elements(mesh, (0.0, 0.9, 0.0, 0.9))
     outside = np.setdiff1d(np.arange(mesh.num_triangles), sel)
     pts = mesh.vertices[mesh.triangles]
@@ -98,7 +98,7 @@ def test_region_does_not_depend_on_units(scale):
 
 def test_subdomain_error_never_exceeds_full():
     problem = get_problem("smooth", 1e-3)
-    mesh, topo, dm = make_case(8, 0, perturb=0.1)
+    mesh, topo, dm = build_case(8, 0, perturb=0.1)
     coef = interpolate_solution(problem, mesh, topo, dm)
     coef += 1e-3 * np.sin(np.arange(dm.n_total))  # perturb to get nonzero error
     full = error_norms(coef, mesh, topo, dm, problem)
@@ -109,7 +109,7 @@ def test_subdomain_error_never_exceeds_full():
 
 def test_interior_region_has_no_boundary_error():
     problem = get_problem("smooth", 1e-3)
-    mesh, topo, dm = make_case(8, 1, perturb=0.1)
+    mesh, topo, dm = build_case(8, 1, perturb=0.1)
     x = np.random.default_rng(5).standard_normal(dm.n_total)
     report = error_norms(x, mesh, topo, dm, problem, region=(0.3, 0.7, 0.3, 0.7))
     assert report.e_bdry == 0.0
@@ -118,14 +118,14 @@ def test_interior_region_has_no_boundary_error():
 
 def test_region_without_elements_rejected():
     problem = get_problem("smooth", 1e-3)
-    mesh, topo, dm = make_case(8, 0, perturb=0.1)
+    mesh, topo, dm = build_case(8, 0, perturb=0.1)
     with pytest.raises(ValueError, match=r"region \[0.5,0.51\]x\[0,1\] contains no element"):
         error_norms(np.zeros(dm.n_total), mesh, topo, dm, problem, region=(0.5, 0.51, 0.0, 1.0))
 
 
 def test_missing_exact_solution_rejected():
     problem = get_problem("interior-layer", 1e-3)
-    mesh, topo, dm = make_case(2, 0)
+    mesh, topo, dm = build_case(2, 0, perturb=0.0)
     with pytest.raises(ValueError, match="exact"):
         error_norms(np.zeros(dm.n_total), mesh, topo, dm, problem)
 
@@ -137,7 +137,7 @@ def test_interpolant_error_decays_at_optimal_rate(k):
     problem = get_problem("smooth", 1e-3)
     errors = []
     for n in (8, 16, 32):
-        mesh, topo, dm = make_case(n, k, perturb=0.15)
+        mesh, topo, dm = build_case(n, k, perturb=0.15)
         coef = interpolate_solution(problem, mesh, topo, dm)
         errors.append(error_norms(coef, mesh, topo, dm, problem).e_L2)
     eoc = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
@@ -146,7 +146,7 @@ def test_interpolant_error_decays_at_optimal_rate(k):
 
 def test_transport_vector_accepted():
     problem = get_problem("transport")
-    mesh, topo, dm = make_case(4, 0, perturb=0.1)
+    mesh, topo, dm = build_case(4, 0, perturb=0.1)
     coef = np.zeros(dm.n_w)
     report = error_norms(coef, mesh, topo, dm, problem)
     assert report.e_q == 0.0
@@ -155,7 +155,7 @@ def test_transport_vector_accepted():
 
 
 def test_interpolant_without_exact_solution_rejected():
-    mesh, topo, dm = make_case(2, 0)
+    mesh, topo, dm = build_case(2, 0, perturb=0.0)
     with pytest.raises(ValueError) as info:
         interpolate_solution(get_problem("interior-layer"), mesh, topo, dm)
     assert type(info.value) is ValueError
@@ -179,7 +179,7 @@ def test_transport_interpolant_has_the_layout_of_the_solve():
 
 def test_sample_solution_shapes():
     problem = polynomial_problem(0.3, 0)
-    mesh, topo, dm = make_case(3, 0, perturb=0.1)
+    mesh, topo, dm = build_case(3, 0, perturb=0.1)
     coef = interpolate_solution(problem, mesh, topo, dm)
     u_v, q_c = sample_solution(coef, mesh, dm)
     assert u_v.shape == (mesh.num_vertices,)

@@ -131,10 +131,10 @@ def q_moments_einsum(field, mesh, topo, dm):
             "eq,q,e->e", fn, leg * erule.weights, topo.h_F)
     geo = dm.geo
     rule = fem.triangle_rule(2 * m + 4)
-    X = map_points_einsum(geo, rule.xy)
+    X = map_points_einsum(geo, rule.points)
     inv = np.swapaxes(geo.inv_t, 1, 2)
     fhat = np.einsum("trd,tqd->tqr", inv, field(X[..., 0], X[..., 1])) * geo.det[:, None, None]
-    tests = fem.basis.rt_interior_tests(m, rule.xy)
+    tests = fem.basis.rt_interior_tests(m, rule.points)
     out[topo.num_edges * n_edge:] = np.einsum("tqd,iqd,q->ti", fhat, tests, rule.weights).ravel()
     return out
 

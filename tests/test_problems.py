@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import make_case
 from lsfem import fem
 from lsfem.bench import PROBLEM_NAMES, get_problem
+from lsfem.bench.studies import build_case
 
 SAMPLE_POINTS = np.array(
     [
@@ -139,10 +139,10 @@ def test_rotating_flow_entry():
 @pytest.mark.parametrize("name", ["smooth", "rotating", "interior-layer", "boundary-layer", "transport"])
 def test_reaction_margin_nonnegative_on_quadrature_points(name):
     problem = get_problem(name)
-    mesh, topo, dm = make_case(4, 0, perturb=0.2)
+    mesh, topo, dm = build_case(4, 0, perturb=0.2)
     geo = fem.element_geometry(mesh)
     rule = fem.triangle_rule(fem.assembly_degree(0))
-    X = geo.map_points(rule.xy)
+    X = geo.map_points(rule.points)
     x, y = X[..., 0], X[..., 1]
     margin = problem.c(x, y) - 0.5 * divergence(problem.beta, x, y)
     assert margin.min() >= -1e-12

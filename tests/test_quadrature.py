@@ -16,18 +16,18 @@ def test_triangle_exactness(degree):
     rule = triangle_rule(degree)
     assert (rule.weights > 0).all()
     assert abs(rule.weights.sum() - 0.5) < 1e-15
-    x, y = rule.xy[:, 0], rule.xy[:, 1]
+    x, y = rule.points[:, 0], rule.points[:, 1]
     for a in range(degree + 1):
         for b in range(degree + 1 - a):
             got = (x**a * y**b * rule.weights).sum()
             assert abs(got - tri_monomial(a, b)) < 1e-13
 
 
-def test_triangle_barycentric_points():
+def test_triangle_points_lie_in_the_reference_triangle():
     rule = triangle_rule(3)
-    assert rule.points.shape[1] == 3
-    assert np.allclose(rule.points.sum(axis=1), 1.0, atol=1e-14)
-    assert (rule.points > -1e-14).all()
+    assert rule.points.shape[1] == 2
+    x, y = rule.points.T
+    assert (x > -1e-14).all() and (y > -1e-14).all() and (1.0 - x - y > -1e-14).all()
 
 
 def test_degree_one_reproduces_area():
@@ -37,14 +37,14 @@ def test_degree_one_reproduces_area():
 
 def test_degree_two_on_xy():
     rule = triangle_rule(2)
-    got = (rule.xy[:, 0] * rule.xy[:, 1] * rule.weights).sum()
+    got = (rule.points[:, 0] * rule.points[:, 1] * rule.weights).sum()
     assert abs(got - 1.0 / 24.0) < 1e-15
 
 
 def test_degree_four_misses_x5():
     # exactness boundary: degree-4 rule must visibly miss a degree-5 monomial
     rule = triangle_rule(4)
-    got = (rule.xy[:, 0] ** 5 * rule.weights).sum()
+    got = (rule.points[:, 0] ** 5 * rule.weights).sum()
     assert abs(got - 1.0 / 42.0) > 1e-13
 
 

@@ -2,10 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.linalg
-import scipy.sparse as sp
 
-from conftest import dense_oracle_solve
+from conftest import dense_oracle_solve, dense_pencil_extremes
 from lsfem.assembly import assemble_ls, mass_diagonal
 from lsfem.bench import (
     compare_bc_modes,
@@ -49,6 +47,28 @@ def test_convergence_study_deterministic():
     assert [r.e_L2 for r in a] == [r.e_L2 for r in b]
 
 
+@pytest.mark.parametrize("levels", [(8, 12), (8, 8), (4, 8, 12)], ids=["8-12", "8-8", "4-8-12"])
+@pytest.mark.parametrize(
+    "study",
+    [
+        lambda levels: convergence_study("smooth", 0, levels=levels, epsilon=1.0),
+        lambda levels: condition_study("smooth", 0, levels=levels, epsilons=(1.0,)),
+    ],
+    ids=["convergence", "condition"],
+)
+def test_studies_refuse_a_ladder_that_does_not_double(monkeypatch, study, levels):
+    # the EOC and the kappa ratio assume h halves from level to level: on
+    # (8, 12) the EOC read 1.01 where the rate is 1.73, on (8, 8) EOC 0
+    # and kappa ratio 1. Such a ladder raises before any mesh is built.
+    def no_case(*args, **kwargs):
+        raise AssertionError("built a case before the ladder was checked")
+
+    monkeypatch.setattr(studies, "build_case", no_case)
+    with pytest.raises(ValueError) as err:
+        study(levels)
+    assert str(err.value) == f"levels {', '.join(map(str, levels))} do not double from level to level"
+
+
 def test_condition_study_rows_and_ratio():
     rows = condition_study("smooth", 0, "weak", levels=(2, 4), epsilons=(1e-3,))
     assert len(rows) == 2
@@ -76,12 +96,10 @@ def test_condition_two_triangle_matches_direct_eigensolve():
     problem = get_problem("smooth", 1e-3)
     system = assemble_ls(problem, mesh, topo, dm, "weak")
     mass = mass_diagonal(mesh, dm)
-    scale = sp.diags(1.0 / np.sqrt(mass))
-    scaled = scale @ system.matrix.to_scipy() @ scale
     est = estimate_extremes(system.matrix, mass, system.order)
-    eigs = scipy.linalg.eigvalsh(scaled.toarray())
-    assert est.lambda_min == pytest.approx(eigs[0], rel=1e-12)
-    assert est.lambda_max == pytest.approx(eigs[-1], rel=1e-12)
+    lo, hi = dense_pencil_extremes(system.matrix, mass)
+    assert est.lambda_min == pytest.approx(lo, rel=1e-12)
+    assert est.lambda_max == pytest.approx(hi, rel=1e-12)
     rows = condition_study("smooth", 0, "weak", levels=(1,), epsilons=(1e-3,))
     assert rows[0].estimate.kappa == pytest.approx(est.kappa, rel=1e-12)
 
@@ -94,13 +112,11 @@ def test_arpack_bounds_hold_up_to_2000_dofs():
         system = assemble_ls(problem, mesh, topo, dm, "weak")
         assert dm.n_total <= 2000
         mass = mass_diagonal(mesh, dm)
-        scale = sp.diags(1.0 / np.sqrt(mass))
-        scaled = scale @ system.matrix.to_scipy() @ scale
         est = estimate_extremes(system.matrix, mass, system.order)
-        eigs = scipy.linalg.eigvalsh(scaled.toarray())
-        assert abs(est.kappa - eigs[-1] / eigs[0]) <= 0.02 * eigs[-1] / eigs[0]
+        lo, hi = dense_pencil_extremes(system.matrix, mass)
+        assert abs(est.kappa - hi / lo) <= 0.02 * hi / lo
         # the reported residual bounds hold at both ends
-        ends = ((est.lambda_min, eigs[0], est.tol_min), (est.lambda_max, eigs[-1], est.tol_max))
+        ends = ((est.lambda_min, lo, est.tol_min), (est.lambda_max, hi, est.tol_max))
         for got, ref, tol in ends:
             assert 0.0 < tol and abs(got - ref) <= tol * got, (k, got, ref, tol)
 
@@ -109,18 +125,16 @@ def test_arpack_bounds_hold_up_to_2000_dofs():
 @pytest.mark.parametrize("k", [0, 1, 2, 3], ids=["P1", "P2", "P3", "P4"])
 def test_condition_rows_converge_through_arpack(k, mode):
     # every (n, eps) row of the condition study on small meshes: each
-    # extreme within its residual bound of a dense eigensolve, or within
+    # extreme within its residual bound of the dense reference, or within
     # 1e-12 relative where the bound reads less than the rounding error
     for n in (1, 2, 4, 8) if k == 0 else (1, 2, 4):
         mesh, topo, dm = build_case(n, k, 0.0)
         mass = mass_diagonal(mesh, dm)
-        scale = sp.diags(1.0 / np.sqrt(mass))
         for eps in (1.0, 1e-3, 1e-9):
             system = assemble_ls(get_problem("smooth", eps), mesh, topo, dm, mode)
-            scaled = scale @ system.matrix.to_scipy() @ scale
             est = estimate_extremes(system.matrix, mass, system.order)
-            eigs = scipy.linalg.eigvalsh(scaled.toarray())
-            ends = ((est.lambda_min, eigs[0], est.tol_min), (est.lambda_max, eigs[-1], est.tol_max))
+            lo, hi = dense_pencil_extremes(system.matrix, mass)
+            ends = ((est.lambda_min, lo, est.tol_min), (est.lambda_max, hi, est.tol_max))
             for got, ref, tol in ends:
                 assert abs(got - ref) <= max(tol, 1e-12) * ref, (n, eps, got, ref, tol)
 
