@@ -63,10 +63,11 @@ def dense_pencil_extremes(matrix, mass):
     # Q = diag(1, Q'), Q' the QR-type product of the reflectors below the diagonal
     vecs[1:] = lapack.dormqr("L", "N", reflectors[1:, :-1], tau, vecs[1:], lwork=2 * n)[0]
     coo = matrix.to_scipy().tocoo()
-    entries, scale = coo.data.astype(np.longdouble), 1.0 / np.sqrt(mass.astype(np.longdouble))
+    entries = coo.data.astype(np.longdouble)
+    scale_ld = 1.0 / np.sqrt(mass.astype(np.longdouble))
     ends = []
     for v in vecs.T.astype(np.longdouble):
-        w = scale * v
+        w = scale_ld * v
         ends.append(float(np.sum(entries * w[coo.row] * w[coo.col]) / (v @ v)))
     return tuple(ends)
 

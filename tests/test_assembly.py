@@ -241,7 +241,7 @@ def test_bc_modes_share_one_pattern(slit, k, condense):
 @pytest.mark.parametrize(
     "action, message",
     [
-        pytest.param(lambda: assemble_ls(get_problem("smooth"), *build_case(2, 0, perturb=0.0), "robin"),
+        pytest.param(lambda: assemble_ls(get_problem("smooth"), *build_case(2, 0, 0.0), "robin"),
                      r"bc_mode must be one of \('weak', 'strong', 'alt-weak'\), got 'robin'",
                      id="unknown-bc-mode"),
     ],

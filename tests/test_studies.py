@@ -66,7 +66,8 @@ def test_studies_refuse_a_ladder_that_does_not_double(monkeypatch, study, levels
     monkeypatch.setattr(studies, "build_case", no_case)
     with pytest.raises(ValueError) as err:
         study(levels)
-    assert str(err.value) == f"levels {', '.join(map(str, levels))} do not double from level to level"
+    named = ", ".join(map(str, levels))
+    assert str(err.value) == f"levels {named} do not double from level to level"
 
 
 def test_condition_study_rows_and_ratio():
